@@ -1,11 +1,12 @@
 """groebner workload: reduced grevlex bases of standard systems.
 
-Every cycle computes the same 30 bases: Katsura-5, cyclic-5, 4 x Katsura-4,
-4 x Katsura-3, 4 x cyclic-4, and 8 each of Katsura-3 and cyclic-4 after a
+Every cycle computes the same 50 bases: Katsura-5, cyclic-5, 6 x Katsura-4,
+6 x Katsura-3, 6 x cyclic-4, and 15 each of Katsura-3 and cyclic-4 after a
 fresh seeded Q(i) change of coordinates.  The mix is fixed so that, whatever
 the number of cycles, the latency median lands among the small systems and
-the 90th percentile at the third of the four Katsura-4 runs of a cycle; the
-few large bases take most of the time."""
+the 90th percentile in the middle of the six Katsura-4 runs of a cycle (the
+top tenth is Katsura-5, cyclic-5 and three Katsura-4), where it rests on
+many samples of one system; the few large bases take most of the time."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ K3, K4, K5, C4, C5 = ("katsura", 3), ("katsura", 4), ("katsura", 5), ("cyclic", 
 # (system, twisted?); the large ones are spread over the cycle so that their
 # samples fall at different moments of the run
 _BLOCK = [(K4, False), (K3, False), (K3, True), (C4, True), (C4, False), (K3, True), (C4, True)]
-ORDER = _BLOCK + [(K5, False)] + _BLOCK + _BLOCK + [(C5, False)] + _BLOCK
+ORDER = (2 * _BLOCK + [(K5, False), (K3, True), (C4, True), (K3, True)]
+         + 2 * _BLOCK + [(C5, False), (C4, True), (K3, True), (C4, True)] + 2 * _BLOCK)
 
 # zero-dimensional solution counts (with multiplicity), or None for the
 # positive-dimensional cyclic-4

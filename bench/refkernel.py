@@ -8,15 +8,33 @@ neighbours' load.  The kernel does what the engine does most (exact rational
 division of sparse polynomials held in dicts), but uses only the standard
 library, so no change to segrekit can make it faster or slower.  Do not
 change it: the scaled figures of two versions are comparable only when both
-were measured against the same kernel."""
+were measured against the same kernel.
+
+Work done in fresh processes (the ``cli`` workload, and the import of
+segrekit in every set-up) goes mostly to starting Python and importing
+modules, and on a shared machine that part slows down and speeds up on its
+own, which the kernel above does not follow.  That work is scaled instead by
+the time of a fresh interpreter importing numpy (``CHILD``), sampled next to
+every operation.  numpy is installed with the toolchain, not part of
+segrekit, so no change to segrekit moves this reference either."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 from fractions import Fraction
 
 NOMINAL_S = 0.008        # the kernel's time that scaled figures are expressed at
+CHILD_NOMINAL_S = 0.15   # the child reference's time that scaled figures are expressed at
+CHILD_CODE = "import numpy"
+# BLAS thread pools in each fresh process would compete with the process's
+# own thread on a machine of few cores, so children run with one BLAS thread
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def _key(m):
@@ -68,3 +86,30 @@ def sample() -> float:
     t0 = time.perf_counter()
     _run()
     return time.perf_counter() - t0
+
+
+def child_env() -> dict:
+    """Environment for every child process the benchmark starts."""
+    return {**os.environ, **CHILD_ENV}
+
+
+def child_sample() -> float:
+    """Seconds a fresh interpreter takes now to import numpy."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", CHILD_CODE], env=child_env(), check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - t0
+
+
+@dataclass(frozen=True)
+class Reference:
+    """A reference computation, the time that scaled figures are expressed
+    at, and how many seconds of operations may pass between two samples."""
+
+    sample: Callable[[], float]
+    nominal_s: float
+    every_s: float
+
+
+KERNEL = Reference(sample, NOMINAL_S, 0.5)
+CHILD = Reference(child_sample, CHILD_NOMINAL_S, 0.0)

@@ -7,8 +7,8 @@ One caller sends the next request when the previous answer is back.  A run
 sets up (imports segrekit, builds the seeded inputs, warms up), then runs
 whole cycles of operations until S seconds of operations have passed,
 checking each output as it comes back (outside the timing).  Timings are
-scaled by the speed of a fixed reference kernel measured alongside them (see
-refkernel.py).  ``--trace 0`` reports the end-to-end metrics; ``--trace 1``
+scaled by the speed of a fixed reference computation measured alongside them
+(see refkernel.py).  ``--trace 0`` reports the end-to-end metrics; ``--trace 1``
 runs an untraced phase, then traces the first cycle(s) again, and reports
 per-layer metrics and the tracing overhead.  Human-readable lines start with
 ``#``; the last line is one JSON object.  Exit status 2 means the checkout
@@ -26,6 +26,7 @@ import math
 import os
 import re
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -42,10 +43,9 @@ from common import CheckFailed  # noqa: E402
 from shim import ImportFailed, import_segrekit  # noqa: E402
 
 WORKLOADS = {"groebner": "groebner", "geometry": "geometry", "cli": "clicalls"}
-SETUP_REPEATS = 5
+SETUP_REPEATS = 3
 DEEP_CYCLES = 2          # cycles whose outputs also get the invariant checks
 MIN_OPS = 100            # so that ten latency samples lie beyond the 90th percentile
-REF_EVERY = 0.5          # seconds of operations between reference-kernel samples
 IMPORT_CODE = (
     "import sys, time; sys.path.insert(0, {here!r}); from shim import import_segrekit; "
     "t = time.perf_counter(); import_segrekit({root!r}); print(time.perf_counter() - t)"
@@ -63,25 +63,29 @@ class Record:
 
 
 class Scaler:
-    """Expresses latencies at the reference kernel's nominal speed.
+    """Expresses latencies at a reference's nominal speed.
 
-    The kernel is timed before the first operation and again after every
-    REF_EVERY seconds of operations; each operation is scaled by the mean of
-    the two kernel times around it."""
+    The reference is timed before the first operation and again after every
+    ``ref.every_s`` seconds of operations (after each operation when that is
+    0); each operation is scaled by the mean of the two reference times
+    around it."""
 
-    def __init__(self):
-        self.samples = [refkernel.sample()]
+    def __init__(self, ref):
+        self.ref = ref
+        self.samples = [ref.sample()]
         self.pending, self.since = [], 0.0
 
     def add(self, record):
         self.pending.append(record)
         self.since += record.latency
-        if self.since >= REF_EVERY:
+        if self.since >= self.ref.every_s:
             self.flush()
 
     def flush(self):
-        self.samples.append(refkernel.sample())
-        factor = refkernel.NOMINAL_S / statistics.mean(self.samples[-2:])
+        if not self.pending:
+            return
+        self.samples.append(self.ref.sample())
+        factor = self.ref.nominal_s / statistics.mean(self.samples[-2:])
         for r in self.pending:
             r.scaled = r.latency * factor
         self.pending, self.since = [], 0.0
@@ -159,7 +163,8 @@ def repeat_share(records) -> float:
 def child_seconds(args, pattern=None):
     """Wall time of a fresh interpreter, or a number it prints."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable] + args, capture_output=True, text=True, cwd=ROOT)
+    proc = subprocess.run([sys.executable] + args, capture_output=True, text=True, cwd=ROOT,
+                          env=refkernel.child_env())
     wall = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"child {args[:2]} failed: {proc.stderr.strip()[-300:]}")
@@ -184,24 +189,39 @@ def median_of(fn, n=3):
     return statistics.median(fn() for _ in range(n))
 
 
+def scale_factor(ref, before):
+    """Nominal time over the mean of `before` and a reference sample now."""
+    return ref.nominal_s / statistics.mean([before, ref.sample()])
+
+
 def set_up(mod, sk, seed, workdir, repeats):
     """Import segrekit in a fresh process, build the inputs and warm up,
     `repeats` times.  Return the last state, its first cycle, and the median
-    set-up seconds, scaled by the reference kernel timed around each repeat
-    and unscaled."""
+    set-up seconds, scaled and unscaled.  The import, a fresh process, is
+    scaled by the child-process reference; building and warming up by the
+    workload's own reference."""
+    child, ref = refkernel.CHILD, reference(mod)
     scaled, raw = [], []
     for _ in range(repeats):
-        before = refkernel.sample()
+        before = child.sample()
         imported = import_seconds()
+        imported_factor = scale_factor(child, before)
+        before = ref.sample()
         t1 = time.perf_counter()
         state = mod.prepare(sk, seed, workdir)
         ops = mod.cycle(state, 0)
         mod.warmup(state)
-        seconds = imported + time.perf_counter() - t1
-        after = refkernel.sample()
-        raw.append(seconds)
-        scaled.append(seconds * refkernel.NOMINAL_S / ((before + after) / 2))
+        local = time.perf_counter() - t1
+        local_factor = scale_factor(ref, before)
+        raw.append(imported + local)
+        scaled.append(imported * imported_factor + local * local_factor)
     return state, ops, statistics.median(scaled), statistics.median(raw)
+
+
+def reference(mod):
+    """The reference a workload's timings are scaled by: the in-process
+    kernel, unless the workload's operations run in fresh processes."""
+    return getattr(mod, "REFERENCE", refkernel.KERNEL)
 
 
 def summarize(records, scaled=False):
@@ -282,6 +302,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
+    # on SIGTERM, unwind like an error so that children are stopped and the
+    # work directory is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     t0 = time.perf_counter()
     try:
@@ -303,7 +326,7 @@ def timed_run(mod, sk, args, workdir) -> int:
     state, ops, setup_s, setup_raw = set_up(mod, sk, args.seed, workdir, SETUP_REPEATS)
 
     gc.collect()
-    scaler = Scaler()
+    scaler = Scaler(reference(mod))
     records, busy = run_cycles(endless(mod, state, ops), seconds=args.seconds,
                                min_ops=MIN_OPS, scaler=scaler)
     s, raw = summarize(records, scaled=True), summarize(records)
@@ -317,9 +340,9 @@ def timed_run(mod, sk, args, workdir) -> int:
     print(f"# cycles = {records[-1].cycle + 1}; busy {busy:.2f} s; "
           f"digest of cycle 0 outputs {digest(records)}")
     print(f"# repeat_input_share = {repeat_share(records):.6g}")
-    print(f"# reference kernel: median {statistics.median(scaler.samples) * 1e3:.3f} ms over "
+    print(f"# reference: median {statistics.median(scaler.samples) * 1e3:.3f} ms over "
           f"{len(scaler.samples)} samples; timings below are scaled to "
-          f"{refkernel.NOMINAL_S * 1e3:g} ms")
+          f"{scaler.ref.nominal_s * 1e3:g} ms")
     print(f"# unscaled: setup_s {setup_raw:.6g} s, ops_per_s {raw['ops_per_s']:.6g} 1/s, "
           f"latency_ms_p50 {raw['p50'] * 1e3:.6g} ms, latency_ms_p90 {raw['p90'] * 1e3:.6g} ms")
     metrics = {
@@ -342,7 +365,7 @@ def traced_run(mod, sk, args, workdir) -> int:
 
     gc.collect()
     untraced, _ = run_cycles(endless(mod, state, ops), seconds=args.seconds / 2,
-                             scaler=Scaler())
+                             scaler=Scaler(reference(mod)))
     # inputs are built, and outputs checked, outside the traced region, so
     # that the counters see the operations alone
     again = [mod.cycle(state, i) for i in range(getattr(mod, "TRACE_CYCLES", 1))]
@@ -350,7 +373,7 @@ def traced_run(mod, sk, args, workdir) -> int:
     state.trace_children = True
     tracer.install()
     try:
-        traced, _ = run_cycles(again, check=False, scaler=Scaler())
+        traced, _ = run_cycles(again, check=False, scaler=Scaler(reference(mod)))
     finally:
         tracer.uninstall()
         state.trace_children = False
