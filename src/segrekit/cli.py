@@ -11,18 +11,17 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .correspond import (AlgebraicMap, CorrespondenceError,
                          build_correspondence, fiber, splits_at)
-from .gaussian import GaussianRational
 from .ideal import ResourceLimitError, current_limits, limits_scope
 from .manifold import CRManifold, ManifoldError, levi_signature
 from .parsing import ParseError, parse_poly
 from .poly import VarTable
 from .report import Report
-from .segre import (InconclusiveError, SYMBOLIC, essential_finiteness,
-                    inversion_set, minimality, segre_variety)
+from .segre import (InconclusiveError, SYMBOLIC, inversion_set, minimality,
+                    segre_variety)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -89,7 +88,7 @@ def cmd_essfin(args, rep: Report) -> int:
         raise InputError(f"point needs {M.n} coordinates")
     inv = inversion_set(M, w)
     rep.excluded.extend(sorted(str(e) for e in inv.excluded))
-    finite, deg = essential_finiteness(M, w)
+    finite, deg = inv.finiteness()
     rep.results["point"] = _fmt_point(w)
     rep.results["essentially_finite"] = finite
     rep.results["degree"] = deg

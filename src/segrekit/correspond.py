@@ -5,18 +5,17 @@ invariance verification, fibers and branch counting, splitting, composition."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, qi_sqrt
-from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
-                    eliminate, parametric_normal_form, saturate)
+from .gaussian import QI, QI_ZERO, GaussianRational
+from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
 from .linalg import rank
 from .manifold import CRManifold, ManifoldError, tangent_basis
 from .orders import grevlex
 from .parsing import parse_map_text, parse_poly
-from .poly import Poly, PolyError, VarTable
-from .segre import inversion_set, segre_variety
+from .poly import Poly, VarTable
+from .segre import SYMBOLIC, containment_ideal, segre_variety
 from .solve import solve_zero_dim
 
 
@@ -261,47 +260,33 @@ def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]
 
 
 def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Correspondence:
-    """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}} by parametric
-    reduction of rho'(f(z), wpb) against the symbolic Segre ideal of M."""
-    wb = tuple("wb_" + n for n in M.zvar_names)
-    wpb = tuple("wpb_" + n for n in Mp.zvar_names)
-    joint = VarTable.make(list(M.zvar_names), params=list(wb) + list(wpb),
-                          conjugates=False)
-    rename_wb = {"~" + n: w for n, w in zip(M.zvar_names, wb)}
-    segre_gens = [r.transport(joint, rename_wb) for r in M.rho]
-    Qw = Ideal.make(segre_gens, grevlex(len(joint)), joint)
+    """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}}: the containment
+    ideal of rho'(f(z), wpb) on the symbolic Segre variety of M."""
+    _, wb, wpb = _param_table(M, Mp)
+    ttable = VarTable.make(list(M.zvar_names), params=list(wpb), conjugates=False)
+    nums = [num.transport(ttable) for num, _ in f.components]
+    dens = [den.transport(ttable) for _, den in f.components]
 
-    nums = [num.transport(joint) for num, _ in f.components]
-    dens = [den.transport(joint) for _, den in f.components]
-
-    gens: List[Poly] = []
-    excluded: List[Poly] = []
-    z_idx = [joint.index(n) for n in M.zvar_names]
+    targets: List[Poly] = []
     for rp in Mp.rho:
         # rho'(f(z), wpb) with denominators cleared
         degs = [rp.degree_in([rp.table.index(n)]) for n in Mp.zvar_names]
-        acc = Poly.zero(joint)
+        acc = Poly.zero(ttable)
         for mono, c in rp.terms.items():
-            piece = Poly.const(joint, c)
+            piece = Poly.const(ttable, c)
             for k, n in enumerate(Mp.zvar_names):
                 a = mono[rp.table.index(n)]
                 b = mono[rp.table.index("~" + n)]
                 piece = piece * nums[k] ** a * dens[k] ** (degs[k] - a)
                 if b:
-                    piece = piece * Poly.var(joint, wpb[k]) ** b
+                    piece = piece * Poly.var(ttable, wpb[k]) ** b
             acc = acc + piece
-        rem, exc = parametric_normal_form(acc, Qw, list(wb) + list(wpb))
-        for e in exc:
-            if all(e != x for x in excluded):
-                excluded.append(e)
-        gens.extend(coefficients_in(rem, z_idx).values())
+        targets.append(acc)
 
-    ptable, wb, wpb = _param_table(M, Mp)
-    gens = [g.transport(ptable) for g in gens if not g.is_zero()]
+    gens, excluded, ptable = containment_ideal(M, SYMBOLIC, targets)
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
     graph = Ideal.make(gens, grevlex(len(ptable)), ptable)
-    excluded = tuple(e.transport(ptable) for e in excluded)
     # strip components supported on the excluded locus
     for e in excluded:
         graph = saturate(graph, e)
@@ -399,8 +384,7 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     E = eliminate(J, list(C1.wb_names) + list(C2.wpb_names))
     ptable, wb, wpb = _param_table(C1.source, C2.target)
     gens = [g.transport(ptable) for g in E.generators]
-    graph = (Ideal.make(gens, grevlex(len(ptable)), ptable) if gens
-             else Ideal(tuple(), grevlex(len(ptable)), ptable))
+    graph = Ideal.make(gens, grevlex(len(ptable)), ptable)
     # ledgers involving the eliminated middle block cannot be expressed in
     # the composed ring and are dropped; the rest carry over
     exc = []

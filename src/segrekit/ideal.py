@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import QI, QI_ONE, QI_ZERO
-from .orders import MonomialOrder, block_elim, grevlex, lex
+from .orders import MonomialOrder, block_elim, grevlex
 from .poly import Poly, PolyError, VarTable
 
 
@@ -378,8 +378,7 @@ def saturate(I: Ideal, e: Poly) -> Ideal:
     J = Ideal.make(gens, grevlex(len(ext)), ext, I.limits)
     E = eliminate(J, I.table.names)
     out = [g.transport(I.table) for g in E.generators]
-    return Ideal.make(out, I.order, I.table, I.limits) if out else \
-        Ideal(tuple(), I.order, I.table, I.limits)
+    return Ideal.make(out, I.order, I.table, I.limits)
 
 
 def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):

@@ -5,45 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational
+from .gaussian import QI_ONE, QI_ZERO, GaussianRational
 
 Matrix = List[List[GaussianRational]]
 
 
-def _copy(A: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    return [[GaussianRational.from_value(x) for x in row] for row in A]
-
-
-def rank(A: Sequence[Sequence[GaussianRational]]) -> int:
-    M = _copy(A)
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not M[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = QI_ONE / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
+def _row_reduce(A: Sequence[Sequence[GaussianRational]], ncols: int) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form of A over its first `ncols` columns: the
+    rows (pivot rows first) and the pivot columns."""
+    M = [[GaussianRational.from_value(x) for x in row] for row in A]
+    rows = len(M)
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
         if r == rows:
             break
-    return r
-
-
-def nullspace(A: Sequence[Sequence[GaussianRational]], ncols: int) -> List[List[GaussianRational]]:
-    """Basis of the right kernel of A (rows may be empty)."""
-    M = _copy(A)
-    rows = len(M)
-    pivots = []
-    r = 0
-    for c in range(ncols):
         piv = next((i for i in range(r, rows) if not M[i][c].is_zero()), None)
         if piv is None:
             continue
@@ -55,9 +31,16 @@ def nullspace(A: Sequence[Sequence[GaussianRational]], ncols: int) -> List[List[
                 f = M[i][c]
                 M[i] = [a - f * b for a, b in zip(M[i], M[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    return M, pivots
+
+
+def rank(A: Sequence[Sequence[GaussianRational]]) -> int:
+    return len(_row_reduce(A, len(A[0]) if A else 0)[1])
+
+
+def nullspace(A: Sequence[Sequence[GaussianRational]], ncols: int) -> List[List[GaussianRational]]:
+    """Basis of the right kernel of A (rows may be empty)."""
+    M, pivots = _row_reduce(A, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

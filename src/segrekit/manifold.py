@@ -7,12 +7,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational
+from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal
 from .linalg import hermitian_signature, nullspace, rank
 from .orders import grevlex
-from .parsing import ParseError, parse_manifold_text, parse_poly
-from .poly import CONJ_VAR, PARAM_VAR, Z_VAR, Poly, PolyError, VarTable
+from .parsing import parse_manifold_text, parse_poly
+from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
 
 Point = Tuple[GaussianRational, ...]
 
@@ -100,13 +100,19 @@ class PolarVariety:
     zeta_names: tuple
 
 
+def polar_gens(M: CRManifold, table: VarTable, conj_names: Sequence[str]) -> List[Poly]:
+    """The defining polynomials over `table`, each ~z renamed to its entry
+    of `conj_names` (the z-variables keep their names)."""
+    rename = {"~" + name: c for name, c in zip(M.zvar_names, conj_names)}
+    return [r.transport(table, rename) for r in M.rho]
+
+
 def polar(M: CRManifold) -> PolarVariety:
     if not check_reality(M):
         raise ManifoldError("defining polynomials are not real")
     zeta = tuple("zeta_" + name for name in M.zvar_names)
     table = VarTable.make(list(M.zvar_names) + list(zeta), conjugates=False)
-    rename = {"~" + name: z for name, z in zip(M.zvar_names, zeta)}
-    gens = [r.transport(table, rename) for r in M.rho]
+    gens = polar_gens(M, table, zeta)
     return PolarVariety(Ideal.make(gens, grevlex(len(table)), table), zeta)
 
 

@@ -6,7 +6,7 @@ residual tolerance on the numeric side alone."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,14 +22,12 @@ def _compile(polys: Sequence[Poly], names: Sequence[str]):
     def value(x: np.ndarray) -> np.ndarray:
         out = np.zeros(len(polys), dtype=complex)
         for k, p in enumerate(polys):
-            s = 0j
             for m, c in p.terms.items():
                 t = complex(c.re) + 1j * complex(c.im)
                 for pos, i in enumerate(idx):
                     if m[i]:
                         t *= x[pos] ** m[i]
                 out[k] = out[k] + t
-            out[k] += s
         return out
 
     diffs = [[p.diff(n) for n in names] for p in polys]

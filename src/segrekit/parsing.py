@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .gaussian import QI
-from .poly import PARAM_VAR, Poly, PolyError, VarTable
+from .poly import Poly, VarTable
 
 
 class ParseError(ValueError):

@@ -3,14 +3,13 @@ minimality criterion."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational
-from .ideal import (Ideal, degree_zero_dim, dimension, eliminate, member,
-                    normal_form, parametric_normal_form, coefficients_in)
-from .manifold import CRManifold, ManifoldError, check_reality
+from .gaussian import GaussianRational
+from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
+                    eliminate, parametric_normal_form)
+from .manifold import CRManifold, ManifoldError, check_reality, polar_gens
 from .orders import grevlex
 from .poly import Poly, VarTable
 
@@ -29,6 +28,19 @@ def _conj_point(w) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational.from_value(x).conjugate() for x in w)
 
 
+def _wb_names(M: CRManifold) -> tuple:
+    return tuple("wb_" + name for name in M.zvar_names)
+
+
+def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
+    """rho(z, w-bar) over `table`: ~z renamed to the wb_* block when w is
+    symbolic, else substituted by conj(w)."""
+    if w == SYMBOLIC:
+        return polar_gens(M, table, _wb_names(M))
+    wbar = {"~" + name: v for name, v in zip(M.zvar_names, _conj_point(w))}
+    return [r.substitute(wbar).transport(table) for r in M.rho]
+
+
 @dataclass(frozen=True)
 class SegreVariety:
     """Q_w: the z-variety cut out by the defining polynomials with the
@@ -43,21 +55,12 @@ class SegreVariety:
 def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     if not check_reality(M):
         raise ManifoldError("defining polynomials are not real")
+    params = _wb_names(M) if w == SYMBOLIC else ()
+    table = _ztable(M, params)
+    ideal = Ideal.make(_segre_gens(M, w, table), grevlex(len(table)), table)
     if w == SYMBOLIC:
-        params = tuple("wb_" + name for name in M.zvar_names)
-        table = _ztable(M, params)
-        rename = {"~" + name: p for name, p in zip(M.zvar_names, params)}
-        gens = [r.transport(table, rename) for r in M.rho]
-        return SegreVariety(M, SYMBOLIC, Ideal.make(gens, grevlex(len(table)), table), params)
-    table = _ztable(M)
-    wbar = _conj_point(w)
-    gens = []
-    for r in M.rho:
-        s = r.substitute({"~" + name: Poly.const(r.table, v)
-                          for name, v in zip(M.zvar_names, wbar)})
-        gens.append(s.transport(table))
-    return SegreVariety(M, tuple(GaussianRational.from_value(x) for x in w),
-                        Ideal.make(gens, grevlex(len(table)), table))
+        return SegreVariety(M, SYMBOLIC, ideal, params)
+    return SegreVariety(M, tuple(GaussianRational.from_value(x) for x in w), ideal)
 
 
 def in_segre_variety(M: CRManifold, z, w) -> bool:
@@ -155,63 +158,66 @@ class InversionSet:
     def base_names(self):
         return tuple(n[len("zb_"):] for n in self.param_names)
 
+    def finiteness(self) -> Tuple[bool, Optional[int]]:
+        """(True, degree R) when the inversion set is zero-dimensional."""
+        if not self.ideal.generators or dimension(self.ideal) != 0:
+            return False, None
+        return True, degree_zero_dim(self.ideal)
 
-def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
-    """I_w as an ideal in the conjugate coordinates zb of z.
 
-    Built from the containment Q_w subset Q_z: every defining polynomial
-    rho_j(t, zb) must reduce to zero against the ideal of Q_w in t."""
-    zb = tuple("zb_" + name for name in M.zvar_names)
-    tvars = tuple("t_" + name for name in M.zvar_names)
-    symbolic = w == SYMBOLIC
-    wb = tuple("wb_" + name for name in M.zvar_names) if symbolic else ()
-    params = zb + wb
-    table = VarTable.make(list(tvars) + list(params), conjugates=False)
+def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
+    """Conditions on the target parameters under which every target vanishes
+    on Q_w.
 
-    def to_t(r, conj_target):
-        rename = {name: t for name, t in zip(M.zvar_names, tvars)}
-        rename.update({"~" + name: c for name, c in zip(M.zvar_names, conj_target)})
-        return r.transport(table, rename)
+    `targets` share one table: M's z-variables and a block of target
+    parameters.  Each is pseudo-reduced against the generators of Q_w (whose
+    wb_* block joins the parameters when w is symbolic) and its
+    z-coefficients are collected.  Returns (generators, excluded, table): the
+    nonzero coefficients and the excluded-locus ledger, over the parameter
+    table (wb_* if w is symbolic, then the target block)."""
+    zvars = M.zvar_names
+    table = targets[0].table
+    params = [n for n in table.names if n not in zvars]
+    if w == SYMBOLIC:
+        params = list(_wb_names(M)) + params
+        table = VarTable.make(list(zvars), params=params, conjugates=False)
+        targets = [p.transport(table) for p in targets]
+    Qw = Ideal.make(_segre_gens(M, w, table), grevlex(len(table)), table)
 
-    if symbolic:
-        qw_gens = [to_t(r, wb) for r in M.rho]
-    else:
-        wbar = _conj_point(w)
-        qw_gens = []
-        for r in M.rho:
-            s = r.substitute({"~" + name: Poly.const(r.table, v)
-                              for name, v in zip(M.zvar_names, wbar)})
-            qw_gens.append(to_t(s, zb))  # conj vars already substituted
-    Qw = Ideal.make(qw_gens, grevlex(len(table)), table)
-
-    gens = []
+    gens: List[Poly] = []
     excluded: List[Poly] = []
-    t_indices = [table.index(t) for t in tvars]
-    for r in M.rho:
-        p = to_t(r, zb)
+    z_idx = [table.index(n) for n in zvars]
+    for p in targets:
         rem, exc = parametric_normal_form(p, Qw, params)
         for e in exc:
             if all(e != x for x in excluded):
                 excluded.append(e)
-        gens.extend(coefficients_in(rem, t_indices).values())
+        gens.extend(coefficients_in(rem, z_idx).values())
 
-    ptable = VarTable.make(list(params), conjugates=False)
-    gens = [g.transport(ptable) for g in gens if not g.is_zero()]
-    excluded = [e.transport(ptable) for e in excluded]
-    ideal = Ideal.make(gens, grevlex(len(ptable)), ptable) if gens else \
-        Ideal(tuple(), grevlex(len(ptable)), ptable)
-    inv = InversionSet(ideal, tuple(excluded), zb)
-    return inv
+    ptable = VarTable.make(params, conjugates=False)
+    return ([g.transport(ptable) for g in gens if not g.is_zero()],
+            tuple(e.transport(ptable) for e in excluded), ptable)
+
+
+def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
+    """I_w as an ideal in the conjugate coordinates zb of z.
+
+    The containment Q_w subset Q_z with targets rho(z, zb): the identity-map
+    case of a correspondence graph."""
+    zb = tuple("zb_" + name for name in M.zvar_names)
+    ttable = VarTable.make(list(M.zvar_names), params=zb, conjugates=False)
+    gens, excluded, ptable = containment_ideal(M, w, polar_gens(M, ttable, zb))
+    if w == SYMBOLIC:
+        # the ideal lives in zb, with the wb_* block after it as parameters
+        ptable = VarTable.make(list(zb) + list(_wb_names(M)), conjugates=False)
+        gens = [g.transport(ptable) for g in gens]
+        excluded = tuple(e.transport(ptable) for e in excluded)
+    return InversionSet(Ideal.make(gens, grevlex(len(ptable)), ptable), excluded, zb)
 
 
 def essential_finiteness(M: CRManifold, w) -> Tuple[bool, Optional[int]]:
     """(True, degree R) when the inversion set at w is zero-dimensional."""
-    inv = inversion_set(M, w)
-    if not inv.ideal.generators:
-        return False, None
-    if dimension(inv.ideal) != 0:
-        return False, None
-    return True, degree_zero_dim(inv.ideal)
+    return inversion_set(M, w).finiteness()
 
 
 def segre_map_locally_injective(M: CRManifold, q) -> bool:
@@ -238,25 +244,18 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     n = M.n
     uvars = tuple("u_" + name for name in M.zvar_names)
     joint = VarTable.make(list(M.zvar_names) + list(uvars), conjugates=False)
+    rename_u = dict(zip(M.zvar_names, uvars))
     for _ in range(1, j_max):
-        prev = ideals[-1]
-        gens = []
-        # conjugate of previous Segre set, in the u-block
-        rename_u = {name: u for name, u in zip(M.zvar_names, uvars)}
-        for g in prev.generators:
-            cg = Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
-            gens.append(cg.transport(joint, rename_u))
-        # polar constraint rho(z, u)
-        rename_polar = {"~" + name: u for name, u in zip(M.zvar_names, uvars)}
-        for r in M.rho:
-            gens.append(r.transport(joint, rename_polar))
+        # conjugate of the previous Segre set in the u-block, and the polar
+        # constraint rho(z, u)
+        gens = [Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
+                .transport(joint, rename_u) for g in ideals[-1].generators]
+        gens += polar_gens(M, joint, uvars)
         J = Ideal.make(gens, grevlex(len(joint)), joint)
         nxt = eliminate(J, M.zvar_names)
-        nxt = nxt if nxt.generators else Ideal(tuple(), grevlex(len(ztab)), ztab)
         # transport onto the shared z-table for comparisons
         nxt = Ideal.make([g.transport(ztab) for g in nxt.generators],
-                         grevlex(len(ztab)), ztab) if nxt.generators else \
-            Ideal(tuple(), grevlex(len(ztab)), ztab)
+                         grevlex(len(ztab)), ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))
         if dims[-1] == n or nxt == ideals[-2]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .gaussian import QI, QI_ZERO, GaussianRational, qi_sqrt
+from .gaussian import QI_ZERO, GaussianRational, qi_sqrt
 from .ideal import Ideal
 from .orders import lex
 from .poly import Poly

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -21,6 +22,25 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+# The README commands on the bundled data, keyed by command line, with the
+# exit code and the stdout report of the reference version.  A deliberate
+# change of a report means writing the new stdout back into this file.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+with open(GOLDEN_PATH) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_readme_commands_match_golden(command, monkeypatch):
+    for var in ("SEGREKIT_SEED", "SEGREKIT_MAX_DEGREE", "SEGREKIT_MAX_BASIS"):
+        monkeypatch.delenv(var, raising=False)
+    argv = [data_path(a) if a.endswith((".mfd", ".map")) else a
+            for a in command.split()]
+    code, out, _ = run_cli(*argv)
+    assert code == GOLDEN[command]["exit"]
+    assert out == GOLDEN[command]["stdout"]
 
 
 def test_parse_point():

@@ -14,6 +14,7 @@ from segrekit.correspond import (AlgebraicMap, CorrespondenceError,
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.ideal import member
 from segrekit.manifold import CRManifold
+from segrekit.segre import essential_finiteness, inversion_set
 
 SPHERE = load_manifold("sphere_C2.mfd")
 POWER = load_manifold("power_r2_n2.mfd")
@@ -155,3 +156,27 @@ def test_fiber_points_satisfy_graph():
             binding[n] = v.conjugate()
         for g in C.graph.generators:
             assert g.eval(binding).is_zero()
+
+
+# generic points: no zero coordinate, so off the identity graph's excluded locus
+INVARIANT_CASES = [
+    ("sphere_C2.mfd", (QI(1, 1), QI(2, -1)), 1),
+    ("hyperquadric_k1_n3.mfd", (QI(1, 1), QI(2, -1), QI(-1, 3)), 1),
+    ("power_r2_n2.mfd", (QI(1, 1), QI(2, -1)), 4),
+]
+
+
+@pytest.mark.parametrize("fname,w,degree", INVARIANT_CASES,
+                         ids=[c[0] for c in INVARIANT_CASES])
+def test_inversion_set_and_identity_correspondence_agree(fname, w, degree):
+    """w-bar is in V(I_w); w lies in its own identity-correspondence fiber,
+    whose degree is the essential-finiteness degree."""
+    M = load_manifold(fname)
+    inv = inversion_set(M, w)
+    binding = dict(zip(inv.ideal.table.names, (x.conjugate() for x in w)))
+    assert all(g.eval(binding).is_zero() for g in inv.ideal.generators)
+    C = build_correspondence(M, M, AlgebraicMap.identity(M))
+    res = fiber(C, w)
+    assert w in [p for p, _ in res.solutions]
+    assert essential_finiteness(M, w) == (True, degree)
+    assert res.degree == degree

@@ -123,3 +123,19 @@ def test_segre_sets_grow():
 def test_off_manifold_base_point_rejected():
     with pytest.raises(Exception):
         segre_sets(SPHERE, pt(2, 0), j_max=3)
+
+
+def test_symbolic_inversion_set_pinned():
+    """The symbolic I_w lives over (zb_*, wb_*), zb first."""
+    inv = inversion_set(POWER)
+    assert inv.ideal.table.names == ("zb_z1", "zb_z2", "wb_z1", "wb_z2")
+    assert [str(g) for g in inv.ideal.generators] == [
+        "-zb_z1^2+wb_z1^2", "-zb_z2^2*wb_z1^2+zb_z1^2*wb_z2^2"]
+    assert [str(e) for e in inv.excluded] == ["wb_z1^2"]
+    assert inv.param_names == ("zb_z1", "zb_z2")
+
+
+def test_essential_finiteness_reads_the_inversion_set():
+    w = pt(QI(1, 1), QI(2, -1))
+    assert inversion_set(POWER, w).finiteness() == essential_finiteness(POWER, w) == (True, 4)
+    assert inversion_set(TUBE, pt(1, 0)).finiteness() == (False, None)
