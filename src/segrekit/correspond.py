@@ -339,7 +339,9 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
         raise CorrespondenceError("fiber is the whole space (empty specialized ideal)")
     I = Ideal.make(gens, grevlex(len(ftable)), ftable)
     d = dimension(I)
-    if d != 0:
+    if d < 0:
+        raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")
+    if d > 0:
         raise CorrespondenceError(f"fiber has positive dimension {d}")
     deg = degree_zero_dim(I)
     sols = solve_zero_dim(I)

@@ -14,7 +14,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ONE, QI_ZERO
+from .gaussian import QI_ONE
 from .orders import MonomialOrder, block_elim, grevlex
 from .poly import Poly, PolyError, VarTable
 
@@ -59,10 +59,6 @@ def _lm(p: Poly, order: MonomialOrder) -> tuple:
     return max(p.terms, key=order.key)
 
 
-def _lc(p: Poly, order: MonomialOrder) -> QI:
-    return p.terms[_lm(p, order)]
-
-
 def _divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -75,36 +71,64 @@ def _quot(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _divisor(terms: dict, key) -> tuple:
+    """(leading monomial, leading coefficient, tail) of a term map."""
+    lm = max(terms, key=key)
+    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
+
+
+def _field_step(c, lc):
+    return 1, c / lc
+
+
+def _divide(terms: dict, divisors: Sequence[tuple], key, step):
+    """The division algorithm: divide ``terms`` ({monomial: coefficient}) by
+    ``divisors``, a list of (leading monomial, leading coefficient, tail).
+
+    Each pass pops the largest monomial m of the work under ``key``.  When no
+    leading monomial divides m it goes to the remainder; otherwise the first
+    divisor whose leading monomial divides m cancels it.  ``step(c, lc)``
+    returns (a, f) with a*c == f*lc, and the work becomes
+    a*work - f*(m/lm)*divisor.  A field step has a == 1; any other a also
+    scales the quotients and remainder gathered so far, so that
+    A*p == sum(q_k*divisor_k) + r with A the product of the a's.
+
+    Returns (quotients, remainder): one {shift: coefficient} map per
+    divisor, and {monomial: coefficient} in descending order."""
+    work = dict(terms)
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for k, (lm, lc, tail) in enumerate(divisors):
+            if _divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        a, f = step(c, lc)
+        if a != 1:
+            for part in (work, remainder, *quotients):
+                for t in part:
+                    part[t] = a * part[t]
+        shift = _quot(m, lm)
+        quotients[k][shift] = f
+        for mg, cg in tail:
+            t = tuple(x + y for x, y in zip(mg, shift))
+            s = work.get(t)
+            s = -(f * cg) if s is None else s - f * cg
+            if s.is_zero():
+                del work[t]
+            else:
+                work[t] = s
+    return quotients, remainder
+
+
 def reduce_poly(p: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     """Full remainder of p on division by basis (tail terms reduced too)."""
-    table = p.table
-    remainder = {}
-    work = dict(p.terms)
-    lms = [(_lm(g, order), g) for g in basis if not g.is_zero()]
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        hit = None
-        for lm_g, g in lms:
-            if _divides(lm_g, m):
-                hit = (lm_g, g)
-                break
-        if hit is None:
-            remainder[m] = remainder.get(m, QI_ZERO) + c
-            continue
-        lm_g, g = hit
-        factor = c / g.terms[lm_g]
-        q = _quot(m, lm_g)
-        for mg, cg in g.terms.items():
-            if mg == lm_g:
-                continue
-            key = tuple(a + b for a, b in zip(mg, q))
-            s = work.get(key, QI_ZERO) - factor * cg
-            if s.is_zero():
-                work.pop(key, None)
-            else:
-                work[key] = s
-    return Poly(table, remainder)
+    divisors = [_divisor(g.terms, order.key) for g in basis if not g.is_zero()]
+    return Poly(p.table, _divide(p.terms, divisors, order.key, _field_step)[1])
 
 
 def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -386,28 +410,9 @@ def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):
     if d.is_zero():
         return None
     order = order or grevlex(len(p.table))
-    lm_d = _lm(d, order)
-    lc_d = d.terms[lm_d]
-    work = dict(p.terms)
-    quot = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        if not _divides(lm_d, m):
-            return None
-        q = _quot(m, lm_d)
-        f = c / lc_d
-        quot[q] = f
-        for mg, cg in d.terms.items():
-            if mg == lm_d:
-                continue
-            key = tuple(a + b for a, b in zip(mg, q))
-            s = work.get(key, QI_ZERO) - f * cg
-            if s.is_zero():
-                work.pop(key, None)
-            else:
-                work[key] = s
-    return Poly(p.table, quot)
+    (quot,), rem = _divide(p.terms, [_divisor(d.terms, order.key)], order.key,
+                           _field_step)
+    return None if rem else Poly(p.table, quot)
 
 
 # -- parametric pseudo-reduction -------------------------------------------------
@@ -416,13 +421,12 @@ def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):
 def coefficients_in(p: Poly, main_indices: Sequence[int]) -> dict:
     """Split p as a sum over monomials in the main block with parameter
     polynomials as coefficients: {main exponent tuple -> Poly}."""
-    main = tuple(main_indices)
+    main = set(main_indices)
     buckets = {}
     for m, c in p.terms.items():
         key = tuple(m[i] if i in main else 0 for i in range(len(m)))
         rest = tuple(0 if i in main else m[i] for i in range(len(m)))
-        bucket = buckets.setdefault(key, {})
-        bucket[rest] = bucket.get(rest, QI_ZERO) + c
+        buckets.setdefault(key, {})[rest] = c
     return {k: Poly(p.table, v) for k, v in buckets.items()}
 
 
@@ -438,71 +442,34 @@ def parametric_normal_form(
     table = I.table
     params = {table.index(n) for n in param_names}
     main = [i for i in range(len(table)) if i not in params]
-    morder = grevlex(len(table))
-
-    def main_part(m):
-        return tuple(m[i] if i in set(main) else 0 for i in range(len(m)))
-
-    main_set = set(main)
-
-    def split_lead(g):
-        # leading main-monomial of g and its parameter-polynomial coefficient
-        best = None
-        for m in g.terms:
-            mp = tuple(m[i] if i in main_set else 0 for i in range(len(m)))
-            if best is None or morder.key(mp) > morder.key(best):
-                best = mp
-        coeff = {}
-        for m, c in g.terms.items():
-            if tuple(m[i] if i in main_set else 0 for i in range(len(m))) == best:
-                rest = tuple(0 if i in main_set else m[i] for i in range(len(m)))
-                coeff[rest] = c
-        return best, Poly(g.table, coeff)
-
-    leads = [split_lead(g) for g in I.generators]
+    key = grevlex(len(table)).key
+    divisors = [_divisor(coefficients_in(g, main), key)
+                for g in I.generators if not g.is_zero()]
     excluded: List[Poly] = []
+    steps = 0
 
-    def note_excluded(lc: Poly):
-        if lc.is_constant():
-            return
-        if all(lc != e for e in excluded):
+    def pseudo_step(c: Poly, lc: Poly):
+        # a*c == f*lc with a = lc, f = c; lc joins the ledger on first use
+        nonlocal steps
+        steps += 1
+        if steps >= 20000:
+            raise ResourceLimitError("parametric reduction did not terminate",
+                                     {"steps": steps})
+        if not lc.is_constant() and all(lc != e for e in excluded):
             excluded.append(lc)
+        return lc, c
 
-    work = p
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 20000:
-            raise ResourceLimitError(
-                "parametric reduction did not terminate",
-                {"steps": guard, "terms": len(work.terms)},
-            )
-        # largest reducible main-monomial of work
-        target = None
-        hit = None
-        for m in work.terms:
-            mp = main_part(m)
-            for (lm_g, lc_g), g in zip(leads, I.generators):
-                if _divides(lm_g, mp):
-                    if target is None or morder.key(mp) > morder.key(target):
-                        target = mp
-                        hit = (lm_g, lc_g, g)
-                    break
-        if target is None:
-            # strip excluded-locus factors: off their zero sets the
-            # remainder's vanishing is unchanged
-            changed = True
-            while changed and not work.is_zero():
-                changed = False
-                for e in excluded:
-                    q = exact_div(work, e)
-                    if q is not None:
-                        work = q
-                        changed = True
-            return work, excluded
-        lm_g, lc_g, g = hit
-        coeffs = coefficients_in(work, main)
-        c_p = coeffs[target]
-        note_excluded(lc_g)
-        shift = _quot(target, lm_g)
-        work = work * lc_g - g.scale_monomial(shift, QI_ONE) * c_p
+    _, rem = _divide(coefficients_in(p, main), divisors, key, pseudo_step)
+    work = Poly(table, {tuple(x + y for x, y in zip(m, r)): v
+                        for m, c in rem.items() for r, v in c.terms.items()})
+    # strip excluded-locus factors: off their zero sets the remainder's
+    # vanishing is unchanged
+    changed = True
+    while changed and not work.is_zero():
+        changed = False
+        for e in excluded:
+            q = exact_div(work, e)
+            if q is not None:
+                work = q
+                changed = True
+    return work, excluded

@@ -313,7 +313,7 @@ class Poly:
                 if e:
                     new[idx[i]] += e
             key = tuple(new)
-            terms[key] = terms.get(key, QI_ZERO) + c
+            terms[key] = terms[key] + c if key in terms else c
         return Poly(table, terms)
 
     # -- printing ----------------------------------------------------------------

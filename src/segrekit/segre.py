@@ -173,7 +173,8 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
     parameters.  Each is pseudo-reduced against the generators of Q_w (whose
     wb_* block joins the parameters when w is symbolic) and its
     z-coefficients are collected.  Returns (generators, excluded, table): the
-    nonzero coefficients and the excluded-locus ledger, over the parameter
+    nonzero coefficients, target by target and ascending in Q_w's order of
+    their z-monomials, and the excluded-locus ledger, over the parameter
     table (wb_* if w is symbolic, then the target block)."""
     zvars = M.zvar_names
     table = targets[0].table
@@ -192,7 +193,8 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
         for e in exc:
             if all(e != x for x in excluded):
                 excluded.append(e)
-        gens.extend(coefficients_in(rem, z_idx).values())
+        coeffs = coefficients_in(rem, z_idx)
+        gens.extend(coeffs[m] for m in sorted(coeffs, key=Qw.order.key))
 
     ptable = VarTable.make(params, conjugates=False)
     return ([g.transport(ptable) for g in gens if not g.is_zero()],

@@ -9,7 +9,8 @@ from segrekit.catalog import load_manifold, sample_points
 from segrekit.correspond import (AlgebraicMap, CorrespondenceError,
                                  ExcludedLocusError, build_correspondence,
                                  compose, fiber, max_rank_check,
-                                 power_correspondence, splits_at,
+                                 power_correspondence,
+                                 relation_correspondence, splits_at,
                                  verify_invariance)
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.ideal import member
@@ -101,6 +102,16 @@ def test_relation_correspondence_valency():
     C = power_correspondence(HQ2, POWER, 1, 2)
     res = fiber(C, pt(1, 4))
     assert res.degree == 4
+
+
+def test_empty_fiber_is_reported_as_empty():
+    """wpb_z1 * wb_z1 = 1 has no solution over wb_z1 = 0: the fiber is
+    empty, not of positive dimension."""
+    C = relation_correspondence(SPHERE, SPHERE,
+                                ["wpb_z1*wb_z1 - 1", "wpb_z2 - wb_z2"])
+    with pytest.raises(CorrespondenceError, match="empty"):
+        fiber(C, pt(0, 1))
+    assert fiber(C, pt(1, 1)).degree == 1
 
 
 def test_splits_true_and_false():

@@ -9,10 +9,10 @@ import pytest
 from segrekit.gaussian import GaussianRational as QI, QI_ONE, QI_ZERO
 from segrekit.ideal import (Ideal, Limits, ResourceLimitError,
                             buchberger, degree_zero_dim, dimension, eliminate,
-                            member, normal_form, parametric_normal_form,
-                            radical_member, reduce_poly, saturate,
-                            standard_monomials)
-from segrekit.ideal import _s_poly
+                            exact_div, member, normal_form,
+                            parametric_normal_form, radical_member,
+                            reduce_poly, saturate, standard_monomials)
+from segrekit.ideal import _divides, _s_poly
 from segrekit.orders import grevlex, lex
 from segrekit.parsing import parse_poly
 from segrekit.poly import Poly, VarTable
@@ -149,6 +149,78 @@ def test_parametric_normal_form_strips_content():
     rem, excluded = parametric_normal_form(p, I, ["w1", "w2"])
     assert str(rem) in ("w2-w1", "w1-w2", "-w1+w2", "-w2+w1")
     assert excluded
+
+
+def test_parametric_normal_form_pinned():
+    """Remainder and excluded-locus ledger (in first-use order) on two
+    generators with distinct non-constant leading coefficients a and b+1."""
+    table = VarTable.make(["x", "y"], params=["a", "b"], conjugates=False)
+    I = Ideal.make([P("a*x^2 - b*y + 1", table), P("(b+1)*y^2 - x", table)],
+                   grevlex(len(table)), table)
+    rem, excluded = parametric_normal_form(
+        P("x^3*y + y^3 - a*b*x + 2", table), I, ["a", "b"])
+    assert str(rem) == ("-x*a^3*b^2-x*a^3*b+x*y*a^2-x*y*a*b-x*y*a"
+                        "+2*a^2*b+y*b^2+2*a^2-b")
+    assert [str(e) for e in excluded] == ["a", "b+1"]
+    rem, excluded = parametric_normal_form(
+        P("y^4 + a*x*y^2 - x^2 + b", table), I, ["a", "b"])
+    assert str(rem) == ("y*a*b^2-y*b^3+a*b^3+y*a*b-2*y*b^2+2*a*b^2+b^2"
+                        "-a+2*b")
+    assert [str(e) for e in excluded] == ["b+1", "a"]
+
+
+DIV_TABLE = VarTable.make(["x", "y", "z"], conjugates=False)
+
+
+def random_poly(rng, nterms, degree, table=DIV_TABLE):
+    terms = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(0, degree) for _ in range(len(table)))
+        terms[m] = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return Poly(table, terms)
+
+
+def leading(p, order):
+    return max(p.terms, key=order.key)
+
+
+@pytest.mark.parametrize("order", [grevlex(3), lex(3)], ids=["grevlex", "lex"])
+def test_exact_div(order):
+    """exact_div recovers p from p*d, and refuses p*d + r when no term of
+    the nonzero r is divisible by lm(d)."""
+    rng = random.Random(5)
+    for _ in range(40):
+        p, d = random_poly(rng, 4, 3), random_poly(rng, 3, 2)
+        if d.is_zero() or d.is_constant():
+            continue
+        assert exact_div(p * d, d, order) == p
+        lm_d = leading(d, order)
+        r = random_poly(rng, 3, 3)
+        r = Poly(DIV_TABLE, {m: c for m, c in r.terms.items()
+                             if not _divides(lm_d, m)})
+        if r.is_zero():
+            continue
+        assert exact_div(p * d + r, d, order) is None
+        assert reduce_poly(p * d + r, [d], order) == r
+
+
+@pytest.mark.parametrize("order", [grevlex(3), lex(3)], ids=["grevlex", "lex"])
+def test_reduce_poly_against_a_groebner_basis(order):
+    """The remainder has no term divisible by a leading monomial of G, and
+    p - r lies in <G>: adding multiples of G to p leaves r unchanged."""
+    rng = random.Random(9)
+    for _ in range(10):
+        G = buchberger([random_poly(rng, 3, 2) for _ in range(2)], order)
+        lms = [leading(g, order) for g in G]
+        for _ in range(5):
+            p = random_poly(rng, 5, 4)
+            r = reduce_poly(p, G, order)
+            assert not any(_divides(l, m) for l in lms for m in r.terms)
+            assert reduce_poly(p - r, G, order).is_zero()
+            shifted = p + sum((random_poly(rng, 2, 2) * g for g in G),
+                              Poly.zero(DIV_TABLE))
+            assert reduce_poly(shifted, G, order) == r
 
 
 def test_resource_limit():
