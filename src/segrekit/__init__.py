@@ -21,7 +21,6 @@ from .correspond import (AlgebraicMap, Correspondence, CorrespondenceError,
                          fiber, max_rank_check, power_correspondence,
                          splits_at, verify_invariance)
 from .catalog import load_catalog, run_suite, sample_points
-from .oracle import numeric_oracle
 
 __version__ = "0.1.0"
 
@@ -45,3 +44,12 @@ __all__ = [
     "verify_invariance",
     "load_catalog", "run_suite", "sample_points", "numeric_oracle",
 ]
+
+
+def __getattr__(name):
+    # the numeric oracle needs numpy, which nothing else in the package
+    # uses: import it on first use, not with the package
+    if name == "numeric_oracle":
+        from .oracle import numeric_oracle
+        return numeric_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

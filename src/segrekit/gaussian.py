@@ -4,19 +4,62 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
+
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d with d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    out = object.__new__(GaussianRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _triple(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d from a triple that is already canonical."""
+    out = object.__new__(GaussianRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b.
+    """A number (a + b*i)/d with integers a, b, d.
 
-    Values are immutable; all arithmetic is exact.
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal fields.  Values are immutable; all arithmetic is exact.
+    ``re`` and ``im`` give the parts as ``Fraction``s.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = dr * di // gcd(dr, di)
+        # with re and im in lowest terms, gcd(a, b, lcm) is already 1
+        self._a = re.numerator * (d // dr)
+        self._b = im.numerator * (d // di)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
 
@@ -29,53 +72,65 @@ class GaussianRational:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._a == 1 and self._b == 0 and self._d == 1
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.from_value(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a + other._a, self._b + other._b, d1)
+        g = gcd(d1, d2)
+        s, t = d1 // g, d2 // g
+        return _make(self._a * t + other._a * s, self._b * t + other._b * s, s * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.from_value(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational(other)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _make(self._a - other._a, self._b - other._b, d1)
+        g = gcd(d1, d2)
+        s, t = d1 // g, d2 // g
+        return _make(self._a * t - other._a * s, self._b * t - other._b * s, s * d2)
 
     def __rsub__(self, other):
         return GaussianRational.from_value(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.from_value(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.from_value(other)
-        n = other.re * other.re + other.im * other.im
+        if not isinstance(other, GaussianRational):
+            other = GaussianRational(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        d2 = other._d
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / n
+        return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __rtruediv__(self, other):
         return GaussianRational.from_value(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -90,22 +145,28 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """|c|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- comparison/hash -------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._d == other.denominator
+                    and self._a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
+        if self._d == 1:
+            # hash(Fraction(n)) == hash(n)
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- printing ----------------------------------------------------------

@@ -12,6 +12,8 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapify
+from operator import add, le, neg, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import QI_ONE
@@ -60,20 +62,22 @@ def _lm(p: Poly, order: MonomialOrder) -> tuple:
 
 
 def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _quot(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
-def _divisor(terms: dict, key) -> tuple:
-    """(leading monomial, leading coefficient, tail) of a term map."""
-    lm = max(terms, key=key)
+def _divisor(terms: dict, key, lm: Optional[tuple] = None) -> tuple:
+    """(leading monomial, leading coefficient, tail) of a term map; ``lm``
+    is the leading monomial when the caller already knows it."""
+    if lm is None:
+        lm = max(terms, key=key)
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
@@ -85,7 +89,10 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
     """The division algorithm: divide ``terms`` ({monomial: coefficient}) by
     ``divisors``, a list of (leading monomial, leading coefficient, tail).
 
-    Each pass pops the largest monomial m of the work under ``key``.  When no
+    Each pass pops the largest monomial m of the work under ``key`` from a
+    heap of the work's monomials (keys negated, so the largest comes out
+    first).  A monomial is pushed when it enters the work; one that has
+    cancelled since is skipped when it comes out.  When no
     leading monomial divides m it goes to the remainder; otherwise the first
     divisor whose leading monomial divides m cancels it.  ``step(c, lc)``
     returns (a, f) with a*c == f*lc, and the work becomes
@@ -96,11 +103,15 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
     Returns (quotients, remainder): one {shift: coefficient} map per
     divisor, and {monomial: coefficient} in descending order."""
     work = dict(terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
     quotients = [{} for _ in divisors]
     remainder = {}
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for k, (lm, lc, tail) in enumerate(divisors):
             if _divides(lm, m):
                 break
@@ -115,9 +126,13 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
         shift = _quot(m, lm)
         quotients[k][shift] = f
         for mg, cg in tail:
-            t = tuple(x + y for x, y in zip(mg, shift))
+            t = tuple(map(add, mg, shift))
             s = work.get(t)
-            s = -(f * cg) if s is None else s - f * cg
+            if s is None:
+                work[t] = -(f * cg)
+                heappush(heap, (tuple(map(neg, key(t))), t))
+                continue
+            s = s - f * cg
             if s.is_zero():
                 del work[t]
             else:
@@ -125,14 +140,23 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
     return quotients, remainder
 
 
-def reduce_poly(p: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
-    """Full remainder of p on division by basis (tail terms reduced too)."""
-    divisors = [_divisor(g.terms, order.key) for g in basis if not g.is_zero()]
+def reduce_poly(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
+                lms: Optional[Sequence[tuple]] = None) -> Poly:
+    """Full remainder of p on division by basis (tail terms reduced too).
+    ``lms``, when given, are the leading monomials of the (nonzero) basis."""
+    if lms is None:
+        divisors = [_divisor(g.terms, order.key) for g in basis if not g.is_zero()]
+    else:
+        divisors = [_divisor(g.terms, order.key, lm) for g, lm in zip(basis, lms)]
     return Poly(p.table, _divide(p.terms, divisors, order.key, _field_step)[1])
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    lf, lg = _lm(f, order), _lm(g, order)
+def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
+            lf: Optional[tuple] = None, lg: Optional[tuple] = None) -> Poly:
+    """S-polynomial of f and g; ``lf``, ``lg`` are their leading monomials
+    when the caller already knows them."""
+    if lf is None:
+        lf, lg = _lm(f, order), _lm(g, order)
     l = _lcm(lf, lg)
     a = f.scale_monomial(_quot(l, lf), QI_ONE / f.terms[lf])
     b = g.scale_monomial(_quot(l, lg), QI_ONE / g.terms[lg])
@@ -151,12 +175,13 @@ def buchberger(
         return []
     table = G[0].table
     G = [g.monic(order) for g in G]
+    lms = [_lm(g, order) for g in G]   # leading monomials, beside G
     sugar = [g.total_degree() for g in G]
 
     pairs = {}
 
     def pair_data(i, j):
-        li, lj = _lm(G[i], order), _lm(G[j], order)
+        li, lj = lms[i], lms[j]
         l = _lcm(li, lj)
         s = max(sugar[i] + sum(_quot(l, li)), sugar[j] + sum(_quot(l, lj)))
         return (s, order.key(l), l)
@@ -168,17 +193,17 @@ def buchberger(
     while pairs:
         (i, j), (s, _, l) = min(pairs.items(), key=lambda kv: (kv[1][0], kv[1][1]))
         del pairs[(i, j)]
-        li, lj = _lm(G[i], order), _lm(G[j], order)
+        li, lj = lms[i], lms[j]
         # first criterion: coprime leading monomials
-        if tuple(a + b for a, b in zip(li, lj)) == l:
+        if tuple(map(add, li, lj)) == l:
             continue
         # chain criterion
         skip = False
-        for k in range(len(G)):
+        for k, lk in enumerate(lms):
             if k in (i, j):
                 continue
             if (
-                _divides(_lm(G[k], order), l)
+                _divides(lk, l)
                 and (min(i, k), max(i, k)) not in pairs
                 and (min(j, k), max(j, k)) not in pairs
             ):
@@ -186,7 +211,7 @@ def buchberger(
                 break
         if skip:
             continue
-        r = reduce_poly(_s_poly(G[i], G[j], order), G, order)
+        r = reduce_poly(_s_poly(G[i], G[j], order, li, lj), G, order, lms)
         reductions += 1
         if r.is_zero():
             continue
@@ -199,6 +224,7 @@ def buchberger(
         r = r.monic(order)
         t = len(G)
         G.append(r)
+        lms.append(_lm(r, order))
         sugar.append(s if s > r.total_degree() else r.total_degree())
         if len(G) > limits.max_basis:
             raise ResourceLimitError(
@@ -209,30 +235,32 @@ def buchberger(
         for k in range(t):
             pairs[(k, t)] = pair_data(k, t)
 
-    return _interreduce(G, order)
+    return _interreduce(G, order, lms)
 
 
-def _interreduce(G: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
+def _interreduce(G: Sequence[Poly], order: MonomialOrder,
+                 lms: Sequence[tuple]) -> List[Poly]:
+    """Reduced basis from a Groebner basis G of nonzero, monic polynomials
+    with leading monomials ``lms``."""
     # drop elements whose leading monomial is divisible by another's
-    G = [g for g in G if not g.is_zero()]
-    keep = []
-    lms = [_lm(g, order) for g in G]
-    for i, g in enumerate(G):
+    keep, keep_lms = [], []
+    for i, (g, li) in enumerate(zip(G, lms)):
         if any(
-            j != i and _divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
-            for j in range(len(G))
+            j != i and _divides(lj, li) and (lj != li or j < i)
+            for j, lj in enumerate(lms)
         ):
             continue
         keep.append(g)
-    # reduce tails
+        keep_lms.append(li)
+    # reduce tails; no other leading monomial divides lm(g), so lm(g) stays
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = reduce_poly(g, others, order) if others else g
-        if not r.is_zero():
-            out.append(r.monic(order))
-    out.sort(key=lambda p: order.key(_lm(p, order)))
-    return out
+        r = (reduce_poly(g, others, order, keep_lms[:i] + keep_lms[i + 1:])
+             if others else g)
+        out.append((order.key(keep_lms[i]), r.monic(order)))
+    out.sort(key=lambda kr: kr[0])
+    return [r for _, r in out]
 
 
 @dataclass

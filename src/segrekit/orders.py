@@ -1,21 +1,31 @@
 """Monomial orders: grevlex, lex, and elimination block orders.
 
 An order exposes `key(exponents) -> sortable`, with key(a) > key(b) exactly
-when monomial a is larger.
+when monomial a is larger.  Keys are flat tuples of ints, so that the
+negated key ``tuple(map(neg, key(m)))`` sorts the other way round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Optional
 
 
 def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    # total degree, then the reversed exponents negated
+    return (sum(exps), *map(neg, reversed(exps)))
 
 
-def _lex_key(exps):
-    return tuple(exps)
+def _block_key(outer, inner):
+    """grevlex on the eliminated variables, ties broken by grevlex on the rest."""
+    rev_outer, rev_inner = outer[::-1], inner[::-1]
+
+    def key(exps):
+        return (sum([exps[i] for i in outer]), *[-exps[i] for i in rev_outer],
+                sum([exps[i] for i in inner]), *[-exps[i] for i in rev_inner])
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -24,15 +34,21 @@ class MonomialOrder:
     nvars: int
     block: Optional[tuple] = None  # eliminated variable indices, for "block"
 
-    def key(self, exps):
+    def __post_init__(self):
+        # the key function is built once here; it is not a field, so
+        # equality and hashing still see (kind, nvars, block) alone
         if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        if self.kind == "lex":
-            return _lex_key(exps)
-        blk = set(self.block)
-        outer = tuple(e for i, e in enumerate(exps) if i in blk)
-        inner = tuple(e for i, e in enumerate(exps) if i not in blk)
-        return (_grevlex_key(outer), _grevlex_key(inner))
+            compiled = _grevlex_key
+        elif self.kind == "lex":
+            compiled = tuple
+        else:
+            blk = set(self.block)
+            compiled = _block_key([i for i in range(self.nvars) if i in blk],
+                                  [i for i in range(self.nvars) if i not in blk])
+        object.__setattr__(self, "_compiled", compiled)
+
+    def key(self, exps):
+        return self._compiled(exps)
 
     def describe(self) -> str:
         if self.kind == "block":

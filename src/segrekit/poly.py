@@ -9,6 +9,8 @@ each z-exponent with the exponent of its paired conjugate variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, format_coeff
@@ -16,6 +18,9 @@ from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, format_coeff
 Z_VAR = "z"
 CONJ_VAR = "conj"
 PARAM_VAR = "param"
+
+# scalars that combine with a Poly as constants
+SCALARS = (int, Fraction, GaussianRational)
 
 
 class PolyError(ValueError):
@@ -148,8 +153,10 @@ class Poly:
             raise PolyError("polynomials over different variable tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALARS):
             other = Poly.const(self.table, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -166,7 +173,7 @@ class Poly:
         return Poly(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALARS):
             other = Poly.const(self.table, other)
         return self + (-other)
 
@@ -174,14 +181,16 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALARS):
             c = GaussianRational.from_value(other)
             return Poly(self.table, {m: v * c for m, v in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = terms.get(m, QI_ZERO) + c1 * c2
                 if s.is_zero():
                     terms.pop(m, None)
@@ -207,7 +216,7 @@ class Poly:
         """self * c * x^mono (fast path used by the division algorithm)."""
         return Poly(
             self.table,
-            {tuple(a + b for a, b in zip(m, mono)): v * c for m, v in self.terms.items()},
+            {tuple(map(add, m, mono)): v * c for m, v in self.terms.items()},
         )
 
     def monic(self, order) -> "Poly":
@@ -254,7 +263,7 @@ class Poly:
         idx_bind = {}
         for name, val in bindings.items():
             i = self.table.index(name)
-            if isinstance(val, (int, GaussianRational)):
+            if isinstance(val, SCALARS):
                 val = Poly.const(self.table, val)
             if val.table != self.table:
                 raise PolyError("binding polynomial over incompatible table")

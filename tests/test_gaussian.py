@@ -1,9 +1,10 @@
 """Gaussian rational arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from segrekit.gaussian import (GaussianRational as QI, QI_I, QI_ONE, QI_ZERO,
                                format_coeff, frac_sqrt, qi_sqrt)
@@ -81,3 +82,100 @@ def test_format_coeff():
     assert format_coeff(QI(Fraction(3, 2))) == "3/2"
     assert format_coeff(QI_I) == "i"
     assert "i" in format_coeff(QI(Fraction(1), Fraction(2)))
+
+
+# -- the integer-triple representation against a model of Fraction pairs ------
+
+def _fields(x):
+    return (x._a, x._b, x._d)
+
+
+def _model(x):
+    return (x.re, x.im)
+
+
+def _model_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _model_str(re, im):
+    """The printed syntax, spelled out on the pair (re, im)."""
+    def frac(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    if im == 0:
+        return frac(re)
+    part = "i" if im == 1 else "-i" if im == -1 else f"{frac(im)}*i"
+    if re == 0:
+        return part
+    return f"{frac(re)}{'+' if im > 0 else ''}{part}"
+
+
+def _assert_canonical(x):
+    a, b, d = _fields(x)
+    assert d > 0 and math.gcd(a, b, d) == 1
+    # the same value built from its parts has the same fields
+    assert _fields(QI(x.re, x.im)) == (a, b, d)
+
+
+@settings(max_examples=300)
+@given(qis, qis, st.integers(min_value=-4, max_value=4))
+def test_operations_match_the_fraction_pair_model(x, y, k):
+    px, py = _model(x), _model(y)
+    cases = [
+        (x + y, (px[0] + py[0], px[1] + py[1])),
+        (x - y, (px[0] - py[0], px[1] - py[1])),
+        (x * y, _model_mul(px, py)),
+        (-x, (-px[0], -px[1])),
+        (x.conjugate(), (px[0], -px[1])),
+    ]
+    if not y.is_zero():
+        n = py[0] * py[0] + py[1] * py[1]
+        cases.append((x / y, ((px[0] * py[0] + px[1] * py[1]) / n,
+                              (px[1] * py[0] - px[0] * py[1]) / n)))
+    if k >= 0 or not x.is_zero():
+        acc = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            acc = _model_mul(acc, px)
+        if k < 0:
+            n = acc[0] * acc[0] + acc[1] * acc[1]
+            acc = (acc[0] / n, -acc[1] / n)
+        cases.append((x ** k, acc))
+    for got, want in cases:
+        assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+        assert _model(got) == want
+        _assert_canonical(got)
+    assert x.norm() == px[0] * px[0] + px[1] * px[1]
+    assert isinstance(x.norm(), Fraction)
+
+
+@given(qis)
+def test_canonical_fields_hash_and_text(x):
+    _assert_canonical(x)
+    assert hash(x) == hash((x.re, x.im))
+    assert format_coeff(x) == _model_str(x.re, x.im)
+    assert str(x) == format_coeff(x)
+    # scaling numerator and denominator alike leaves the fields alone
+    assert _fields(x * QI(3, 0) / QI(3, 0)) == _fields(x)
+    assert _fields(x + QI(Fraction(1, 6)) - QI(Fraction(1, 6))) == _fields(x)
+
+
+@given(fracs, st.integers(min_value=-50, max_value=50))
+def test_equality_with_int_and_fraction(f, n):
+    assert QI(f) == f and f == QI(f)
+    assert QI(n) == n and n == QI(n)
+    assert QI(f) == QI(f.numerator, 0) / QI(f.denominator)
+    assert QI(f, 1) != f and QI(n, 1) != n
+    if f.denominator != 1:
+        assert QI(f) != f.numerator
+
+
+def test_zero_division_in_every_form():
+    with pytest.raises(ZeroDivisionError):
+        QI(Fraction(1, 3), 2) / QI_ZERO
+    with pytest.raises(ZeroDivisionError):
+        QI(1, 1) / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / QI_ZERO
+    with pytest.raises(ZeroDivisionError):
+        QI_ZERO ** -1

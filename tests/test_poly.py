@@ -117,3 +117,23 @@ def test_degree_in():
     p = parse_poly("z1^3*z2 + z2^2", TABLE)
     assert p.degree_in([TABLE.index("z1")]) == 3
     assert p.total_degree() == 4
+
+
+def test_fraction_scalars_act_as_constants():
+    z1 = Poly.var(TABLE, "z1")
+    half = Fraction(1, 2)
+    assert z1 * half == z1 * QI(half)
+    assert half * z1 == z1 * QI(half)
+    assert z1 + half == z1 + Poly.const(TABLE, QI(half))
+    assert half + z1 == z1 + half
+    assert z1 - half == z1 + Fraction(-1, 2)
+    assert half - z1 == -z1 + half
+
+
+@pytest.mark.parametrize("other", [0.5, 1j, "1", None])
+def test_other_operands_raise_type_error(other):
+    z1 = Poly.var(TABLE, "z1")
+    for op in (lambda: z1 + other, lambda: other + z1, lambda: z1 - other,
+               lambda: other - z1, lambda: z1 * other, lambda: other * z1):
+        with pytest.raises(TypeError):
+            op()
