@@ -129,6 +129,18 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.from_value(other) / self
 
+    def submul(self, f: "GaussianRational", g: "GaussianRational") -> "GaussianRational":
+        """self - f*g, brought to lowest terms once (the division step's
+        multiply-subtract)."""
+        fa, fb, ga, gb = f._a, f._b, g._a, g._b
+        pa, pb, pd = fa * ga - fb * gb, fa * gb + fb * ga, f._d * g._d
+        d = self._d
+        if d == pd:
+            return _make(self._a - pa, self._b - pb, d)
+        h = gcd(d, pd)
+        s, t = d // h, pd // h
+        return _make(self._a * t - pa * s, self._b * t - pb * s, s * pd)
+
     def __neg__(self):
         return _triple(-self._a, -self._b, self._d)
 

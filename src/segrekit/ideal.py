@@ -1,9 +1,9 @@
 """Groebner-basis engine: Buchberger, normal forms, elimination, dimension,
 degree of zero-dimensional ideals, and parametric pseudo-reduction.
 
-Buchberger runs with the sugar selection strategy and both classical
-criteria (coprime leading terms, chain criterion).  Resource caps are
-explicit and raise ResourceLimitError with partial statistics.
+Buchberger runs with the sugar selection strategy and the Gebauer-Moeller
+pair update (the B, M and F criteria and coprime leading terms).  Resource
+caps are explicit and raise ResourceLimitError with partial statistics.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _divisor(terms: dict, key, lm: Optional[tuple] = None) -> tuple:
 
 
 def _field_step(c, lc):
-    return 1, c / lc
+    return 1, (c if lc.is_one() else c / lc)
 
 
 def _divide(terms: dict, divisors: Sequence[tuple], key, step):
@@ -96,9 +96,10 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
     leading monomial divides m it goes to the remainder; otherwise the first
     divisor whose leading monomial divides m cancels it.  ``step(c, lc)``
     returns (a, f) with a*c == f*lc, and the work becomes
-    a*work - f*(m/lm)*divisor.  A field step has a == 1; any other a also
-    scales the quotients and remainder gathered so far, so that
-    A*p == sum(q_k*divisor_k) + r with A the product of the a's.
+    a*work - f*(m/lm)*divisor, each tail term through one
+    ``coefficient.submul(f, tail coefficient)``.  A field step has a == 1;
+    any other a also scales the quotients and remainder gathered so far, so
+    that A*p == sum(q_k*divisor_k) + r with A the product of the a's.
 
     Returns (quotients, remainder): one {shift: coefficient} map per
     divisor, and {monomial: coefficient} in descending order."""
@@ -113,7 +114,7 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
         if c is None:
             continue
         for k, (lm, lc, tail) in enumerate(divisors):
-            if _divides(lm, m):
+            if all(map(le, lm, m)):
                 break
         else:
             remainder[m] = c
@@ -132,7 +133,7 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
                 work[t] = -(f * cg)
                 heappush(heap, (tuple(map(neg, key(t))), t))
                 continue
-            s = s - f * cg
+            s = s.submul(f, cg)
             if s.is_zero():
                 del work[t]
             else:
@@ -141,14 +142,13 @@ def _divide(terms: dict, divisors: Sequence[tuple], key, step):
 
 
 def reduce_poly(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
-                lms: Optional[Sequence[tuple]] = None) -> Poly:
+                divisors: Optional[Sequence[tuple]] = None) -> Poly:
     """Full remainder of p on division by basis (tail terms reduced too).
-    ``lms``, when given, are the leading monomials of the (nonzero) basis."""
-    if lms is None:
+    ``divisors``, when given, are the basis's (leading monomial, leading
+    coefficient, tail) records, and ``basis`` itself is not read."""
+    if divisors is None:
         divisors = [_divisor(g.terms, order.key) for g in basis if not g.is_zero()]
-    else:
-        divisors = [_divisor(g.terms, order.key, lm) for g, lm in zip(basis, lms)]
-    return Poly(p.table, _divide(p.terms, divisors, order.key, _field_step)[1])
+    return Poly._raw(p.table, _divide(p.terms, divisors, order.key, _field_step)[1])
 
 
 def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
@@ -163,102 +163,143 @@ def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
     return a - b
 
 
+def _pair_sugar(lms: Sequence[tuple], sugar: Sequence[int], i: int, j: int,
+                l: tuple) -> int:
+    """Sugar of the pair (i, j) of basis elements; l = lcm(lm_i, lm_j)."""
+    return max(sugar[i] - sum(lms[i]), sugar[j] - sum(lms[j])) + sum(l)
+
+
+def _gm_update(lms: Sequence[tuple], sugar: Sequence[int], live: List[int],
+               pairs: dict, t: int) -> List[tuple]:
+    """The Gebauer-Moeller pair update for a new basis element t.
+
+    ``lms`` and ``sugar`` are the leading monomials and sugars of the
+    basis, t's included; ``live`` lists the elements (t not yet among them)
+    whose leading monomial no later one's divides; ``pairs`` maps each pair
+    (i, j), i < j, still to reduce to lcm(lm_i, lm_j).  Both are updated in
+    place:
+    - B: (i, j) is dropped when lm_t divides its lcm, neither (i, t) nor
+      (j, t) has that same lcm, and neither has a larger sugar, so that
+      both come out of the heap first, as in Buchberger's chain criterion
+      (dropping a pair for later ones can lead the sugar order down a far
+      longer path: on some random lex systems, hundreds of times longer);
+    - of the pairs (i, t), i live, M drops one whose lcm the lcm of
+      another properly divides, F keeps one pair per lcm, and an lcm that
+      a pair with coprime leading monomials has is dropped altogether;
+    - t joins ``live``, and elements whose leading monomial lm_t divides
+      leave it.
+    Returns the new pairs as (i, lcm)."""
+    lt = lms[t]
+    for (i, j), l in list(pairs.items()):
+        if not _divides(lt, l):
+            continue
+        lit, ljt = _lcm(lms[i], lt), _lcm(lms[j], lt)
+        if (lit != l and ljt != l
+                and max(_pair_sugar(lms, sugar, i, t, lit),
+                        _pair_sugar(lms, sugar, j, t, ljt))
+                <= _pair_sugar(lms, sugar, i, j, l)):
+            del pairs[(i, j)]
+    first, coprime = {}, set()
+    for i in live:
+        li = lms[i]
+        l = _lcm(li, lt)
+        first.setdefault(l, i)
+        if not any(map(min, li, lt)):
+            coprime.add(l)
+    new = []
+    for l, i in first.items():
+        if l in coprime or any(m != l and _divides(m, l) for m in first):
+            continue
+        pairs[(i, t)] = l
+        new.append((i, l))
+    live[:] = [i for i in live if not _divides(lt, lms[i])] + [t]
+    return new
+
+
 def buchberger(
     gens: Sequence[Poly], order: MonomialOrder, limits: Optional[Limits] = None
 ) -> List[Poly]:
     """Reduced Groebner basis of the given generators, under ``limits`` or,
-    when none are given, the caps in force (``current_limits``)."""
+    when none are given, the caps in force (``current_limits``).
+
+    Pairs are kept by the Gebauer-Moeller update (``_gm_update``) and taken
+    in order of (sugar, lcm of the leading monomials)."""
     if limits is None:
         limits = current_limits()
-    G = [g for g in gens if not g.is_zero()]
-    if not G:
-        return []
-    table = G[0].table
-    G = [g.monic(order) for g in G]
-    lms = [_lm(g, order) for g in G]   # leading monomials, beside G
-    sugar = [g.total_degree() for g in G]
+    key = order.key
+    # the basis, and beside it each element's leading monomial, divisor
+    # record and sugar
+    G, lms, divs, sugar = [], [], [], []
+    live = []   # the elements new pairs are made with (see _gm_update)
+    pairs = {}  # pairs still to reduce -> lcm
+    heap = []   # (sugar, key(lcm), i, j) of each pair made; pairs deleted
+                # since are skipped when they come out
 
-    pairs = {}
+    def add(g: Poly, s: int):
+        """Append the monic g, of sugar s, to G and update the pairs."""
+        t = len(G)
+        lt = _lm(g, order)
+        G.append(g)
+        lms.append(lt)
+        divs.append(_divisor(g.terms, key, lt))
+        sugar.append(s)
+        for i, l in _gm_update(lms, sugar, live, pairs, t):
+            heappush(heap, (_pair_sugar(lms, sugar, i, t, l), key(l), i, t))
 
-    def pair_data(i, j):
-        li, lj = lms[i], lms[j]
-        l = _lcm(li, lj)
-        s = max(sugar[i] + sum(_quot(l, li)), sugar[j] + sum(_quot(l, lj)))
-        return (s, order.key(l), l)
-
-    for i, j in itertools.combinations(range(len(G)), 2):
-        pairs[(i, j)] = pair_data(i, j)
-
+    for g in gens:
+        if not g.is_zero():
+            add(g.monic(order), g.total_degree())
     reductions = 0
-    while pairs:
-        (i, j), (s, _, l) = min(pairs.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-        del pairs[(i, j)]
-        li, lj = lms[i], lms[j]
-        # first criterion: coprime leading monomials
-        if tuple(map(add, li, lj)) == l:
+    while heap:
+        s, _, i, j = heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
-        # chain criterion
-        skip = False
-        for k, lk in enumerate(lms):
-            if k in (i, j):
-                continue
-            if (
-                _divides(lk, l)
-                and (min(i, k), max(i, k)) not in pairs
-                and (min(j, k), max(j, k)) not in pairs
-            ):
-                skip = True
-                break
-        if skip:
-            continue
-        r = reduce_poly(_s_poly(G[i], G[j], order, li, lj), G, order, lms)
+        r = reduce_poly(_s_poly(G[i], G[j], order, lms[i], lms[j]), G, order,
+                        divs)
         reductions += 1
         if r.is_zero():
             continue
-        if r.total_degree() > limits.max_degree:
+        degree = r.total_degree()
+        if degree > limits.max_degree:
             raise ResourceLimitError(
                 "degree cap exceeded during basis computation",
                 {"basis_size": len(G), "reductions": reductions,
-                 "degree": r.total_degree(), "max_degree": limits.max_degree},
+                 "degree": degree, "max_degree": limits.max_degree},
             )
-        r = r.monic(order)
-        t = len(G)
-        G.append(r)
-        lms.append(_lm(r, order))
-        sugar.append(s if s > r.total_degree() else r.total_degree())
+        add(r.monic(order), max(s, degree))
         if len(G) > limits.max_basis:
             raise ResourceLimitError(
                 "basis size cap exceeded",
                 {"basis_size": len(G), "reductions": reductions,
                  "max_basis": limits.max_basis},
             )
-        for k in range(t):
-            pairs[(k, t)] = pair_data(k, t)
 
-    return _interreduce(G, order, lms)
+    return _interreduce([G[i] for i in live], order, [divs[i] for i in live])
 
 
 def _interreduce(G: Sequence[Poly], order: MonomialOrder,
-                 lms: Sequence[tuple]) -> List[Poly]:
+                 divs: Sequence[tuple]) -> List[Poly]:
     """Reduced basis from a Groebner basis G of nonzero, monic polynomials
-    with leading monomials ``lms``."""
+    with divisor records ``divs``."""
     # drop elements whose leading monomial is divisible by another's
-    keep, keep_lms = [], []
-    for i, (g, li) in enumerate(zip(G, lms)):
+    keep, keep_divs = [], []
+    for i, (g, d) in enumerate(zip(G, divs)):
+        li = d[0]
         if any(
-            j != i and _divides(lj, li) and (lj != li or j < i)
-            for j, lj in enumerate(lms)
+            j != i and _divides(dj[0], li) and (dj[0] != li or j < i)
+            for j, dj in enumerate(divs)
         ):
             continue
         keep.append(g)
-        keep_lms.append(li)
-    # reduce tails; no other leading monomial divides lm(g), so lm(g) stays
+        keep_divs.append(d)
+    # reduce tails; no other leading monomial divides lm(g), so lm(g) and
+    # its coefficient 1 stay
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = (reduce_poly(g, others, order, keep_lms[:i] + keep_lms[i + 1:])
+        r = (reduce_poly(g, others, order, keep_divs[:i] + keep_divs[i + 1:])
              if others else g)
-        out.append((order.key(keep_lms[i]), r.monic(order)))
+        out.append((order.key(keep_divs[i][0]), r))
     out.sort(key=lambda kr: kr[0])
     return [r for _, r in out]
 

@@ -98,6 +98,16 @@ class Poly:
                     clean[tuple(m)] = c
         self.terms = clean
 
+    @staticmethod
+    def _raw(table: VarTable, terms: dict) -> "Poly":
+        """A Poly on a term map the engine built itself: exponent tuples to
+        nonzero GaussianRationals.  The map is taken as is, neither checked
+        nor copied; every other caller goes through ``Poly(table, terms)``."""
+        p = object.__new__(Poly)
+        p.table = table
+        p.terms = terms
+        return p
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -165,12 +175,12 @@ class Poly:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        return Poly(self.table, terms)
+        return Poly._raw(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.table, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, SCALARS):
@@ -196,7 +206,7 @@ class Poly:
                     terms.pop(m, None)
                 else:
                     terms[m] = s
-        return Poly(self.table, terms)
+        return Poly._raw(self.table, terms)
 
     __rmul__ = __mul__
 
@@ -214,16 +224,29 @@ class Poly:
 
     def scale_monomial(self, mono: tuple, c: GaussianRational) -> "Poly":
         """self * c * x^mono (fast path used by the division algorithm)."""
-        return Poly(
-            self.table,
-            {tuple(map(add, m, mono)): v * c for m, v in self.terms.items()},
-        )
+        if c.is_zero():
+            return Poly(self.table)
+        if c.is_one():
+            return Poly._raw(self.table, {tuple(map(add, m, mono)): v
+                                          for m, v in self.terms.items()})
+        return Poly._raw(self.table, {tuple(map(add, m, mono)): v * c
+                                      for m, v in self.terms.items()})
+
+    def submul(self, f: "Poly", g: "Poly") -> "Poly":
+        """self - f*g; the multiply-subtract of the division kernel, which
+        GaussianRational also provides."""
+        return self - f * g
 
     def monic(self, order) -> "Poly":
+        """self divided by its leading coefficient under ``order``; self
+        when that coefficient is already 1."""
         if self.is_zero():
             return self
-        m = max(self.terms, key=order.key)
-        return self * (QI_ONE / self.terms[m])
+        lc = self.terms[max(self.terms, key=order.key)]
+        if lc.is_one():
+            return self
+        inv = QI_ONE / lc
+        return Poly._raw(self.table, {m: v * inv for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -179,3 +179,34 @@ def test_zero_division_in_every_form():
         1 / QI_ZERO
     with pytest.raises(ZeroDivisionError):
         QI_ZERO ** -1
+
+
+@settings(max_examples=300)
+@given(qis, qis, qis)
+def test_submul_matches_the_fraction_pair_model(s, f, g):
+    """s.submul(f, g) is s - f*g, field for field."""
+    got = s.submul(f, g)
+    fg = _model_mul(_model(f), _model(g))
+    assert _model(got) == (s.re - fg[0], s.im - fg[1])
+    assert _fields(got) == _fields(s - f * g)
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("s, f, g", [
+    # the result is zero
+    (QI(Fraction(-1, 2), Fraction(2, 3)), QI(Fraction(1, 2), 1), QI(Fraction(1, 3), Fraction(2, 3))),
+    (QI_ZERO, QI_ZERO, QI(7, -2)),
+    # unequal denominators, and a product that is not in lowest terms
+    (QI(Fraction(1, 3)), QI(Fraction(1, 2)), QI(0, Fraction(1, 5))),
+    (QI(Fraction(1, 4), Fraction(3, 4)), QI(Fraction(2, 3), Fraction(2, 3)), QI(Fraction(3, 2))),
+    # equal denominators that cancel
+    (QI(Fraction(1, 6), Fraction(5, 6)), QI(Fraction(1, 2)), QI(Fraction(1, 3), Fraction(1, 3))),
+    # integers
+    (QI(3, 4), QI(2, -1), QI(1, 1)),
+])
+def test_submul_edge_cases(s, f, g):
+    got = s.submul(f, g)
+    fg = _model_mul(_model(f), _model(g))
+    assert _model(got) == (s.re - fg[0], s.im - fg[1])
+    _assert_canonical(got)
+    assert got.is_zero() == (s == f * g)

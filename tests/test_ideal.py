@@ -1,6 +1,7 @@
 """Groebner engine: bases, membership, elimination, dimension, degree,
 parametric reduction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from segrekit.ideal import (Ideal, Limits, ResourceLimitError,
                             exact_div, member, normal_form,
                             parametric_normal_form, radical_member,
                             reduce_poly, saturate, standard_monomials)
-from segrekit.ideal import _divides, _s_poly
-from segrekit.orders import grevlex, lex
+from segrekit import ideal
+from segrekit.ideal import _divides, _gm_update, _lcm, _s_poly
+from segrekit.orders import block_elim, grevlex, lex
 from segrekit.parsing import parse_poly
 from segrekit.poly import Poly, VarTable
 
@@ -172,12 +174,13 @@ def test_parametric_normal_form_pinned():
 DIV_TABLE = VarTable.make(["x", "y", "z"], conjugates=False)
 
 
-def random_poly(rng, nterms, degree, table=DIV_TABLE):
+def random_poly(rng, nterms, degree, table=DIV_TABLE, real=False):
     terms = {}
     for _ in range(nterms):
         m = tuple(rng.randint(0, degree) for _ in range(len(table)))
-        terms[m] = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        terms[m] = QI(re) if real else QI(re, Fraction(rng.randint(-9, 9),
+                                                        rng.randint(1, 4)))
     return Poly(table, terms)
 
 
@@ -234,3 +237,123 @@ def test_ideal_equality_is_order_independent():
     A = make_ideal(["x^2 - y", "y^2 - x"], "xy")
     B = make_ideal(["y^2 - x", "x^2 - y", "x^4 - x"], "xy")
     assert A == B
+
+
+# -- the Gebauer-Moeller pair update -------------------------------------------
+
+def _update(lms, live, pairs, sugar=None):
+    """_gm_update for the last of ``lms``; sugars default to the degrees."""
+    sugar = sugar or [sum(m) for m in lms]
+    return _gm_update(lms, sugar, live, pairs, len(lms) - 1)
+
+
+def test_gm_update_criteria():
+    """Each criterion on leading monomials in x, y, z chosen to make it fire."""
+    x2y, xy2, xy = (2, 1, 0), (1, 2, 0), (1, 1, 0)
+    # B: xy divides lcm(x^2*y, x*y^2) = x^2*y^2, and its lcm with either is
+    # smaller; xy also divides both leading monomials, which leave ``live``
+    pairs, live = {(0, 1): (2, 2, 0)}, [0, 1]
+    assert _update([x2y, xy2, xy], live, pairs) == [(0, x2y), (1, xy2)]
+    assert pairs == {(0, 2): x2y, (1, 2): xy2} and live == [2]
+    # ... but not when the pairs with xy would come out of the sugar order
+    # after the pair they replace: (0, 2) has sugar 6 - 2 + 3 = 7 > 4
+    pairs, live = {(0, 1): (2, 2, 0)}, [0, 1]
+    _update([x2y, xy2, xy], live, pairs, sugar=[3, 3, 6])
+    assert (0, 1) in pairs
+    # M: lcm(y*z, x*y) = x*y*z properly divides lcm(x*z^2, x*y) = x*y*z^2
+    pairs, live = {}, [0, 1]
+    assert _update([(1, 0, 2), (0, 1, 1), xy], live, pairs) == [(1, (1, 1, 1))]
+    assert live == [0, 1, 2]
+    # F: lcm(x^2*z, x*y*z) = lcm(x^2*y, x*y*z) = x^2*y*z, one pair is kept
+    pairs, live = {}, [0, 1]
+    assert _update([(2, 0, 1), (2, 1, 0), (1, 1, 1)], live, pairs) == [(0, (2, 1, 1))]
+    # coprime: x^2 and y^2 make no pair, nor does x^2*y, whose lcm with
+    # y^2 is the same x^2*y^2
+    pairs, live = {}, [0, 1]
+    assert _update([(2, 0, 0), x2y, (0, 2, 0)], live, pairs) == []
+    assert pairs == {}
+
+
+def _checked_gm_update(fired):
+    """_gm_update, checked against the criteria spelled out on sets, with
+    the number of pairs each criterion drops added up in ``fired``."""
+    real = ideal._gm_update
+
+    def checked(lms, sugar, live, pairs, t):
+        lt = lms[t]
+
+        def pair_sugar(i, j):
+            return (max(sugar[i] - sum(lms[i]), sugar[j] - sum(lms[j]))
+                    + sum(_lcm(lms[i], lms[j])))
+
+        old = dict(pairs)
+        cands = [(i, _lcm(lms[i], lt)) for i in live]
+        new = real(lms, sugar, live, pairs, t)
+        kept = {p: l for p, l in old.items()
+                if not (_divides(lt, l) and _lcm(lms[p[0]], lt) != l
+                        and _lcm(lms[p[1]], lt) != l
+                        and pair_sugar(p[0], t) <= pair_sugar(*p)
+                        and pair_sugar(p[1], t) <= pair_sugar(*p))}
+        assert {p: l for p, l in pairs.items() if p[1] != t} == kept
+        lcms = [l for _, l in cands]
+        minimal = {l for l in lcms if not any(m != l and _divides(m, l) for m in lcms)}
+        coprime = {l for i, l in cands if l == tuple(x + y for x, y in zip(lms[i], lt))}
+        assert sorted(l for _, l in new) == sorted(minimal - coprime)
+        assert all(pairs[(i, t)] == l for i, l in new)
+        fired["B"] += len(old) - len(kept)
+        fired["M"] += sum(l not in minimal for l in lcms)
+        fired["F"] += sum(l in minimal - coprime for l in lcms) - len(minimal - coprime)
+        return new
+
+    return checked
+
+
+@pytest.mark.parametrize("order", [grevlex(3), lex(3), block_elim(3, [0])],
+                         ids=["grevlex", "lex", "block"])
+def test_random_systems_give_reduced_groebner_bases(order, monkeypatch):
+    """On seeded random systems over Q(i): every S-pair of the basis and
+    every generator reduce to 0, the basis is reduced and monic, and each
+    pair update drops exactly the pairs the B, M and F criteria name; each
+    criterion drops pairs on these systems."""
+    fired = {"B": 0, "M": 0, "F": 0}
+    monkeypatch.setattr(ideal, "_gm_update", _checked_gm_update(fired))
+    rng = random.Random(21)
+    for _ in range(12):
+        gens = [random_poly(rng, 3, 2) for _ in range(3)]
+        G = buchberger(gens, order)
+        for f, g in itertools.combinations(G, 2):
+            assert reduce_poly(_s_poly(f, g, order), G, order).is_zero()
+        for g in gens:
+            assert reduce_poly(g, G, order).is_zero()
+        lms = [leading(g, order) for g in G]
+        for g, l in zip(G, lms):
+            assert g.terms[l] == QI_ONE
+            assert not any(_divides(o, m) for o in lms if o != l for m in g.terms)
+    assert all(fired.values()), fired
+
+
+@pytest.mark.parametrize("name", ["grevlex", "lex"])
+def test_reduced_bases_match_sympy(name):
+    """Reduced bases of seeded random ideals over Q equal sympy's."""
+    sympy = pytest.importorskip("sympy")
+    gens_sym = sympy.symbols("x y z")
+    order = {"grevlex": grevlex(3), "lex": lex(3)}[name]
+    rng = random.Random(33)
+
+    def as_set(polys):
+        return {frozenset(p) for p in polys}
+
+    for _ in range(10):
+        gens = [random_poly(rng, 3, 2, real=True) for _ in range(3)]
+        ours = as_set(((m, c.re) for m, c in g.terms.items())
+                      for g in buchberger(gens, order))
+        theirs = sympy.groebner(
+            [sympy.Poly.from_dict({m: sympy.Rational(c.re.numerator, c.re.denominator)
+                                   for m, c in g.terms.items()},
+                                  *gens_sym, domain=sympy.QQ).as_expr()
+             for g in gens if not g.is_zero()],
+            *gens_sym, order=name, domain=sympy.QQ)
+        theirs = as_set(((m, Fraction(int(c.p), int(c.q)))
+                         for m, c in p.quo_ground(p.LC(order=name)).terms())
+                        for p in theirs.polys)
+        assert ours == theirs
