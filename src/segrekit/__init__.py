@@ -2,54 +2,46 @@
 submanifolds: Gaussian-rational polynomial arithmetic, Groebner bases,
 Levi signatures, Segre sets, and algebraic correspondences."""
 
-from .gaussian import GaussianRational, QI_I, QI_ONE, QI_ZERO, qi_sqrt
-from .poly import Poly, VarTable
-from .orders import block_elim, grevlex, lex
-from .parsing import ParseError, parse_manifold_text, parse_map_text, parse_poly
-from .ideal import (Ideal, Limits, ResourceLimitError, degree_zero_dim,
-                    dimension, eliminate, groebner_basis, member, normal_form,
-                    parametric_normal_form, radical_member, saturate)
-from .manifold import (CRManifold, LeviReport, ManifoldError, check_reality,
-                       dehomogenize, genericity_rank, homogenize,
-                       levi_signature, polar, pseudoconcavity_probe)
-from .segre import (InconclusiveError, SegreVariety, check_symmetry,
-                    essential_finiteness, graph_form, in_segre_variety,
-                    inversion_set, minimality, segre_map_locally_injective,
-                    segre_sets, segre_variety)
-from .correspond import (AlgebraicMap, Correspondence, CorrespondenceError,
-                         ExcludedLocusError, build_correspondence, compose,
-                         fiber, max_rank_check, power_correspondence,
-                         splits_at, verify_invariance)
-from .catalog import load_catalog, run_suite, sample_points
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianRational", "QI_I", "QI_ONE", "QI_ZERO", "qi_sqrt",
-    "Poly", "VarTable", "block_elim", "grevlex", "lex",
-    "ParseError", "parse_manifold_text", "parse_map_text", "parse_poly",
-    "Ideal", "Limits", "ResourceLimitError", "degree_zero_dim", "dimension",
-    "eliminate", "groebner_basis", "member", "normal_form",
-    "parametric_normal_form", "radical_member", "saturate",
-    "CRManifold", "LeviReport", "ManifoldError", "check_reality",
-    "dehomogenize", "genericity_rank", "homogenize", "levi_signature",
-    "polar", "pseudoconcavity_probe",
-    "InconclusiveError", "SegreVariety", "check_symmetry",
-    "essential_finiteness", "graph_form", "in_segre_variety",
-    "inversion_set", "minimality", "segre_map_locally_injective",
-    "segre_sets", "segre_variety",
-    "AlgebraicMap", "Correspondence", "CorrespondenceError",
-    "ExcludedLocusError", "build_correspondence", "compose", "fiber",
-    "max_rank_check", "power_correspondence", "splits_at",
-    "verify_invariance",
-    "load_catalog", "run_suite", "sample_points", "numeric_oracle",
-]
+# public name -> the module that defines it; each module is imported when
+# one of its names is first looked up (PEP 562), so that a user of the
+# engine alone loads gaussian, orders, poly and ideal, and only the numeric
+# oracle loads numpy
+_HOME = {name: module for module, names in [
+    ("gaussian", ["GaussianRational", "QI_I", "QI_ONE", "QI_ZERO", "qi_sqrt"]),
+    ("poly", ["Poly", "VarTable"]),
+    ("orders", ["block_elim", "grevlex", "lex"]),
+    ("parsing", ["ParseError", "parse_manifold_text", "parse_map_text", "parse_poly"]),
+    ("ideal", ["Ideal", "Limits", "ResourceLimitError", "degree_zero_dim",
+               "dimension", "eliminate", "groebner_basis", "member", "normal_form",
+               "parametric_normal_form", "radical_member", "saturate"]),
+    ("manifold", ["CRManifold", "LeviReport", "ManifoldError", "check_reality",
+                  "dehomogenize", "genericity_rank", "homogenize",
+                  "levi_signature", "polar", "pseudoconcavity_probe"]),
+    ("segre", ["InconclusiveError", "SegreVariety", "check_symmetry",
+               "essential_finiteness", "graph_form", "in_segre_variety",
+               "inversion_set", "minimality", "segre_map_locally_injective",
+               "segre_sets", "segre_variety"]),
+    ("correspond", ["AlgebraicMap", "Correspondence", "CorrespondenceError",
+                    "ExcludedLocusError", "build_correspondence", "compose",
+                    "fiber", "max_rank_check", "power_correspondence",
+                    "splits_at", "verify_invariance"]),
+    ("catalog", ["load_catalog", "run_suite", "sample_points"]),
+    ("oracle", ["numeric_oracle"]),
+] for name in names}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name):
-    # the numeric oracle needs numpy, which nothing else in the package
-    # uses: import it on first use, not with the package
-    if name == "numeric_oracle":
-        from .oracle import numeric_oracle
-        return numeric_oracle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

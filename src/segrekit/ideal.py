@@ -4,6 +4,11 @@ degree of zero-dimensional ideals, and parametric pseudo-reduction.
 Buchberger runs with the sugar selection strategy and the Gebauer-Moeller
 pair update (the B, M and F criteria and coprime leading terms).  Resource
 caps are explicit and raise ResourceLimitError with partial statistics.
+
+Inside the engine a polynomial is a map {packed monomial: coefficient},
+each monomial one int of its order's ``MonomialCodec``; ``Poly`` keeps
+exponent tuples, and terms are packed and unpacked where a ``Poly`` enters
+or leaves the engine.
 """
 
 from __future__ import annotations
@@ -13,18 +18,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapify
-from operator import add, le, neg, sub
+from operator import itemgetter, le
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import QI_ONE
-from .orders import MonomialOrder, block_elim, grevlex
+from .orders import MonomialOrder, ResourceLimitError, block_elim, grevlex
 from .poly import Poly, PolyError, VarTable
-
-
-class ResourceLimitError(RuntimeError):
-    def __init__(self, message: str, stats: dict):
-        super().__init__(f"{message} ({stats})")
-        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -69,98 +68,172 @@ def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
 
 
-def _quot(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
+class _Packed:
+    """A polynomial inside the engine: {packed monomial: coefficient}."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
-def _divisor(terms: dict, key, lm: Optional[tuple] = None) -> tuple:
-    """(leading monomial, leading coefficient, tail) of a term map; ``lm``
+def _pack(terms: dict, codec) -> dict:
+    enc = codec.enc
+    return {enc(m): c for m, c in terms.items()}
+
+
+def _unpack(table: VarTable, terms: dict, codec) -> Poly:
+    dec = codec.dec
+    return Poly._raw(table, {dec(m): c for m, c in terms.items()})
+
+
+def _divisor(terms: dict, lm: Optional[int] = None) -> tuple:
+    """(leading monomial, leading coefficient, tail) of packed terms; ``lm``
     is the leading monomial when the caller already knows it."""
     if lm is None:
-        lm = max(terms, key=key)
+        lm = min(terms)
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
+
+
+def _monic(terms: dict) -> Tuple[dict, int]:
+    """Packed terms divided by their leading coefficient (the same map when
+    that is 1), and their leading monomial."""
+    lm = min(terms)
+    lc = terms[lm]
+    if lc.is_one():
+        return terms, lm
+    inv = QI_ONE / lc
+    return {m: v * inv for m, v in terms.items()}, lm
 
 
 def _field_step(c, lc):
     return 1, (c if lc.is_one() else c / lc)
 
 
-def _divide(terms: dict, divisors: Sequence[tuple], key, step):
-    """The division algorithm: divide ``terms`` ({monomial: coefficient}) by
-    ``divisors``, a list of (leading monomial, leading coefficient, tail).
+def _divide(terms: dict, divisors: Sequence[tuple], codec, step,
+            quotients: Optional[List[dict]] = None) -> dict:
+    """The division algorithm: divide packed ``terms`` by ``divisors``, a
+    list of packed (leading monomial, leading coefficient, tail).
 
-    Each pass pops the largest monomial m of the work under ``key`` from a
-    heap of the work's monomials (keys negated, so the largest comes out
-    first).  A monomial is pushed when it enters the work; one that has
-    cancelled since is skipped when it comes out.  When no
-    leading monomial divides m it goes to the remainder; otherwise the first
-    divisor whose leading monomial divides m cancels it.  ``step(c, lc)``
-    returns (a, f) with a*c == f*lc, and the work becomes
-    a*work - f*(m/lm)*divisor, each tail term through one
-    ``coefficient.submul(f, tail coefficient)``.  A field step has a == 1;
-    any other a also scales the quotients and remainder gathered so far, so
-    that A*p == sum(q_k*divisor_k) + r with A the product of the a's.
+    Each pass pops the largest monomial m of the work from a heap of the
+    work's packed monomials (the smallest int is the largest monomial).  A
+    monomial is pushed when it enters the work; one that has cancelled
+    since is skipped when it comes out.  When no leading monomial divides m
+    it goes to the remainder; otherwise the first divisor whose leading
+    monomial divides m cancels it.  ``step(c, lc)`` returns (a, f) with
+    a*c == f*lc, and the work becomes a*work - f*(m/lm)*divisor, each tail
+    term through one ``coefficient.submul(f, tail coefficient)``.  A field
+    step has a == 1; any other a also scales the remainder (and quotients)
+    gathered so far, so that A*p == sum(q_k*divisor_k) + r with A the
+    product of the a's.
 
-    Returns (quotients, remainder): one {shift: coefficient} map per
-    divisor, and {monomial: coefficient} in descending order."""
+    Returns the remainder, {packed monomial: coefficient} in descending
+    order.  When ``quotients`` is given, one empty map per divisor, the
+    quotients are gathered in them as {packed monomial: coefficient}."""
+    guard, one = codec.guard, codec.one
     work = dict(terms)
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heap = list(work)
     heapify(heap)
-    quotients = [{} for _ in divisors]
     remainder = {}
     while work:
-        m = heappop(heap)[1]
+        m = heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         for k, (lm, lc, tail) in enumerate(divisors):
-            if all(map(le, lm, m)):
+            if not (m - lm) & guard:
                 break
         else:
             remainder[m] = c
             continue
         a, f = step(c, lc)
         if a != 1:
-            for part in (work, remainder, *quotients):
+            for part in (work, remainder, *(quotients or ())):
                 for t in part:
                     part[t] = a * part[t]
-        shift = _quot(m, lm)
-        quotients[k][shift] = f
+        shift = m - lm
+        if quotients is not None:
+            quotients[k][shift + one] = f
         for mg, cg in tail:
-            t = tuple(map(add, mg, shift))
+            t = mg + shift
             s = work.get(t)
             if s is None:
+                if t & guard:
+                    raise codec.overflow(codec.dec(t))
                 work[t] = -(f * cg)
-                heappush(heap, (tuple(map(neg, key(t))), t))
+                heappush(heap, t)
                 continue
             s = s.submul(f, cg)
             if s.is_zero():
                 del work[t]
             else:
                 work[t] = s
-    return quotients, remainder
+    return remainder
 
 
-def reduce_poly(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
-                divisors: Optional[Sequence[tuple]] = None) -> Poly:
+def reduce_poly(p, basis: Sequence[Poly], order: MonomialOrder,
+                divisors: Optional[Sequence[tuple]] = None):
     """Full remainder of p on division by basis (tail terms reduced too).
-    ``divisors``, when given, are the basis's (leading monomial, leading
-    coefficient, tail) records, and ``basis`` itself is not read."""
+
+    ``buchberger`` passes packed polynomials and, as ``divisors``, the
+    basis's packed (leading monomial, leading coefficient, tail) records,
+    and gets a packed remainder back; ``basis`` itself is then not read.
+    Given a ``Poly``, it returns a ``Poly``."""
+    codec = order.codec
     if divisors is None:
-        divisors = [_divisor(g.terms, order.key) for g in basis if not g.is_zero()]
-    return Poly._raw(p.table, _divide(p.terms, divisors, order.key, _field_step)[1])
+        divisors = [_divisor(_pack(g.terms, codec)) for g in basis if not g.is_zero()]
+    if isinstance(p, Poly):
+        rem = _divide(_pack(p.terms, codec), divisors, codec, _field_step)
+        return _unpack(p.table, rem, codec)
+    return _Packed(_divide(p.terms, divisors, codec, _field_step))
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
-            lf: Optional[tuple] = None, lg: Optional[tuple] = None) -> Poly:
-    """S-polynomial of f and g; ``lf``, ``lg`` are their leading monomials
-    when the caller already knows them."""
-    if lf is None:
-        lf, lg = _lm(f, order), _lm(g, order)
-    l = _lcm(lf, lg)
-    a = f.scale_monomial(_quot(l, lf), QI_ONE / f.terms[lf])
-    b = g.scale_monomial(_quot(l, lg), QI_ONE / g.terms[lg])
-    return a - b
+def _s_poly(f, g, order: MonomialOrder, l: Optional[int] = None):
+    """S-polynomial of f and g.  Given two ``Poly``s it returns a ``Poly``;
+    ``buchberger`` passes the packed divisor records of two basis elements
+    and their packed lcm ``l``, and gets packed terms back."""
+    codec = order.codec
+    if l is not None:
+        return _Packed(_s_poly_terms(f, g, l, codec))
+    table = f.table
+    f, g = _divisor(_pack(f.terms, codec)), _divisor(_pack(g.terms, codec))
+    l = codec.enc(_lcm(codec.dec(f[0]), codec.dec(g[0])))
+    return _unpack(table, _s_poly_terms(f, g, l, codec), codec)
+
+
+def _s_poly_terms(f: tuple, g: tuple, l: int, codec) -> dict:
+    """(l/lm_f)*f/lc_f - (l/lm_g)*g/lc_g of packed divisor records, whose
+    leading terms cancel and are left out; a leading coefficient 1 is not
+    divided by."""
+    (lf, cf, tf), (lg, cg, tg) = f, g
+    shift = l - lf
+    if cf.is_one():
+        terms = {m + shift: c for m, c in tf}
+    else:
+        inv = QI_ONE / cf
+        terms = {m + shift: c * inv for m, c in tf}
+    shift = l - lg
+    inv = None if cg.is_one() else QI_ONE / cg
+    for m, c in tg:
+        t = m + shift
+        s = terms.get(t)
+        if s is None:
+            terms[t] = -c if inv is None else -(c * inv)
+            continue
+        s = s - c if inv is None else s.submul(c, inv)
+        if s.is_zero():
+            del terms[t]
+        else:
+            terms[t] = s
+    # an exponent above the field's maximum shows in a guard bit
+    guard = codec.guard
+    for t in terms:
+        if t & guard:
+            raise codec.overflow(codec.dec(t))
+    return terms
 
 
 def _pair_sugar(lms: Sequence[tuple], sugar: Sequence[int], i: int, j: int,
@@ -226,47 +299,49 @@ def buchberger(
     in order of (sugar, lcm of the leading monomials)."""
     if limits is None:
         limits = current_limits()
-    key = order.key
-    # the basis, and beside it each element's leading monomial, divisor
-    # record and sugar
+    codec = order.codec
+    # the packed basis, and beside it each element's leading monomial (as
+    # an exponent tuple), packed divisor record and sugar
     G, lms, divs, sugar = [], [], [], []
     live = []   # the elements new pairs are made with (see _gm_update)
     pairs = {}  # pairs still to reduce -> lcm
-    heap = []   # (sugar, key(lcm), i, j) of each pair made; pairs deleted
-                # since are skipped when they come out
+    heap = []   # (sugar, -(packed lcm), i, j) of each pair made; pairs
+                # deleted since are skipped when they come out
 
-    def add(g: Poly, s: int):
-        """Append the monic g, of sugar s, to G and update the pairs."""
+    def add(terms: dict, s: int):
+        """Append the packed terms, made monic, of sugar s to G and update
+        the pairs."""
         t = len(G)
-        lt = _lm(g, order)
-        G.append(g)
-        lms.append(lt)
-        divs.append(_divisor(g.terms, key, lt))
+        terms, lt = _monic(terms)
+        G.append(_Packed(terms))
+        lms.append(codec.dec(lt))
+        divs.append(_divisor(terms, lt))
         sugar.append(s)
         for i, l in _gm_update(lms, sugar, live, pairs, t):
-            heappush(heap, (_pair_sugar(lms, sugar, i, t, l), key(l), i, t))
+            heappush(heap, (_pair_sugar(lms, sugar, i, t, l), -codec.enc(l), i, t))
 
+    table = None
     for g in gens:
         if not g.is_zero():
-            add(g.monic(order), g.total_degree())
+            table = g.table
+            add(_pack(g.terms, codec), g.total_degree())
     reductions = 0
     while heap:
-        s, _, i, j = heappop(heap)
+        s, l, i, j = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        r = reduce_poly(_s_poly(G[i], G[j], order, lms[i], lms[j]), G, order,
-                        divs)
+        r = reduce_poly(_s_poly(divs[i], divs[j], order, -l), G, order, divs)
         reductions += 1
         if r.is_zero():
             continue
-        degree = r.total_degree()
+        degree = max(map(sum, map(codec.dec, r.terms)))
         if degree > limits.max_degree:
             raise ResourceLimitError(
                 "degree cap exceeded during basis computation",
                 {"basis_size": len(G), "reductions": reductions,
                  "degree": degree, "max_degree": limits.max_degree},
             )
-        add(r.monic(order), max(s, degree))
+        add(r.terms, max(s, degree))
         if len(G) > limits.max_basis:
             raise ResourceLimitError(
                 "basis size cap exceeded",
@@ -274,19 +349,21 @@ def buchberger(
                  "max_basis": limits.max_basis},
             )
 
-    return _interreduce([G[i] for i in live], order, [divs[i] for i in live])
+    reduced = _interreduce([G[i] for i in live], order, [divs[i] for i in live])
+    return [_unpack(table, g.terms, codec) for g in reduced]
 
 
-def _interreduce(G: Sequence[Poly], order: MonomialOrder,
-                 divs: Sequence[tuple]) -> List[Poly]:
-    """Reduced basis from a Groebner basis G of nonzero, monic polynomials
-    with divisor records ``divs``."""
+def _interreduce(G: Sequence[_Packed], order: MonomialOrder,
+                 divs: Sequence[tuple]) -> List[_Packed]:
+    """Reduced basis from a Groebner basis G of nonzero, monic, packed
+    polynomials with divisor records ``divs``."""
+    guard = order.codec.guard
     # drop elements whose leading monomial is divisible by another's
     keep, keep_divs = [], []
     for i, (g, d) in enumerate(zip(G, divs)):
         li = d[0]
         if any(
-            j != i and _divides(dj[0], li) and (dj[0] != li or j < i)
+            j != i and not (li - dj[0]) & guard and (dj[0] != li or j < i)
             for j, dj in enumerate(divs)
         ):
             continue
@@ -299,8 +376,9 @@ def _interreduce(G: Sequence[Poly], order: MonomialOrder,
         others = keep[:i] + keep[i + 1:]
         r = (reduce_poly(g, others, order, keep_divs[:i] + keep_divs[i + 1:])
              if others else g)
-        out.append((order.key(keep_divs[i][0]), r))
-    out.sort(key=lambda kr: kr[0])
+        out.append((keep_divs[i][0], r))
+    # ascending in the order: the largest packed leading monomial first
+    out.sort(key=itemgetter(0), reverse=True)
     return [r for _, r in out]
 
 
@@ -478,10 +556,11 @@ def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):
     """Quotient p/d when the division is exact, else None."""
     if d.is_zero():
         return None
-    order = order or grevlex(len(p.table))
-    (quot,), rem = _divide(p.terms, [_divisor(d.terms, order.key)], order.key,
-                           _field_step)
-    return None if rem else Poly(p.table, quot)
+    codec = (order or grevlex(len(p.table))).codec
+    quot = {}
+    rem = _divide(_pack(p.terms, codec), [_divisor(_pack(d.terms, codec))], codec,
+                  _field_step, [quot])
+    return None if rem else _unpack(p.table, quot, codec)
 
 
 # -- parametric pseudo-reduction -------------------------------------------------
@@ -511,8 +590,8 @@ def parametric_normal_form(
     table = I.table
     params = {table.index(n) for n in param_names}
     main = [i for i in range(len(table)) if i not in params]
-    key = grevlex(len(table)).key
-    divisors = [_divisor(coefficients_in(g, main), key)
+    codec = grevlex(len(table)).codec
+    divisors = [_divisor(_pack(coefficients_in(g, main), codec))
                 for g in I.generators if not g.is_zero()]
     excluded: List[Poly] = []
     steps = 0
@@ -528,8 +607,8 @@ def parametric_normal_form(
             excluded.append(lc)
         return lc, c
 
-    _, rem = _divide(coefficients_in(p, main), divisors, key, pseudo_step)
-    work = Poly(table, {tuple(x + y for x, y in zip(m, r)): v
+    rem = _divide(_pack(coefficients_in(p, main), codec), divisors, codec, pseudo_step)
+    work = Poly(table, {tuple(x + y for x, y in zip(codec.dec(m), r)): v
                         for m, c in rem.items() for r, v in c.terms.items()})
     # strip excluded-locus factors: off their zero sets the remainder's
     # vanishing is unchanged

@@ -1,15 +1,29 @@
 """Monomial orders: grevlex, lex, and elimination block orders.
 
 An order exposes `key(exponents) -> sortable`, with key(a) > key(b) exactly
-when monomial a is larger.  Keys are flat tuples of ints, so that the
-negated key ``tuple(map(neg, key(m)))`` sorts the other way round.
+when monomial a is larger.  Keys are flat tuples of ints.  Every key entry
+is a linear form in the exponents, which ``MonomialCodec`` packs, with the
+exponents themselves, into one int per monomial for the Groebner engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from functools import cached_property
+from operator import mul, neg
 from typing import Optional
+
+# width of a packed exponent field, its guard bit included
+EXP_BITS = 16
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation outgrew a cap: a basis limit, a step limit, or the
+    width of a packed exponent field."""
+
+    def __init__(self, message: str, stats: dict):
+        super().__init__(f"{message} ({stats})")
+        self.stats = stats
 
 
 def _grevlex_key(exps):
@@ -28,6 +42,79 @@ def _block_key(outer, inner):
     return key
 
 
+def _grevlex_forms(idx):
+    # the entries of a grevlex key on the variables idx, as linear forms
+    # [(variable, +1 or -1), ...]
+    return [[(i, 1) for i in idx]] + [[(i, -1)] for i in reversed(idx)]
+
+
+class MonomialCodec:
+    """Monomials of one order packed into single ints (Bachmann and
+    Schoenemann, ISSAC 1998).
+
+    From the top down, the packed int holds one field per key entry, each
+    negated and offset so that it is never negative, then one field per
+    exponent, each ``EXP_BITS`` wide with a guard bit on top.  Key entries
+    that are minus one exponent (the tie-breaks of grevlex) need no field of
+    their own: the exponent fields come first in that order.  So:
+
+    - integer ``<`` is the monomial order reversed: the smallest int is the
+      largest monomial;
+    - packing is linear up to the constant ``one`` (the packed 1), so
+      m * (a / b) packs as ``m + (a - b)`` when b divides a;
+    - b divides a exactly when ``not (a - b) & guard``.
+
+    An exponent may be at most ``max_exp``.  A product with an exponent of
+    up to twice that still fits its field, with the guard bit set, and
+    every key field is wide enough for it, so ``p & guard`` detects an
+    overflow before any field carries into the next."""
+
+    def __init__(self, nvars: int, forms):
+        forms = [f for f in forms if f]
+        lead = []   # variables whose exponent field doubles as a key field
+        while forms and len(forms[-1]) == 1 and forms[-1][0][1] == -1:
+            lead.insert(0, forms.pop()[0][0])
+        # exponent fields from the top down
+        exp_order = lead + [i for i in range(nvars) if i not in lead]
+        top = 1 << (EXP_BITS - 1)   # the guard bit of a field
+        field = 2 * top - 1          # the largest value a field holds
+        self.max_exp = top - 1
+        shift = 0
+        exp_shift = [0] * nvars
+        for i in reversed(exp_order):
+            exp_shift[i] = shift
+            shift += EXP_BITS
+        self.guard = sum(top << s for s in exp_shift)
+        # per variable, the packed change when its exponent grows by one
+        unit = [1 << s for s in exp_shift]
+        self.one = 0
+        for form in reversed(forms):
+            plus = sum(c > 0 for _, c in form)
+            self.one += plus * field << shift
+            for i, c in form:
+                unit[i] -= c << shift
+            shift += (len(form) * field).bit_length()
+        self._unit = unit
+        self._exp_shift = exp_shift
+
+    def enc(self, exps) -> int:
+        """The packed form of an exponent tuple."""
+        if max(exps, default=0) > self.max_exp:
+            raise self.overflow(exps)
+        return self.one + sum(map(mul, exps, self._unit))
+
+    def dec(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        mask = (1 << EXP_BITS) - 1
+        return tuple([(m >> s) & mask for s in self._exp_shift])
+
+    def overflow(self, exps) -> ResourceLimitError:
+        """The error for a monomial with an exponent above ``max_exp``."""
+        return ResourceLimitError(
+            "exponent too large for a packed monomial",
+            {"exponent": max(exps), "max_exponent": self.max_exp})
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str                      # "grevlex" | "lex" | "block"
@@ -35,20 +122,32 @@ class MonomialOrder:
     block: Optional[tuple] = None  # eliminated variable indices, for "block"
 
     def __post_init__(self):
-        # the key function is built once here; it is not a field, so
-        # equality and hashing still see (kind, nvars, block) alone
+        # the key function is built once here, the codec on first use; they
+        # are not fields, so equality and hashing still see (kind, nvars,
+        # block) alone
+        n = self.nvars
         if self.kind == "grevlex":
             compiled = _grevlex_key
+            forms = _grevlex_forms(range(n))
         elif self.kind == "lex":
             compiled = tuple
+            forms = [[(i, 1)] for i in range(n)]
         else:
             blk = set(self.block)
-            compiled = _block_key([i for i in range(self.nvars) if i in blk],
-                                  [i for i in range(self.nvars) if i not in blk])
+            outer = [i for i in range(n) if i in blk]
+            inner = [i for i in range(n) if i not in blk]
+            compiled = _block_key(outer, inner)
+            forms = _grevlex_forms(outer) + _grevlex_forms(inner)
         object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_forms", forms)
 
     def key(self, exps):
         return self._compiled(exps)
+
+    @cached_property
+    def codec(self) -> MonomialCodec:
+        """Packs this order's monomials for the Groebner engine."""
+        return MonomialCodec(self.nvars, self._forms)
 
     def describe(self) -> str:
         if self.kind == "block":

@@ -167,3 +167,15 @@ def test_seed_env_override(monkeypatch):
                            "--point", "1,0")
     assert code == 0
     assert json.loads(out)["seed"] == 42
+
+
+def test_exit_code_exponent_too_large_for_the_engine(tmp_path):
+    """An exponent wider than a packed monomial field is a resource limit,
+    exit code 3, and not a wrong answer."""
+    mfd = tmp_path / "big.mfd"
+    mfd.write_text("vars z1 z2\nrho: z1^40000*~z1^40000 + z2*~z2 - 1\n")
+    code, out, _ = run_cli("essfin", str(mfd), "--point", "1,0")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"] == {"exponent": 40000, "max_exponent": 32767}

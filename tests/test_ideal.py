@@ -357,3 +357,65 @@ def test_reduced_bases_match_sympy(name):
                          for m, c in p.quo_ground(p.LC(order=name)).terms())
                         for p in theirs.polys)
         assert ours == theirs
+
+
+# -- S-polynomials and packed exponent limits ----------------------------------
+
+@pytest.mark.parametrize("order", [grevlex(3), lex(3), block_elim(3, [1])],
+                         ids=["grevlex", "lex", "block"])
+def test_s_poly_matches_its_definition(order, monkeypatch):
+    """_s_poly(f, g) == (l/lm_f)*f/lc_f - (l/lm_g)*g/lc_g with l their lcm,
+    and it divides by no leading coefficient 1."""
+    divisions = []
+    real_div = QI.__truediv__
+
+    def counted(a, b):
+        divisions.append(b)
+        return real_div(a, b)
+
+    rng = random.Random(8)
+    for _ in range(30):
+        f, g = random_poly(rng, 4, 3), random_poly(rng, 4, 3)
+        if f.is_zero() or g.is_zero():
+            continue
+        lf, lg = leading(f, order), leading(g, order)
+        l = _lcm(lf, lg)
+        want = (f.scale_monomial(tuple(a - b for a, b in zip(l, lf)), QI_ONE / f.terms[lf])
+                - g.scale_monomial(tuple(a - b for a, b in zip(l, lg)), QI_ONE / g.terms[lg]))
+        fm, gm = f.monic(order), g.monic(order)
+        monkeypatch.setattr(QI, "__truediv__", counted)
+        assert _s_poly(f, g, order) == want
+        assert len(divisions) == 2
+        assert _s_poly(fm, gm, order) == want
+        assert len(divisions) == 2
+        monkeypatch.undo()
+        divisions.clear()
+
+
+def test_exponents_too_large_for_packed_monomials_raise():
+    """An exponent above the packed field's maximum raises
+    ResourceLimitError, whether a generator has it or the division
+    produces it, and never wraps around."""
+    table = VarTable.make(["x", "y"], conjugates=False)
+    top = lex(2).codec.max_exp
+    with pytest.raises(ResourceLimitError):
+        buchberger([P(f"x^{top + 1} - y", table)], grevlex(2))
+    # reducing x^2 - 1 by x - y^k under lex gives y^(2k) - 1
+    k = top // 2 + 1
+    with pytest.raises(ResourceLimitError) as err:
+        buchberger([P(f"x - y^{k}", table), P("x^2 - 1", table)], lex(2),
+                   Limits(max_degree=10 * top, max_basis=400))
+    assert err.value.stats == {"exponent": 2 * k, "max_exponent": top}
+    # the S-polynomial of x - y^k and x*y^k - 1 under lex has y^(2k)
+    f, g = P(f"x - y^{k}", table), P(f"x*y^{k} - 1", table)
+    with pytest.raises(ResourceLimitError):
+        _s_poly(f, g, lex(2))
+    with pytest.raises(ResourceLimitError):
+        buchberger([f, g], lex(2), Limits(max_degree=10 * top, max_basis=400))
+    # one less fits
+    k = top // 2
+    G = buchberger([P(f"x - y^{k}", table), P("x^2 - 1", table)], lex(2),
+                   Limits(max_degree=10 * top, max_basis=400))
+    assert [str(g) for g in G] == [str(P(f"y^{2 * k} - 1", table)), str(P(f"x - y^{k}", table))]
+    with pytest.raises(ResourceLimitError):
+        reduce_poly(P(f"x^{top + 1}", table), G, lex(2))
