@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it; each module is imported when
 # one of its names is first looked up (PEP 562), so that a user of the
-# engine alone loads gaussian, orders, poly and ideal, and only the numeric
-# oracle loads numpy
+# engine alone loads gaussian, orders, poly and ideal
 _HOME = {name: module for module, names in [
     ("gaussian", ["GaussianRational", "QI_I", "QI_ONE", "QI_ZERO", "qi_sqrt"]),
     ("poly", ["Poly", "VarTable"]),

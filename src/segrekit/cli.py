@@ -265,25 +265,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with limits_scope(limits):
             code = args.func(args, rep)
-    except InputError as exc:
+    except (InputError, ManifoldError, CorrespondenceError) as exc:
         rep.status = "input-error: " + str(exc)
-        rep.emit(time.monotonic() - start)
-        return EXIT_INPUT
+        code = EXIT_INPUT
     except ResourceLimitError as exc:
         rep.status = "resource-limit"
         rep.results["limit_stats"] = exc.stats
-        rep.emit(time.monotonic() - start)
-        return EXIT_INCONCLUSIVE
+        code = EXIT_INCONCLUSIVE
     except InconclusiveError as exc:
         rep.status = "inconclusive: " + str(exc)
-        rep.emit(time.monotonic() - start)
-        return EXIT_INCONCLUSIVE
-    except (ManifoldError, CorrespondenceError) as exc:
-        rep.status = "input-error: " + str(exc)
-        rep.emit(time.monotonic() - start)
-        return EXIT_INPUT
-    if code != EXIT_OK:
-        rep.status = "mismatch"
+        code = EXIT_INCONCLUSIVE
+    else:
+        if code != EXIT_OK:
+            rep.status = "mismatch"
     rep.emit(time.monotonic() - start)
     return code
 

@@ -29,9 +29,8 @@ from .poly import Poly, PolyError, VarTable
 @dataclass(frozen=True)
 class Limits:
     """Resource caps for basis computations.  An instance never changes: a
-    computation uses the ``Limits`` passed to it, or else the caps of the
-    innermost ``limits_scope`` in force, which a front end sets for the
-    length of one call."""
+    computation uses the caps of the innermost ``limits_scope`` in force,
+    which a front end sets for the length of one call."""
     max_degree: int = 80
     max_basis: int = 400
 
@@ -289,16 +288,13 @@ def _gm_update(lms: Sequence[tuple], sugar: Sequence[int], live: List[int],
     return new
 
 
-def buchberger(
-    gens: Sequence[Poly], order: MonomialOrder, limits: Optional[Limits] = None
-) -> List[Poly]:
-    """Reduced Groebner basis of the given generators, under ``limits`` or,
-    when none are given, the caps in force (``current_limits``).
+def buchberger(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
+    """Reduced Groebner basis of the given generators, under the caps in
+    force (``current_limits``).
 
     Pairs are kept by the Gebauer-Moeller update (``_gm_update``) and taken
     in order of (sugar, lcm of the leading monomials)."""
-    if limits is None:
-        limits = current_limits()
+    limits = current_limits()
     codec = order.codec
     # the packed basis, and beside it each element's leading monomial (as
     # an exponent tuple), packed divisor record and sugar
@@ -384,35 +380,32 @@ def _interreduce(G: Sequence[_Packed], order: MonomialOrder,
 
 @dataclass
 class Ideal:
-    """Finite generating set with an optional cached reduced Groebner basis.
-
-    ``limits`` of None means the caps in force when the basis is computed."""
+    """Finite generating set with an optional cached reduced Groebner basis,
+    computed under the caps in force when it is first asked for."""
 
     generators: Tuple[Poly, ...]
     order: MonomialOrder
     table: VarTable
-    limits: Optional[Limits] = None
     _gb: Optional[Tuple[Poly, ...]] = field(default=None, repr=False)
 
     @staticmethod
     def make(gens: Iterable[Poly], order: Optional[MonomialOrder] = None,
-             table: Optional[VarTable] = None,
-             limits: Optional[Limits] = None) -> "Ideal":
+             table: Optional[VarTable] = None) -> "Ideal":
         gens = tuple(g for g in gens if not g.is_zero())
         if table is None:
             if not gens:
                 raise PolyError("empty ideal needs an explicit table")
             table = gens[0].table
         order = order or grevlex(len(table))
-        return Ideal(gens, order, table, limits)
+        return Ideal(gens, order, table)
 
     def groebner(self) -> Tuple[Poly, ...]:
         if self._gb is None:
-            self._gb = tuple(buchberger(self.generators, self.order, self.limits))
+            self._gb = tuple(buchberger(self.generators, self.order))
         return self._gb
 
     def with_order(self, order: MonomialOrder) -> "Ideal":
-        return Ideal(self.generators, order, self.table, self.limits)
+        return Ideal(self.generators, order, self.table)
 
     def is_trivial(self) -> bool:
         """True when 1 is in the ideal."""
@@ -432,7 +425,7 @@ class Ideal:
 def groebner_basis(I: Ideal) -> Ideal:
     """The ideal with its reduced basis as the generating set (cached)."""
     gb = I.groebner()
-    return Ideal(gb, I.order, I.table, I.limits, _gb=gb)
+    return Ideal(gb, I.order, I.table, _gb=gb)
 
 
 def normal_form(p: Poly, I: Ideal) -> Poly:
@@ -443,21 +436,24 @@ def member(p: Poly, I: Ideal) -> bool:
     return normal_form(p, I).is_zero()
 
 
-def radical_member(p: Poly, I: Ideal, limits: Optional[Limits] = None) -> bool:
-    """Rabinowitsch trick: 1 in I + <1 - t*p> in an extended ring."""
-    if p.is_zero():
-        return True
-    aux = "_t"
+def _rabinowitsch(I: Ideal, p: Poly, stem: str) -> Ideal:
+    """I + <1 - t*p> over the table of I extended by a fresh variable t,
+    named ``stem`` or ``stem`` with the first number that makes it fresh."""
+    aux = stem
     k = 0
     while aux in I.table.names:
         k += 1
-        aux = f"_t{k}"
+        aux = f"{stem}{k}"
     ext = I.table.extend_params([aux])
     gens = [g.transport(ext) for g in I.generators]
     t = Poly.var(ext, aux)
     gens.append(Poly.const(ext, 1) - t * p.transport(ext))
-    J = Ideal.make(gens, grevlex(len(ext)), ext, limits or I.limits)
-    return J.is_trivial()
+    return Ideal.make(gens, grevlex(len(ext)), ext)
+
+
+def radical_member(p: Poly, I: Ideal) -> bool:
+    """Rabinowitsch trick: 1 in I + <1 - t*p> in an extended ring."""
+    return p.is_zero() or _rabinowitsch(I, p, "_t").is_trivial()
 
 
 def eliminate(I: Ideal, keep_names: Sequence[str]) -> Ideal:
@@ -465,14 +461,14 @@ def eliminate(I: Ideal, keep_names: Sequence[str]) -> Ideal:
     keep_idx = {I.table.index(n) for n in keep_names}
     elim_idx = [i for i in range(len(I.table)) if i not in keep_idx]
     order = block_elim(len(I.table), elim_idx)
-    gb = buchberger(I.generators, order, I.limits)
+    gb = buchberger(I.generators, order)
     sub = VarTable(
         tuple(I.table.names[i] for i in sorted(keep_idx)),
         tuple(I.table.kinds[i] for i in sorted(keep_idx)),
         tuple(None for _ in keep_idx),
     )
     kept = [g.transport(sub) for g in gb if g.variables() <= keep_idx]
-    return Ideal.make(kept, grevlex(len(sub)), sub, I.limits)
+    return Ideal.make(kept, grevlex(len(sub)), sub)
 
 
 def dimension(I: Ideal) -> int:
@@ -537,19 +533,9 @@ def saturate(I: Ideal, e: Poly) -> Ideal:
     """Saturation I : e^infinity via the extended-ring elimination trick."""
     if e.is_zero() or e.is_constant():
         return I
-    aux = "_s"
-    k = 0
-    while aux in I.table.names:
-        k += 1
-        aux = f"_s{k}"
-    ext = I.table.extend_params([aux])
-    gens = [g.transport(ext) for g in I.generators]
-    t = Poly.var(ext, aux)
-    gens.append(Poly.const(ext, 1) - t * e.transport(ext))
-    J = Ideal.make(gens, grevlex(len(ext)), ext, I.limits)
-    E = eliminate(J, I.table.names)
+    E = eliminate(_rabinowitsch(I, e, "_s"), I.table.names)
     out = [g.transport(I.table) for g in E.generators]
-    return Ideal.make(out, I.order, I.table, I.limits)
+    return Ideal.make(out, I.order, I.table)
 
 
 def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):

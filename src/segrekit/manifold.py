@@ -47,10 +47,6 @@ class CRManifold:
         return self.table.zvars()
 
     @staticmethod
-    def from_polys(zvars: Sequence[str], rho: Sequence[Poly], chart="affine") -> "CRManifold":
-        return CRManifold(rho[0].table, tuple(rho), chart)
-
-    @staticmethod
     def from_text(text: str) -> "CRManifold":
         spec = parse_manifold_text(text)
         table = VarTable.make(spec.zvars)
@@ -135,7 +131,6 @@ def homogenize(M: CRManifold, hom_var: str = "z0") -> CRManifold:
         dz, dc = _bidegrees(r)
         zi = r.table.indices(Z_VAR)
         ci = r.table.indices(CONJ_VAR)
-        lifted = r.transport(table)
         h0 = table.index(hom_var)
         c0 = table.index("~" + hom_var)
         terms = {}

@@ -1,14 +1,15 @@
 """Independent numeric cross-check: damped Newton root counting.
 
 Never authoritative; only used to corroborate exact solution counts, with a
-residual tolerance on the numeric side alone."""
+residual tolerance on the numeric side alone.  The systems it checks have a
+few variables, so plain ``complex`` arithmetic serves."""
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from .poly import Poly
 
@@ -16,37 +17,54 @@ RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-6
 
 
-def _compile(polys: Sequence[Poly], names: Sequence[str]):
-    idx = [polys[0].table.index(n) for n in names]
+def _compile(p: Poly, idx: Sequence[int]) -> list:
+    """The terms of ``p`` as (coefficient, [(position, exponent)]), where
+    position indexes the point and ``idx`` maps it to the table."""
+    return [(complex(c.re) + 1j * complex(c.im),
+             [(pos, m[i]) for pos, i in enumerate(idx) if m[i]])
+            for m, c in p.terms.items()]
 
-    def value(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(polys), dtype=complex)
-        for k, p in enumerate(polys):
-            for m, c in p.terms.items():
-                t = complex(c.re) + 1j * complex(c.im)
-                for pos, i in enumerate(idx):
-                    if m[i]:
-                        t *= x[pos] ** m[i]
-                out[k] = out[k] + t
-        return out
 
-    diffs = [[p.diff(n) for n in names] for p in polys]
+def _eval(terms: list, x: Sequence[complex]) -> complex:
+    """Value of compiled terms at x.  ``complex ** int`` raises on overflow
+    where a float product would give inf; the value then reads as inf, so
+    a Newton step that overshoots that far is just no improvement."""
+    s = 0j
+    for t, powers in terms:
+        try:
+            for pos, e in powers:
+                t *= x[pos] ** e
+        except OverflowError:
+            return complex(math.inf)
+        s += t
+    return s
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        J = np.zeros((len(polys), len(names)), dtype=complex)
-        for r, row in enumerate(diffs):
-            for c, d in enumerate(row):
-                s = 0j
-                for m, coeff in d.terms.items():
-                    t = complex(coeff.re) + 1j * complex(coeff.im)
-                    for pos, i in enumerate(idx):
-                        if m[i]:
-                            t *= x[pos] ** m[i]
-                    s += t
-                J[r, c] = s
-        return J
 
-    return value, jac
+def _norm(v: Sequence[complex]) -> float:
+    return math.sqrt(sum(abs(z) ** 2 for z in v))
+
+
+def _lstsq_step(J: Sequence[Sequence[complex]],
+                f: Sequence[complex]) -> Optional[List[complex]]:
+    """The s minimising |J s + f|, from the normal equations
+    (J^H J) s = -J^H f by Gaussian elimination with partial pivoting;
+    None when J^H J is singular."""
+    cols = list(zip(*J))
+    n = len(cols)
+    A = [[sum(u.conjugate() * v for u, v in zip(a, b)) for b in cols]
+         + [-sum(u.conjugate() * v for u, v in zip(a, f))] for a in cols]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(A[r][c]))
+        if A[p][c] == 0:
+            return None
+        A[c], A[p] = A[p], A[c]
+        for r in range(c + 1, n):
+            m = A[r][c] / A[c][c]
+            A[r] = [u - m * v for u, v in zip(A[r], A[c])]
+    s = [0j] * n
+    for c in reversed(range(n)):
+        s[c] = (A[c][n] - sum(A[c][k] * s[k] for k in range(c + 1, n))) / A[c][c]
+    return s
 
 
 @dataclass
@@ -62,31 +80,34 @@ def numeric_oracle(system: Sequence[Poly], names: Sequence[str],
                    iters: int = 60) -> OracleResult:
     """Approximate count of isolated roots of a square (or overdetermined)
     polynomial system by multistart damped Newton with deduplication."""
-    value, jac = _compile(system, names)
-    rng = np.random.default_rng(seed)
-    nvars = len(names)
-    roots: List[np.ndarray] = []
+    idx = [system[0].table.index(n) for n in names]
+    values = [_compile(p, idx) for p in system]
+    jacobian = [[_compile(p.diff(n), idx) for n in names] for p in system]
+
+    def value(x):
+        return [_eval(terms, x) for terms in values]
+
+    rng = random.Random(seed)
+    roots: List[List[complex]] = []
     max_res = 0.0
     failed = 0
     for _ in range(samples):
-        x = (rng.uniform(-box, box, nvars) + 1j * rng.uniform(-box, box, nvars))
+        x = [complex(rng.uniform(-box, box), rng.uniform(-box, box)) for _ in names]
         ok = False
         for _ in range(iters):
             f = value(x)
-            r = np.linalg.norm(f)
+            r = _norm(f)
             if r < RESIDUAL_TOL:
                 ok = True
                 break
-            J = jac(x)
-            try:
-                step = np.linalg.lstsq(J, -f, rcond=None)[0]
-            except np.linalg.LinAlgError:
+            step = _lstsq_step([[_eval(d, x) for d in row] for row in jacobian], f)
+            if step is None:
                 break
             lam = 1.0
             improved = False
             for _ in range(30):
-                xn = x + lam * step
-                if np.linalg.norm(value(xn)) < r:
+                xn = [a + lam * b for a, b in zip(x, step)]
+                if _norm(value(xn)) < r:
                     x = xn
                     improved = True
                     break
@@ -96,9 +117,9 @@ def numeric_oracle(system: Sequence[Poly], names: Sequence[str],
         if not ok:
             failed += 1
             continue
-        res = float(np.linalg.norm(value(x)))
+        res = _norm(value(x))
         max_res = max(max_res, res)
-        if not any(np.linalg.norm(x - r0) < DEDUP_TOL * (1 + np.linalg.norm(r0))
+        if not any(_norm([a - b for a, b in zip(x, r0)]) < DEDUP_TOL * (1 + _norm(r0))
                    for r0 in roots):
             roots.append(x)
     return OracleResult(len(roots), max_res, roots, failed)

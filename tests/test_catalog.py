@@ -1,5 +1,6 @@
 """Bundled catalog and the numeric cross-check oracle."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from segrekit.catalog import (SAMPLERS, load_catalog, run_suite,
                               sample_points)
 from segrekit.ideal import Ideal
 from segrekit.manifold import check_reality
-from segrekit.oracle import numeric_oracle
+from segrekit.oracle import _compile, _eval, numeric_oracle
 from segrekit.orders import grevlex
 from segrekit.parsing import parse_poly
 from segrekit.poly import VarTable
@@ -66,11 +67,22 @@ def test_oracle_counts_quartic_roots():
     assert res.max_residual < 1e-9
 
 
-def test_oracle_counts_system_roots():
+@pytest.mark.parametrize("sources, count", [
+    (["x^2 - 1", "y^2 - 4"], 4),
+    # three equations in two unknowns: Newton takes least-squares steps
+    (["x^2 - 1", "y^2 - 4", "x*y - 2"], 2),
+], ids=["square", "overdetermined"])
+def test_oracle_counts_system_roots(sources, count):
     table = VarTable.make(["x", "y"], conjugates=False)
-    sys_ = [parse_poly("x^2 - 1", table), parse_poly("y^2 - 4", table)]
+    sys_ = [parse_poly(src, table) for src in sources]
     res = numeric_oracle(sys_, ["x", "y"], seed=4)
-    assert res.count == 4
+    assert res.count == count
+
+
+def test_oracle_reads_an_overflowing_power_as_infinity():
+    table = VarTable.make(["x"], conjugates=False)
+    terms = _compile(parse_poly("x^4 - 1", table), [table.index("x")])
+    assert _eval(terms, [1e100 + 0j]) == complex(math.inf)
 
 
 def test_oracle_is_seed_deterministic():

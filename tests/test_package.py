@@ -26,6 +26,15 @@ def test_the_engine_loads_without_the_domain_modules():
                            "segrekit.orders", "segrekit.poly", "False"]
 
 
+def test_the_oracle_runs_without_numpy():
+    out = run_python(
+        "import sys; sys.modules['numpy'] = None; import segrekit; "
+        "from segrekit.parsing import parse_poly; "
+        "table = segrekit.VarTable.make(['x'], conjugates=False); "
+        "print(segrekit.numeric_oracle([parse_poly('x^4 - 1', table)], ['x'], seed=4).count)")
+    assert out.split() == ["4"]
+
+
 def test_every_public_name_resolves():
     for name in segrekit.__all__:
         assert getattr(segrekit, name) is not None
