@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianRational as QI
 from .gaussian import QI_ZERO
@@ -103,13 +102,12 @@ def sample_points(name: str, count: int, seed: int) -> List[tuple]:
 
 # -- manifest loading --------------------------------------------------------------
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str
     expected: Dict[str, dict]
+    maps: Dict[str, AlgebraicMap]   # self-maps of a "manifold" entry
     manifold: Optional[CRManifold] = None
-    maps: Dict[str, AlgebraicMap] = field(default_factory=dict)
     source: Optional[CRManifold] = None
     target: Optional[CRManifold] = None
     map: Optional[AlgebraicMap] = None
@@ -130,46 +128,41 @@ def _base(fname: str) -> str:
     return fname.rsplit(".", 1)[0]
 
 
+def _entry(rec: dict) -> CatalogEntry:
+    name, kind, expected = rec["name"], rec["kind"], rec.get("expected", {})
+    if kind == "manifold":
+        M = load_manifold(rec["manifold"])
+        maps = {label: AlgebraicMap.from_text(_read_data(fname), M)
+                for label, fname in rec.get("maps", {}).items()}
+        return CatalogEntry(name, kind, expected, maps, manifold=M)
+    if kind not in ("correspondence", "relation"):
+        raise ValueError("unknown catalog kind: " + kind)
+    source = load_manifold(rec["source"])
+    fmap = (AlgebraicMap.from_text(_read_data(rec["map"]), source)
+            if kind == "correspondence" else None)
+    relation = dict(rec["relation"]) if kind == "relation" else None
+    return CatalogEntry(name, kind, expected, {}, source=source,
+                        target=load_manifold(rec["target"]), map=fmap,
+                        relation=relation, source_name=_base(rec["source"]),
+                        target_name=_base(rec["target"]))
+
+
 def load_catalog() -> Dict[str, CatalogEntry]:
     manifest = json.loads(_read_data("manifest.json"))
-    out: Dict[str, CatalogEntry] = {}
-    for rec in manifest["entries"]:
-        entry = CatalogEntry(name=rec["name"], kind=rec["kind"],
-                             expected=rec.get("expected", {}))
-        if entry.kind == "manifold":
-            entry.manifold = load_manifold(rec["manifold"])
-            for label, fname in rec.get("maps", {}).items():
-                entry.maps[label] = AlgebraicMap.from_text(
-                    _read_data(fname), entry.manifold)
-        elif entry.kind in ("correspondence", "relation"):
-            entry.source = load_manifold(rec["source"])
-            entry.target = load_manifold(rec["target"])
-            entry.source_name = _base(rec["source"])
-            entry.target_name = _base(rec["target"])
-            if entry.kind == "correspondence":
-                entry.map = AlgebraicMap.from_text(_read_data(rec["map"]),
-                                                   entry.source)
-            else:
-                entry.relation = dict(rec["relation"])
-        else:
-            raise ValueError("unknown catalog kind: " + entry.kind)
-        out[entry.name] = entry
-    return out
+    return {rec["name"]: _entry(rec) for rec in manifest["entries"]}
 
 
 # -- the verification suite --------------------------------------------------------
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     entry: str
-    checks: List[CheckResult] = field(default_factory=list)
+    checks: List[CheckResult]   # appended to by ``add``
 
     @property
     def ok(self) -> bool:
@@ -180,7 +173,7 @@ class SuiteReport:
 
 
 def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
-    rep = SuiteReport(entry.name)
+    rep = SuiteReport(entry.name, [])
     M = entry.manifold
     exp = entry.expected
     rep.add("reality", check_reality(M), "defining functions are real valued")
@@ -246,7 +239,7 @@ def _build_entry_correspondence(entry: CatalogEntry) -> Correspondence:
 
 
 def _suite_correspondence(entry: CatalogEntry, seed: int) -> SuiteReport:
-    rep = SuiteReport(entry.name)
+    rep = SuiteReport(entry.name, [])
     exp = entry.expected
     C = _build_entry_correspondence(entry)
     generic = tuple(QI(Fraction(v)) for v in (1, 4))

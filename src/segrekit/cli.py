@@ -2,7 +2,10 @@
 
 Machine-readable JSON report on stdout, short human summary on stderr.
 Exit codes: 0 success, 1 mathematical mismatch, 2 input error,
-3 resource limit hit or result inconclusive."""
+3 resource limit hit or result inconclusive.
+
+Each command imports the modules it runs when it runs, so that a quick
+command in a fresh process does not load, say, the correspondence code."""
 
 from __future__ import annotations
 
@@ -10,18 +13,12 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Optional, Sequence
 
-from .correspond import (AlgebraicMap, CorrespondenceError,
-                         build_correspondence, fiber, splits_at)
 from .ideal import ResourceLimitError, current_limits, limits_scope
-from .manifold import CRManifold, ManifoldError, levi_signature
 from .parsing import ParseError, parse_poly
 from .poly import VarTable
 from .report import Report
-from .segre import (InconclusiveError, SYMBOLIC, inversion_set, minimality,
-                    segre_variety)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -57,7 +54,9 @@ def _read_file(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_manifold(path: str, rep: Report, label: str = "manifold") -> CRManifold:
+def _load_manifold(path: str, rep: Report, label: str = "manifold"):
+    from .manifold import CRManifold, ManifoldError
+
     text = _read_file(path)
     rep.add_input(label, text)
     try:
@@ -71,6 +70,8 @@ def _fmt_point(p) -> list:
 
 
 def cmd_segre(args, rep: Report) -> int:
+    from .segre import SYMBOLIC, segre_variety
+
     M = _load_manifold(args.manifold, rep)
     w = SYMBOLIC if args.symbolic else parse_point(args.point)
     if w is not SYMBOLIC and len(w) != M.n:
@@ -82,6 +83,8 @@ def cmd_segre(args, rep: Report) -> int:
 
 
 def cmd_essfin(args, rep: Report) -> int:
+    from .segre import inversion_set
+
     M = _load_manifold(args.manifold, rep)
     w = parse_point(args.point)
     if len(w) != M.n:
@@ -98,6 +101,10 @@ def cmd_essfin(args, rep: Report) -> int:
 
 
 def cmd_minimal(args, rep: Report) -> int:
+    from .segre import minimality
+
+    if args.jmax is not None and args.jmax < 1:
+        raise InputError(f"--jmax must be at least 1, got {args.jmax}")
     M = _load_manifold(args.manifold, rep)
     p = parse_point(args.point)
     if len(p) != M.n:
@@ -110,6 +117,8 @@ def cmd_minimal(args, rep: Report) -> int:
 
 
 def cmd_levi(args, rep: Report) -> int:
+    from .manifold import levi_signature
+
     M = _load_manifold(args.manifold, rep)
     p = parse_point(args.point)
     if len(p) != M.n:
@@ -129,6 +138,8 @@ def cmd_levi(args, rep: Report) -> int:
 
 
 def cmd_correspond(args, rep: Report) -> int:
+    from .correspond import AlgebraicMap, build_correspondence, fiber, splits_at
+
     M = _load_manifold(args.source, rep, "source")
     Mp = _load_manifold(args.target, rep, "target")
     map_text = _read_file(args.map)
@@ -184,9 +195,27 @@ def cmd_suite(args, rep: Report) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _env_int(name: str, fallback) -> int:
-    val = os.environ.get(name)
-    return int(val) if val is not None else fallback
+def _setting(args, option: str, minimum: Optional[int] = None) -> Optional[int]:
+    """A global option's value: its flag if given, else the environment
+    variable SEGREKIT_<OPTION> if set, else None."""
+    value, source = getattr(args, option), "--" + option.replace("_", "-")
+    env = "SEGREKIT_" + option.upper()
+    if value is None and env in os.environ:
+        text, source = os.environ[env], env
+        try:
+            value = int(text)
+        except ValueError:
+            raise InputError(f"{env}={text!r} is not an integer") from None
+    if value is not None and minimum is not None and value < minimum:
+        raise InputError(f"{source} must be at least {minimum}, got {value}")
+    return value
+
+
+def _loaded(module: str, name: str) -> tuple:
+    """``(segrekit.<module>.<name>,)`` if that module is loaded, else ``()``:
+    a module that was never imported cannot have raised its error."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(mod, name),) if mod is not None else ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,14 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Segre-variety computations for real-algebraic "
                     "CR manifolds.")
     ap.add_argument("--seed", type=int,
-                    default=_env_int("SEGREKIT_SEED", 0),
-                    help="seed for all randomized sampling (default 0)")
+                    help="seed for all randomized sampling (default 0; "
+                         "env SEGREKIT_SEED)")
     ap.add_argument("--max-degree", type=int,
-                    default=_env_int("SEGREKIT_MAX_DEGREE", None),
-                    help="cap on intermediate polynomial degree")
+                    help="cap on intermediate polynomial degree "
+                         "(env SEGREKIT_MAX_DEGREE)")
     ap.add_argument("--max-basis", type=int,
-                    default=_env_int("SEGREKIT_MAX_BASIS", None),
-                    help="cap on Groebner basis size")
+                    help="cap on Groebner basis size (env SEGREKIT_MAX_BASIS)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("segre", help="Segre variety of a manifold at a point")
@@ -255,24 +283,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    caps = {k: v for k, v in (("max_degree", args.max_degree),
-                              ("max_basis", args.max_basis)) if v is not None}
-    limits = replace(current_limits(), **caps)
-    rep = Report(command=args.cmd, seed=args.seed)
-    rep.limits = {"max_degree": limits.max_degree,
-                  "max_basis": limits.max_basis}
+    rep = Report(command=args.cmd, seed=0)
     start = time.monotonic()
     try:
+        rep.seed = _setting(args, "seed") or 0
+        caps = {cap: v for cap in ("max_degree", "max_basis")
+                if (v := _setting(args, cap, minimum=1)) is not None}
+        limits = current_limits()._replace(**caps)
+        rep.limits = {"max_degree": limits.max_degree,
+                      "max_basis": limits.max_basis}
         with limits_scope(limits):
             code = args.func(args, rep)
-    except (InputError, ManifoldError, CorrespondenceError) as exc:
+    # the error classes of modules a command imports are looked up only
+    # when an error reaches here
+    except (InputError, *_loaded("manifold", "ManifoldError"),
+            *_loaded("correspond", "CorrespondenceError")) as exc:
         rep.status = "input-error: " + str(exc)
         code = EXIT_INPUT
     except ResourceLimitError as exc:
         rep.status = "resource-limit"
         rep.results["limit_stats"] = exc.stats
         code = EXIT_INCONCLUSIVE
-    except InconclusiveError as exc:
+    except _loaded("segre", "InconclusiveError") as exc:
         rep.status = "inconclusive: " + str(exc)
         code = EXIT_INCONCLUSIVE
     else:

@@ -5,8 +5,7 @@ invariance verification, fibers and branch counting, splitting, composition."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
@@ -31,8 +30,7 @@ class SamplingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebraicMap:
+class AlgebraicMap(NamedTuple):
     """Rational map between charts: components as (numerator, denominator)
     pairs over the source manifold's variable table."""
 
@@ -63,9 +61,6 @@ class AlgebraicMap:
             tuple((Poly.var(M.table, n), one) for n in M.zvar_names),
         )
 
-    def __len__(self):
-        return len(self.components)
-
     def apply(self, p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
         names = self.table.zvars()
         binding = {n: GaussianRational.from_value(v) for n, v in zip(names, p)}
@@ -94,8 +89,7 @@ class AlgebraicMap:
         return J
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     full_rank: bool
     rank: int
     expected: int
@@ -191,8 +185,7 @@ def sample_segre_points(M: CRManifold, w, rng: random.Random, count: int) -> Lis
     return sample_variety_points(Q.ideal.generators, Q.ideal.table, rng, count)
 
 
-@dataclass
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     checked: int
     passed: int
     failures: list
@@ -238,8 +231,7 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
 # -- the correspondence graph ------------------------------------------------------
 
 
-@dataclass
-class Correspondence:
+class Correspondence(NamedTuple):
     """Graph ideal in (wb-block, wpb-block): conjugated source and target
     parameters.  A pair (w, w') lies on the correspondence when
     (conj(w), conj(w')) satisfies the graph ideal."""
@@ -250,7 +242,6 @@ class Correspondence:
     wb_names: tuple
     wpb_names: tuple
     excluded: tuple = ()
-    fiber_degree: Optional[int] = None
 
 
 def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]:
@@ -311,8 +302,7 @@ def power_correspondence(M: CRManifold, Mp: CRManifold, r: int, s: int) -> Corre
     return relation_correspondence(M, Mp, rels)
 
 
-@dataclass
-class FiberResult:
+class FiberResult(NamedTuple):
     degree: int
     solutions: Optional[list]  # [(target point, multiplicity)] or None
 

@@ -16,18 +16,16 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapify
 from operator import itemgetter, le
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI_ONE
 from .orders import MonomialOrder, ResourceLimitError, block_elim, grevlex
 from .poly import Poly, PolyError, VarTable
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     """Resource caps for basis computations.  An instance never changes: a
     computation uses the caps of the innermost ``limits_scope`` in force,
     which a front end sets for the length of one call."""
@@ -378,15 +376,18 @@ def _interreduce(G: Sequence[_Packed], order: MonomialOrder,
     return [r for _, r in out]
 
 
-@dataclass
 class Ideal:
     """Finite generating set with an optional cached reduced Groebner basis,
     computed under the caps in force when it is first asked for."""
 
-    generators: Tuple[Poly, ...]
-    order: MonomialOrder
-    table: VarTable
-    _gb: Optional[Tuple[Poly, ...]] = field(default=None, repr=False)
+    __slots__ = ("generators", "order", "table", "_gb")
+
+    def __init__(self, generators: Tuple[Poly, ...], order: MonomialOrder,
+                 table: VarTable, _gb: Optional[Tuple[Poly, ...]] = None):
+        self.generators = generators
+        self.order = order
+        self.table = table
+        self._gb = _gb
 
     @staticmethod
     def make(gens: Iterable[Poly], order: Optional[MonomialOrder] = None,

@@ -3,9 +3,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal
@@ -21,8 +20,7 @@ class ManifoldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CRManifold:
+class CRManifold(NamedTuple):
     """Generic real-algebraic CR submanifold of C^n (or a projective chart),
     cut out by d real defining polynomials in (z, ~z)."""
 
@@ -87,8 +85,7 @@ def genericity_rank(M: CRManifold, p: Point) -> int:
     return rank(A)
 
 
-@dataclass(frozen=True)
-class PolarVariety:
+class PolarVariety(NamedTuple):
     """The complexification {(z, zeta): rho_j(z, zeta) = 0} with zeta an
     independent variable block replacing ~z."""
 
@@ -162,8 +159,7 @@ def dehomogenize(M: CRManifold, chart_index: int) -> CRManifold:
     return CRManifold(table, tuple(rho), chart="affine")
 
 
-@dataclass(frozen=True)
-class LeviReport:
+class LeviReport(NamedTuple):
     point: tuple
     conormal: tuple
     signature: Tuple[int, int, int]  # (positives, negatives, zeros)
@@ -221,8 +217,7 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     return LeviReport(tuple(p), tuple(c), sig)
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     point: tuple
     conormal: tuple
     signature: Tuple[int, int, int]

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .poly import Poly
 
@@ -67,8 +66,7 @@ def _lstsq_step(J: Sequence[Sequence[complex]],
     return s
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     count: int
     max_residual: float
     roots: list

@@ -8,8 +8,6 @@ exponents themselves, into one int per monomial for the Groebner engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import mul, neg
 from typing import Optional
 
@@ -115,39 +113,55 @@ class MonomialCodec:
             {"exponent": max(exps), "max_exponent": self.max_exp})
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    kind: str                      # "grevlex" | "lex" | "block"
-    nvars: int
-    block: Optional[tuple] = None  # eliminated variable indices, for "block"
+    """An order on the exponent tuples of ``nvars`` variables.  Equality and
+    hashing see (kind, nvars, block) alone."""
 
-    def __post_init__(self):
-        # the key function is built once here, the codec on first use; they
-        # are not fields, so equality and hashing still see (kind, nvars,
-        # block) alone
-        n = self.nvars
-        if self.kind == "grevlex":
-            compiled = _grevlex_key
-            forms = _grevlex_forms(range(n))
-        elif self.kind == "lex":
-            compiled = tuple
-            forms = [[(i, 1)] for i in range(n)]
+    __slots__ = ("kind", "nvars", "block", "_compiled", "_forms", "_codec")
+
+    def __init__(self, kind: str, nvars: int, block: Optional[tuple] = None):
+        self.kind = kind      # "grevlex" | "lex" | "block"
+        self.nvars = nvars
+        self.block = block    # eliminated variable indices, for "block"
+        # the key function is built once here, the codec on first use
+        n = nvars
+        if kind == "grevlex":
+            self._compiled = _grevlex_key
+            self._forms = _grevlex_forms(range(n))
+        elif kind == "lex":
+            self._compiled = tuple
+            self._forms = [[(i, 1)] for i in range(n)]
         else:
-            blk = set(self.block)
+            blk = set(block)
             outer = [i for i in range(n) if i in blk]
             inner = [i for i in range(n) if i not in blk]
-            compiled = _block_key(outer, inner)
-            forms = _grevlex_forms(outer) + _grevlex_forms(inner)
-        object.__setattr__(self, "_compiled", compiled)
-        object.__setattr__(self, "_forms", forms)
+            self._compiled = _block_key(outer, inner)
+            self._forms = _grevlex_forms(outer) + _grevlex_forms(inner)
+        self._codec = None
+
+    def _ident(self) -> tuple:
+        return (self.kind, self.nvars, self.block)
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return self._ident() == other._ident()
+
+    def __hash__(self):
+        return hash(self._ident())
+
+    def __repr__(self):
+        return f"MonomialOrder(kind={self.kind!r}, nvars={self.nvars!r}, block={self.block!r})"
 
     def key(self, exps):
         return self._compiled(exps)
 
-    @cached_property
+    @property
     def codec(self) -> MonomialCodec:
         """Packs this order's monomials for the Groebner engine."""
-        return MonomialCodec(self.nvars, self._forms)
+        if self._codec is None:
+            self._codec = MonomialCodec(self.nvars, self._forms)
+        return self._codec
 
     def describe(self) -> str:
         if self.kind == "block":

@@ -8,8 +8,7 @@ variable names, `~name` for the paired conjugate variable, operators
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .gaussian import QI
 from .poly import Poly, VarTable
@@ -172,8 +171,7 @@ def parse_poly(src: str, table: VarTable) -> Poly:
 #   chart: projective 0      (optional)
 
 
-@dataclass
-class ManifoldSpec:
+class ManifoldSpec(NamedTuple):
     zvars: tuple
     rho_sources: tuple
     chart: object  # "affine" or int (projective chart index)
@@ -219,8 +217,7 @@ def parse_manifold_text(text: str) -> ManifoldSpec:
 #   component: z2^2 / (1 + z1)    (denominator optional)
 
 
-@dataclass
-class MapSpec:
+class MapSpec(NamedTuple):
     zvars: tuple
     components: tuple  # (numerator source, denominator source or None)
 

@@ -8,7 +8,6 @@ each z-exponent with the exponent of its paired conjugate variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -27,20 +26,33 @@ class PolyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class VarTable:
     """Ordered variable set with kinds and conjugate pairing."""
 
-    names: tuple
-    kinds: tuple
-    pairs: tuple  # index of conjugate partner, or None
+    __slots__ = ("names", "kinds", "pairs")
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple, kinds: tuple, pairs: tuple):
+        if len(set(names)) != len(names):
             raise PolyError("variable names must be unique")
-        for i, j in enumerate(self.pairs):
-            if j is not None and self.pairs[j] != i:
+        for i, j in enumerate(pairs):
+            if j is not None and pairs[j] != i:
                 raise PolyError("conjugate pairing must be an involution")
+        self.names = names
+        self.kinds = kinds
+        self.pairs = pairs  # index of conjugate partner, or None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, VarTable):
+            return NotImplemented
+        return (self.names, self.kinds, self.pairs) == (other.names, other.kinds, other.pairs)
+
+    def __hash__(self):
+        return hash((self.names, self.kinds, self.pairs))
+
+    def __repr__(self):
+        return f"VarTable(names={self.names!r}, kinds={self.kinds!r}, pairs={self.pairs!r})"
 
     @staticmethod
     def make(zvars: Sequence[str], params: Sequence[str] = (), conjugates: bool = True) -> "VarTable":

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 SCHEMA = 1
@@ -19,16 +18,21 @@ def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
 class Report:
-    command: str
-    seed: int
-    inputs: Dict[str, str] = field(default_factory=dict)
-    limits: Dict[str, int] = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    excluded: List[str] = field(default_factory=list)
-    status: str = "ok"
-    notes: List[str] = field(default_factory=list)
+    """One command's report, filled in as the command runs."""
+
+    __slots__ = ("command", "seed", "inputs", "limits", "results", "excluded",
+                 "status", "notes")
+
+    def __init__(self, command: str, seed: int):
+        self.command = command
+        self.seed = seed
+        self.inputs: Dict[str, str] = {}
+        self.limits: Dict[str, int] = {}
+        self.results: dict = {}
+        self.excluded: List[str] = []
+        self.status = "ok"
+        self.notes: List[str] = []
 
     def add_input(self, label: str, text: str) -> None:
         self.inputs[label] = digest_text(text)

@@ -3,8 +3,7 @@ minimality criterion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational
 from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
@@ -41,8 +40,7 @@ def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
     return [r.substitute(wbar).transport(table) for r in M.rho]
 
 
-@dataclass(frozen=True)
-class SegreVariety:
+class SegreVariety(NamedTuple):
     """Q_w: the z-variety cut out by the defining polynomials with the
     conjugate slot frozen at w-bar (or at a symbolic parameter block)."""
 
@@ -133,8 +131,7 @@ def graph_form(Q: SegreVariety, zeta_names: Sequence[str]):
     return h
 
 
-@dataclass(frozen=True)
-class InversionSet:
+class InversionSet(NamedTuple):
     """Ideal (in conjugated coordinates zb_*) of {z : Q_w subset Q_z},
     with the genericity ledger from the parametric reduction."""
 
@@ -228,8 +225,7 @@ def segre_map_locally_injective(M: CRManifold, q) -> bool:
     return finite and deg == 1
 
 
-@dataclass(frozen=True)
-class SegreSetChain:
+class SegreSetChain(NamedTuple):
     base_point: tuple
     ideals: tuple   # ideal of the Zariski closure of Q^j, over the z-table
     dims: tuple
@@ -269,7 +265,10 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
 def minimality(M: CRManifold, p, j_max: Optional[int] = None) -> Tuple[bool, int]:
     """(True, j0) when the Segre sets reach full dimension at step j0;
     (False, j) when the chain stabilizes below dimension n."""
-    j_max = j_max or M.n + 2
+    if j_max is None:
+        j_max = M.n + 2
+    elif j_max < 1:
+        raise ValueError(f"j_max must be at least 1, got {j_max}")
     chain = segre_sets(M, p, j_max)
     n = M.n
     for j, d in enumerate(chain.dims, start=1):

@@ -139,6 +139,23 @@ def test_exit_code_bad_point():
     assert code == 2
 
 
+def test_correspondence_error_is_an_input_error():
+    code, out, _ = run_cli(
+        "correspond", data_path("power_r2_n2.mfd"),
+        data_path("hyperquadric_k1_n2.mfd"), data_path("square_n2.map"),
+        "--fiber", "0,1")
+    assert code == 2
+    assert json.loads(out)["status"] == \
+        "input-error: point lies on the excluded locus wb_z1^2"
+
+
+def test_exit_code_inconclusive():
+    code, out, _ = run_cli("minimal", data_path("tube_C2.mfd"), "--point", "1,0",
+                           "--jmax", "1")
+    assert code == 3
+    assert json.loads(out)["status"].startswith("inconclusive: Segre set chain")
+
+
 def test_exit_code_unknown_entry():
     code, _, _ = run_cli("suite", "unknown_entry")
     assert code == 2
@@ -167,6 +184,35 @@ def test_seed_env_override(monkeypatch):
                            "--point", "1,0")
     assert code == 0
     assert json.loads(out)["seed"] == 42
+
+
+@pytest.mark.parametrize("var", ["SEGREKIT_SEED", "SEGREKIT_MAX_DEGREE",
+                                 "SEGREKIT_MAX_BASIS"])
+def test_malformed_environment_variable_is_an_input_error(var, monkeypatch):
+    monkeypatch.setenv(var, "abc")
+    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--symbolic")
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error") and var in status
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["minimal", "tube_C2.mfd", "--point", "1,0", "--jmax", "0"], "--jmax"),
+    (["minimal", "tube_C2.mfd", "--point", "1,0", "--jmax", "-3"], "--jmax"),
+    (["--max-degree", "-1", "segre", "sphere_C2.mfd", "--symbolic"], "--max-degree"),
+    (["--max-basis", "0", "segre", "sphere_C2.mfd", "--symbolic"], "--max-basis"),
+    (["segre", "sphere_C2.mfd", "--symbolic"], "SEGREKIT_MAX_BASIS"),
+])
+def test_numeric_options_below_one_are_input_errors(argv, name, monkeypatch):
+    for var in ("SEGREKIT_MAX_DEGREE", "SEGREKIT_MAX_BASIS"):
+        monkeypatch.delenv(var, raising=False)
+    if name.startswith("SEGREKIT_"):
+        monkeypatch.setenv(name, "0")
+    argv = [data_path(a) if a.endswith(".mfd") else a for a in argv]
+    code, out, _ = run_cli(*argv)
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error") and name in status
 
 
 def test_exit_code_exponent_too_large_for_the_engine(tmp_path):

@@ -1,5 +1,6 @@
 """The package namespace: public names load their modules on first use."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,31 @@ import sys
 import segrekit
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(segrekit.__file__)))
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+
+# runs through cli.main those command lines of cli_golden.json whose command
+# is in WANTED, then prints their exit codes and stdout and the segrekit
+# modules loaded
+GOLDEN_SCRIPT = """
+import contextlib, io, json, os, sys
+from importlib import resources
+for var in ("SEGREKIT_SEED", "SEGREKIT_MAX_DEGREE", "SEGREKIT_MAX_BASIS"):
+    os.environ.pop(var, None)
+from segrekit.cli import main
+data = resources.files("segrekit.data")
+got = {}
+with open(GOLDEN) as fh:
+    commands = json.load(fh)
+for command in commands:
+    argv = [str(data.joinpath(a)) if a.endswith((".mfd", ".map")) else a
+            for a in command.split()]
+    if argv[0] in WANTED:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            got[command] = {"exit": main(argv), "stdout": out.getvalue()}
+print(json.dumps({"commands": got,
+                  "modules": sorted(m for m in sys.modules if m.startswith("segrekit."))}))
+"""
 
 
 def run_python(code):
@@ -24,6 +50,27 @@ def test_the_engine_loads_without_the_domain_modules():
         "'numpy' in sys.modules)")
     assert out.split() == ["segrekit", "segrekit.gaussian", "segrekit.ideal",
                            "segrekit.orders", "segrekit.poly", "False"]
+
+
+def run_golden(wanted, prelude=""):
+    return json.loads(run_python(
+        prelude + f"GOLDEN = {GOLDEN!r}; WANTED = {tuple(wanted)!r}\n" + GOLDEN_SCRIPT))
+
+
+def test_quick_commands_load_only_their_modules():
+    got = run_golden(["segre", "essfin", "minimal", "levi"])
+    assert len(got["commands"]) == 5
+    assert all(run["exit"] == 0 for run in got["commands"].values())
+    assert "segrekit.segre" in got["modules"]
+    for module in ("correspond", "solve", "catalog", "oracle"):
+        assert "segrekit." + module not in got["modules"]
+
+
+def test_the_cli_runs_without_dataclasses():
+    got = run_golden(["segre", "essfin", "minimal", "levi", "correspond", "suite"],
+                     prelude="import sys; sys.modules['dataclasses'] = None\n")
+    with open(GOLDEN) as fh:
+        assert got["commands"] == json.load(fh)
 
 
 def test_the_oracle_runs_without_numpy():

@@ -112,6 +112,14 @@ def test_minimality():
     assert not mini
 
 
+def test_minimality_rejects_a_chain_bound_below_one():
+    assert minimality(SPHERE, pt(1, 0), j_max=None) == (True, 2)
+    assert minimality(SPHERE, pt(1, 0), j_max=2) == (True, 2)
+    for j_max in (0, -3):
+        with pytest.raises(ValueError, match="j_max"):
+            minimality(SPHERE, pt(1, 0), j_max=j_max)
+
+
 def test_segre_sets_grow():
     """Q^1 is contained in the closure of Q^2 (ideal containment reversed)."""
     chain = segre_sets(SPHERE, pt(1, 0), j_max=3)
