@@ -11,7 +11,6 @@ from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
 from .linalg import rank
 from .manifold import CRManifold, ManifoldError, tangent_basis
-from .orders import grevlex
 from .parsing import parse_map_text, parse_poly
 from .poly import Poly, VarTable
 from .segre import SYMBOLIC, containment_ideal, segre_variety
@@ -155,16 +154,14 @@ def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Ran
             if not ok:
                 break
             if not solved:
-                # bind one random unbound variable occurring in the system
+                # bind one random variable occurring in the system; none is
+                # bound yet, since every bound value was just substituted
                 occupied = set()
                 for g in live:
                     occupied |= g.variables()
-                free = [names[i] for i in sorted(occupied) if names[i] not in bound]
-                if not free:
-                    ok = False
-                    break
+                free = [names[i] for i in sorted(occupied)]
                 bound[rng.choice(free)] = QI(rng.randint(-6, 6), rng.randint(-2, 2))
-        if not ok or any(g for g in live):
+        if not ok:
             continue
         for n in names:
             if n not in bound:
@@ -277,7 +274,7 @@ def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Corr
     gens, excluded, ptable = containment_ideal(M, SYMBOLIC, targets)
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
-    graph = Ideal.make(gens, grevlex(len(ptable)), ptable)
+    graph = Ideal.make(gens, table=ptable)
     # strip components supported on the excluded locus
     for e in excluded:
         graph = saturate(graph, e)
@@ -292,7 +289,7 @@ def relation_correspondence(M: CRManifold, Mp: CRManifold,
     multivalued maps that are not single holomorphic maps (e.g. w'^s = w^r)."""
     ptable, wb, wpb = _param_table(M, Mp)
     gens = [parse_poly(src, ptable) for src in relation_sources]
-    graph = Ideal.make(gens, grevlex(len(ptable)), ptable)
+    graph = Ideal.make(gens, table=ptable)
     return Correspondence(graph, M, Mp, wb, wpb)
 
 
@@ -327,7 +324,7 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     gens = [g.transport(ftable) for g in gens if not g.is_zero()]
     if not gens:
         raise CorrespondenceError("fiber is the whole space (empty specialized ideal)")
-    I = Ideal.make(gens, grevlex(len(ftable)), ftable)
+    I = Ideal.make(gens, table=ftable)
     d = dimension(I)
     if d < 0:
         raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")
@@ -372,11 +369,11 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
                           conjugates=False)
     g1 = [g.transport(joint, dict(zip(C1.wpb_names, mid))) for g in C1.graph.generators]
     g2 = [g.transport(joint, dict(zip(C2.wb_names, mid))) for g in C2.graph.generators]
-    J = Ideal.make(g1 + g2, grevlex(len(joint)), joint)
+    J = Ideal.make(g1 + g2, table=joint)
     E = eliminate(J, list(C1.wb_names) + list(C2.wpb_names))
     ptable, wb, wpb = _param_table(C1.source, C2.target)
     gens = [g.transport(ptable) for g in E.generators]
-    graph = Ideal.make(gens, grevlex(len(ptable)), ptable)
+    graph = Ideal.make(gens, table=ptable)
     # ledgers involving the eliminated middle block cannot be expressed in
     # the composed ring and are dropped; the rest carry over
     exc = []

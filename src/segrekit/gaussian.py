@@ -176,10 +176,11 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        # a real value equals its int or Fraction, so it hashes as one
         if self._d == 1:
             # hash(Fraction(n)) == hash(n)
-            return hash((self._a, self._b))
-        return hash((self.re, self.im))
+            return hash(self._a) if self._b == 0 else hash((self._a, self._b))
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     # -- printing ----------------------------------------------------------
 

@@ -54,7 +54,8 @@ def limits_scope(limits: Limits):
 
 
 def _lm(p: Poly, order: MonomialOrder) -> tuple:
-    return max(p.terms, key=order.key)
+    # the largest monomial packs to the smallest int
+    return min(p.terms, key=order.codec.enc)
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -406,6 +407,10 @@ class Ideal:
         return self._gb
 
     def with_order(self, order: MonomialOrder) -> "Ideal":
+        """The ideal under ``order``: itself, cached basis and all, when
+        that is its own order."""
+        if order == self.order:
+            return self
         return Ideal(self.generators, order, self.table)
 
     def is_trivial(self) -> bool:
@@ -418,9 +423,8 @@ class Ideal:
             return NotImplemented
         if self.table != other.table:
             return False
-        a = self.with_order(grevlex(len(self.table))).groebner()
-        b = other.with_order(grevlex(len(self.table))).groebner()
-        return a == b
+        order = grevlex(len(self.table))
+        return self.with_order(order).groebner() == other.with_order(order).groebner()
 
 
 def groebner_basis(I: Ideal) -> Ideal:
@@ -449,7 +453,7 @@ def _rabinowitsch(I: Ideal, p: Poly, stem: str) -> Ideal:
     gens = [g.transport(ext) for g in I.generators]
     t = Poly.var(ext, aux)
     gens.append(Poly.const(ext, 1) - t * p.transport(ext))
-    return Ideal.make(gens, grevlex(len(ext)), ext)
+    return Ideal.make(gens, table=ext)
 
 
 def radical_member(p: Poly, I: Ideal) -> bool:
@@ -469,7 +473,7 @@ def eliminate(I: Ideal, keep_names: Sequence[str]) -> Ideal:
         tuple(None for _ in keep_idx),
     )
     kept = [g.transport(sub) for g in gb if g.variables() <= keep_idx]
-    return Ideal.make(kept, grevlex(len(sub)), sub)
+    return Ideal.make(kept, table=sub)
 
 
 def dimension(I: Ideal) -> int:

@@ -9,7 +9,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal
 from .linalg import hermitian_signature, nullspace, rank
-from .orders import grevlex
 from .parsing import parse_manifold_text, parse_poly
 from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
 
@@ -106,7 +105,7 @@ def polar(M: CRManifold) -> PolarVariety:
     zeta = tuple("zeta_" + name for name in M.zvar_names)
     table = VarTable.make(list(M.zvar_names) + list(zeta), conjugates=False)
     gens = polar_gens(M, table, zeta)
-    return PolarVariety(Ideal.make(gens, grevlex(len(table)), table), zeta)
+    return PolarVariety(Ideal.make(gens, table=table), zeta)
 
 
 def _bidegrees(p: Poly) -> Tuple[int, int]:
@@ -217,16 +216,10 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     return LeviReport(tuple(p), tuple(c), sig)
 
 
-class ProbeResult(NamedTuple):
-    point: tuple
-    conormal: tuple
-    signature: Tuple[int, int, int]
-    mixed: bool
-
-
 def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point],
-                          conormal_grid: Optional[Sequence[Sequence]] = None) -> List[ProbeResult]:
-    """Check mixed Levi signature on sampled points and conormal directions.
+                          conormal_grid: Optional[Sequence[Sequence]] = None) -> List[LeviReport]:
+    """The Levi reports at sampled points and conormal directions; the
+    manifold looks pseudoconcave when every one is ``mixed``.
 
     A probe over finitely many samples, not a proof.  For d = 1 the grid
     defaults to {+1, -1}, which is exhaustive per point up to scaling."""
@@ -235,9 +228,4 @@ def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point],
             conormal_grid = [(1,), (-1,)]
         else:
             raise ManifoldError("conormal grid required when d > 1")
-    out = []
-    for p in points:
-        for c in conormal_grid:
-            rep = levi_signature(M, p, c)
-            out.append(ProbeResult(tuple(p), tuple(c), rep.signature, rep.mixed))
-    return out
+    return [levi_signature(M, p, c) for p in points for c in conormal_grid]

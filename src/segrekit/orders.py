@@ -1,14 +1,15 @@
 """Monomial orders: grevlex, lex, and elimination block orders.
 
-An order exposes `key(exponents) -> sortable`, with key(a) > key(b) exactly
-when monomial a is larger.  Keys are flat tuples of ints.  Every key entry
-is a linear form in the exponents, which ``MonomialCodec`` packs, with the
-exponents themselves, into one int per monomial for the Groebner engine.
+An order is described once, as a list of linear forms in the exponents.
+``MonomialOrder.key`` evaluates them into a flat tuple of ints, with
+key(a) > key(b) exactly when monomial a is larger; ``MonomialCodec`` packs
+them, with the exponents themselves, into one int per monomial for the
+Groebner engine.
 """
 
 from __future__ import annotations
 
-from operator import mul, neg
+from operator import mul
 from typing import Optional
 
 # width of a packed exponent field, its guard bit included
@@ -22,22 +23,6 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message: str, stats: dict):
         super().__init__(f"{message} ({stats})")
         self.stats = stats
-
-
-def _grevlex_key(exps):
-    # total degree, then the reversed exponents negated
-    return (sum(exps), *map(neg, reversed(exps)))
-
-
-def _block_key(outer, inner):
-    """grevlex on the eliminated variables, ties broken by grevlex on the rest."""
-    rev_outer, rev_inner = outer[::-1], inner[::-1]
-
-    def key(exps):
-        return (sum([exps[i] for i in outer]), *[-exps[i] for i in rev_outer],
-                sum([exps[i] for i in inner]), *[-exps[i] for i in rev_inner])
-
-    return key
 
 
 def _grevlex_forms(idx):
@@ -117,26 +102,22 @@ class MonomialOrder:
     """An order on the exponent tuples of ``nvars`` variables.  Equality and
     hashing see (kind, nvars, block) alone."""
 
-    __slots__ = ("kind", "nvars", "block", "_compiled", "_forms", "_codec")
+    __slots__ = ("kind", "nvars", "block", "_forms", "_codec")
 
     def __init__(self, kind: str, nvars: int, block: Optional[tuple] = None):
         self.kind = kind      # "grevlex" | "lex" | "block"
         self.nvars = nvars
         self.block = block    # eliminated variable indices, for "block"
-        # the key function is built once here, the codec on first use
-        n = nvars
+        # the key entries as linear forms, the one description of the order;
+        # ``key`` evaluates them, the codec (built on first use) packs them
         if kind == "grevlex":
-            self._compiled = _grevlex_key
-            self._forms = _grevlex_forms(range(n))
+            self._forms = _grevlex_forms(range(nvars))
         elif kind == "lex":
-            self._compiled = tuple
-            self._forms = [[(i, 1)] for i in range(n)]
+            self._forms = [[(i, 1)] for i in range(nvars)]
         else:
             blk = set(block)
-            outer = [i for i in range(n) if i in blk]
-            inner = [i for i in range(n) if i not in blk]
-            self._compiled = _block_key(outer, inner)
-            self._forms = _grevlex_forms(outer) + _grevlex_forms(inner)
+            self._forms = (_grevlex_forms([i for i in range(nvars) if i in blk])
+                           + _grevlex_forms([i for i in range(nvars) if i not in blk]))
         self._codec = None
 
     def _ident(self) -> tuple:
@@ -153,8 +134,10 @@ class MonomialOrder:
     def __repr__(self):
         return f"MonomialOrder(kind={self.kind!r}, nvars={self.nvars!r}, block={self.block!r})"
 
-    def key(self, exps):
-        return self._compiled(exps)
+    def key(self, exps) -> tuple:
+        """The values of the order's linear forms at ``exps``: a flat tuple
+        of ints, larger exactly when the monomial is."""
+        return tuple([sum([exps[i] * c for i, c in form]) for form in self._forms])
 
     @property
     def codec(self) -> MonomialCodec:

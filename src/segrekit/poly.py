@@ -249,17 +249,6 @@ class Poly:
         GaussianRational also provides."""
         return self - f * g
 
-    def monic(self, order) -> "Poly":
-        """self divided by its leading coefficient under ``order``; self
-        when that coefficient is already 1."""
-        if self.is_zero():
-            return self
-        lc = self.terms[max(self.terms, key=order.key)]
-        if lc.is_one():
-            return self
-        inv = QI_ONE / lc
-        return Poly._raw(self.table, {m: v * inv for m, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

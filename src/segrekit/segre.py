@@ -9,7 +9,6 @@ from .gaussian import GaussianRational
 from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
                     eliminate, parametric_normal_form)
 from .manifold import CRManifold, ManifoldError, check_reality, polar_gens
-from .orders import grevlex
 from .poly import Poly, VarTable
 
 SYMBOLIC = "symbolic"
@@ -55,7 +54,7 @@ def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
         raise ManifoldError("defining polynomials are not real")
     params = _wb_names(M) if w == SYMBOLIC else ()
     table = _ztable(M, params)
-    ideal = Ideal.make(_segre_gens(M, w, table), grevlex(len(table)), table)
+    ideal = Ideal.make(_segre_gens(M, w, table), table=table)
     if w == SYMBOLIC:
         return SegreVariety(M, SYMBOLIC, ideal, params)
     return SegreVariety(M, tuple(GaussianRational.from_value(x) for x in w), ideal)
@@ -180,7 +179,7 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
         params = list(_wb_names(M)) + params
         table = VarTable.make(list(zvars), params=params, conjugates=False)
         targets = [p.transport(table) for p in targets]
-    Qw = Ideal.make(_segre_gens(M, w, table), grevlex(len(table)), table)
+    Qw = Ideal.make(_segre_gens(M, w, table), table=table)
 
     gens: List[Poly] = []
     excluded: List[Poly] = []
@@ -211,7 +210,7 @@ def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
         ptable = VarTable.make(list(zb) + list(_wb_names(M)), conjugates=False)
         gens = [g.transport(ptable) for g in gens]
         excluded = tuple(e.transport(ptable) for e in excluded)
-    return InversionSet(Ideal.make(gens, grevlex(len(ptable)), ptable), excluded, zb)
+    return InversionSet(Ideal.make(gens, table=ptable), excluded, zb)
 
 
 def essential_finiteness(M: CRManifold, w) -> Tuple[bool, Optional[int]]:
@@ -249,11 +248,10 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
         gens = [Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
                 .transport(joint, rename_u) for g in ideals[-1].generators]
         gens += polar_gens(M, joint, uvars)
-        J = Ideal.make(gens, grevlex(len(joint)), joint)
+        J = Ideal.make(gens, table=joint)
         nxt = eliminate(J, M.zvar_names)
         # transport onto the shared z-table for comparisons
-        nxt = Ideal.make([g.transport(ztab) for g in nxt.generators],
-                         grevlex(len(ztab)), ztab)
+        nxt = Ideal.make([g.transport(ztab) for g in nxt.generators], table=ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))
         if dims[-1] == n or nxt == ideals[-2]:

@@ -152,12 +152,30 @@ def test_operations_match_the_fraction_pair_model(x, y, k):
 @given(qis)
 def test_canonical_fields_hash_and_text(x):
     _assert_canonical(x)
-    assert hash(x) == hash((x.re, x.im))
+    if x.im != 0:
+        assert hash(x) == hash((x.re, x.im))
     assert format_coeff(x) == _model_str(x.re, x.im)
     assert str(x) == format_coeff(x)
     # scaling numerator and denominator alike leaves the fields alone
     assert _fields(x * QI(3, 0) / QI(3, 0)) == _fields(x)
     assert _fields(x + QI(Fraction(1, 6)) - QI(Fraction(1, 6))) == _fields(x)
+
+
+@given(st.one_of(st.builds(QI, fracs), qis))
+def test_a_real_value_hashes_as_its_real_part(x):
+    """A real x equals x.re, so the two hash alike and find each other's
+    dict entries."""
+    if x.im == 0:
+        assert x == x.re and hash(x) == hash(x.re)
+        assert {x.re: "x"}.get(x) == "x" and {x: "x"}.get(x.re) == "x"
+
+
+def test_real_values_find_int_and_fraction_keys():
+    assert {3: "x"}.get(QI(3)) == "x"
+    assert {Fraction(1, 2): "x"}.get(QI(Fraction(1, 2))) == "x"
+    assert {QI(3): "x"}.get(3) == "x"
+    assert len({QI(3), 3, Fraction(3), QI(3, 0)}) == 1
+    assert {3: "x"}.get(QI(3, 1)) is None
 
 
 @given(fracs, st.integers(min_value=-50, max_value=50))

@@ -383,7 +383,7 @@ def test_s_poly_matches_its_definition(order, monkeypatch):
         l = _lcm(lf, lg)
         want = (f.scale_monomial(tuple(a - b for a, b in zip(l, lf)), QI_ONE / f.terms[lf])
                 - g.scale_monomial(tuple(a - b for a, b in zip(l, lg)), QI_ONE / g.terms[lg]))
-        fm, gm = f.monic(order), g.monic(order)
+        fm, gm = f * (QI_ONE / f.terms[lf]), g * (QI_ONE / g.terms[lg])
         monkeypatch.setattr(QI, "__truediv__", counted)
         assert _s_poly(f, g, order) == want
         assert len(divisions) == 2
@@ -421,3 +421,46 @@ def test_exponents_too_large_for_packed_monomials_raise():
     assert [str(g) for g in G] == [str(P(f"y^{2 * k} - 1", table)), str(P(f"x - y^{k}", table))]
     with pytest.raises(ResourceLimitError):
         reduce_poly(P(f"x^{top + 1}", table), G, lex(2))
+
+
+# -- the module hooks the benchmark's tracer wraps -------------------------------
+
+KATSURA3 = ["u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+            "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+            "2*u0*u2 + u1^2 + 2*u1*u3 - u2",
+            "u0 + 2*u1 + 2*u2 + 2*u3 - 1"]
+
+
+def test_buchberger_reduces_through_the_module_hooks(monkeypatch):
+    """``buchberger`` makes each S-polynomial through ``ideal._s_poly`` and
+    reduces it through ``ideal.reduce_poly``, looked up in the module, so
+    that a wrapper put there sees every one; the basis is unchanged."""
+    I = make_ideal(KATSURA3, ["u0", "u1", "u2", "u3"])
+    want = buchberger(I.generators, I.order)
+    made, reduced = [], []
+    real_s_poly, real_reduce = ideal._s_poly, ideal.reduce_poly
+
+    def s_poly(*args, **kwargs):
+        s = real_s_poly(*args, **kwargs)
+        made.append(s)
+        return s
+
+    def reduce(p, *args, **kwargs):
+        reduced.append(p)
+        return real_reduce(p, *args, **kwargs)
+
+    monkeypatch.setattr(ideal, "_s_poly", s_poly)
+    monkeypatch.setattr(ideal, "reduce_poly", reduce)
+    assert buchberger(I.generators, I.order) == want
+    # both lists hold their polynomials, so no id is reused
+    reduced_ids = {id(p) for p in reduced}
+    assert made and all(id(s) in reduced_ids for s in made)
+
+
+def test_with_the_same_order_an_ideal_keeps_its_basis():
+    I = make_ideal(["x^2 + y", "x*y - 1"], "xy")
+    assert I.with_order(I.order) is I
+    assert I.with_order(grevlex(2)) is I
+    gb = I.groebner()
+    assert I.with_order(lex(2)) is not I
+    assert I.with_order(lex(2)).with_order(grevlex(2)).groebner() == gb

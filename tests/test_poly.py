@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrekit.gaussian import GaussianRational as QI, QI_ONE, QI_ZERO
-from segrekit.orders import grevlex
 from segrekit.parsing import parse_poly
 from segrekit.poly import Poly, VarTable
 
@@ -104,13 +103,6 @@ def test_transport_renames():
         {"~z1": Poly.const(TABLE, QI_ZERO)})
     moved = p.transport(other, {"z1": "w1", "z2": "w2"})
     assert str(moved) == "w1*w2+2"
-
-
-def test_monic():
-    order = grevlex(len(TABLE))
-    p = parse_poly("2*z1^2 + 4*z2", TABLE)
-    m = p.monic(order)
-    assert m == parse_poly("z1^2 + 2*z2", TABLE)
 
 
 def test_degree_in():

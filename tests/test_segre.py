@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from segrekit.gaussian import GaussianRational as QI
+from segrekit import ideal
 from segrekit.catalog import sample_points
 from segrekit.ideal import dimension, member
 from segrekit.manifold import CRManifold
@@ -147,3 +148,20 @@ def test_essential_finiteness_reads_the_inversion_set():
     w = pt(QI(1, 1), QI(2, -1))
     assert inversion_set(POWER, w).finiteness() == essential_finiteness(POWER, w) == (True, 4)
     assert inversion_set(TUBE, pt(1, 0)).finiteness() == (False, None)
+
+
+def test_minimality_reuses_the_cached_segre_set_bases(monkeypatch):
+    """Comparing Segre sets reads the bases that their dimensions built:
+    the tube's chain stops at j = 1 after three basis computations (Q^1,
+    the elimination for Q^2, and Q^2 itself)."""
+    calls = []
+    real = ideal.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideal, "buchberger", counted)
+    p = sample_points("tube_C2", 1, 0)[0]
+    assert minimality(TUBE, p) == (False, 1)
+    assert len(calls) == 3
