@@ -5,7 +5,7 @@ invariance verification, fibers and branch counting, splitting, composition."""
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
@@ -14,7 +14,7 @@ from .manifold import CRManifold, ManifoldError, tangent_basis
 from .parsing import parse_map_text, parse_poly
 from .poly import Poly, VarTable
 from .segre import SYMBOLIC, containment_ideal, segre_variety
-from .solve import solve_zero_dim
+from .solve import back_substitute, solve_zero_dim
 
 
 class CorrespondenceError(ValueError):
@@ -116,57 +116,26 @@ def max_rank_check(f: AlgebraicMap, p, M: Optional[CRManifold] = None) -> RankRe
 
 def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Random,
                           count: int, attempts: int = 400) -> List[tuple]:
-    """Rational points on V(gens) by randomizing free variables and solving
-    the remaining ones one univariate equation at a time."""
-    from .solve import _univariate_roots
+    """Rational points on V(gens) by back-substitution through one random
+    root at a time, binding a random variable to a random value where no
+    generator is univariate, and drawing the variables left free last."""
+    def draw() -> GaussianRational:
+        return QI(rng.randint(-6, 6), rng.randint(-2, 2))
 
-    names = table.names
+    def bind_one(live: List[Poly]):
+        value = draw()  # before the variable: sampled points depend on the draw order
+        occurring = sorted(set().union(*(g.variables() for g in live)))
+        return table.names[rng.choice(occurring)], value
+
     points = []
     tried = 0
     while len(points) < count and tried < attempts:
         tried += 1
-        bound: Dict[str, GaussianRational] = {}
-        live = [g for g in gens if not g.is_zero()]
-        ok = True
-        while ok:
-            subs = {n: Poly.const(table, v) for n, v in bound.items()}
-            live = [g.substitute(subs) for g in live]
-            live = [g for g in live if not g.is_zero()]
-            if any(g.is_constant() for g in live):
-                ok = False
-                break
-            if not live:
-                break
-            solved = False
-            for gi, g in enumerate(live):
-                vs = g.variables()
-                if len(vs) == 1:
-                    vi = next(iter(vs))
-                    roots = _univariate_roots(g, vi)
-                    if not roots:
-                        ok = False
-                        break
-                    val, _ = rng.choice(roots)
-                    bound[names[vi]] = val
-                    live = live[:gi] + live[gi + 1:]
-                    solved = True
-                    break
-            if not ok:
-                break
-            if not solved:
-                # bind one random variable occurring in the system; none is
-                # bound yet, since every bound value was just substituted
-                occupied = set()
-                for g in live:
-                    occupied |= g.variables()
-                free = [names[i] for i in sorted(occupied)]
-                bound[rng.choice(free)] = QI(rng.randint(-6, 6), rng.randint(-2, 2))
-        if not ok:
+        leaves = back_substitute(gens, table, lambda roots: [rng.choice(roots)], bind_one)
+        if not leaves:
             continue
-        for n in names:
-            if n not in bound:
-                bound[n] = QI(rng.randint(-6, 6), rng.randint(-2, 2))
-        pt = tuple(bound[n] for n in names)
+        bound = leaves[0][0]
+        pt = tuple(bound[n] if n in bound else draw() for n in table.names)
         if pt not in points:
             points.append(pt)
     if len(points) < count:
@@ -202,19 +171,13 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
     rng = random.Random(seed)
     checked = passed = 0
     failures = []
-    names_p = Mp.zvar_names
     for p in base_points:
         if not M.contains(p):
             raise ManifoldError(f"base point {p} is not on the source manifold")
         fp = f.apply(p)
-        fpbar = tuple(v.conjugate() for v in fp)
         zs = sample_segre_points(M, p, rng, per_point)
         for z in zs:
-            fz = f.apply(z)
-            binding = {}
-            for n, a, b in zip(names_p, fz, fpbar):
-                binding[n] = a
-                binding["~" + n] = b
+            binding = Mp.point_bindings(f.apply(z), fp)
             vals = [r.eval(binding) for r in Mp.rho]
             checked += len(vals)
             good = sum(1 for v in vals if v.is_zero())
@@ -313,14 +276,12 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     if len(wbar) != len(fixed_names):
         raise CorrespondenceError("point has the wrong number of coordinates")
     binding = dict(zip(fixed_names, wbar))
-    for e in C.excluded:
-        if set(C.graph.table.names[i] for i in e.variables()) <= set(fixed_names):
-            if e.eval(binding).is_zero():
-                raise ExcludedLocusError(
-                    f"point lies on the excluded locus {e}")
-    subs = {n: Poly.const(C.graph.table, v) for n, v in binding.items()}
     ftable = VarTable.make(list(free_names), conjugates=False)
-    gens = [g.substitute(subs) for g in C.graph.generators]
+    ledger = [(e, e.substitute(binding).transport(ftable)) for e in C.excluded]
+    for e, at_w in ledger:
+        if at_w.is_zero():
+            raise ExcludedLocusError(f"point lies on the excluded locus {e}")
+    gens = [g.substitute(binding) for g in C.graph.generators]
     gens = [g.transport(ftable) for g in gens if not g.is_zero()]
     if not gens:
         raise CorrespondenceError("fiber is the whole space (empty specialized ideal)")
@@ -328,6 +289,10 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     d = dimension(I)
     if d < 0:
         raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")
+    # Nullstellensatz: some fiber point lies on V(e) unless 1 is in I + <e(w)>
+    for e, at_w in ledger:
+        if not Ideal.make(I.groebner() + (at_w,), table=ftable).is_trivial():
+            raise ExcludedLocusError(f"a fiber point lies on the excluded locus {e}")
     if d > 0:
         raise CorrespondenceError(f"fiber has positive dimension {d}")
     deg = degree_zero_dim(I)

@@ -1,8 +1,8 @@
-"""Exact dense linear algebra over Q(i) and over Q (for signatures)."""
+"""Exact dense linear algebra over Q(i): row reduction, and Hermitian
+congruence for signatures."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .gaussian import QI_ONE, QI_ZERO, GaussianRational
@@ -52,69 +52,42 @@ def nullspace(A: Sequence[Sequence[GaussianRational]], ncols: int) -> List[List[
     return basis
 
 
-def real_symmetric_signature(S: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:
-    """Signature (positives, negatives, zeros) of a rational symmetric matrix
-    by congruence diagonalization (symmetric Gaussian elimination)."""
-    M = [[Fraction(x) for x in row] for row in S]
-    n = len(M)
-    pos = neg = zero = 0
+def hermitian_signature(H: Sequence[Sequence[GaussianRational]]) -> Tuple[int, int, int]:
+    """Signature (positives, negatives, zeros) of a Hermitian matrix over Q(i).
+
+    Hermitian congruence A -> P^H A P keeps the signature (Sylvester's law
+    of inertia) and the diagonal real.  Each step moves a nonzero diagonal
+    entry to the pivot and passes on the Schur complement of the pivot.  When
+    the whole remaining diagonal is zero and A[p][j] is not, row p += c*row j
+    and column p += conj(c)*column j with c = conj(A[j][p]) make the pivot
+    2|A[j][p]|^2.
+    """
+    A = [[GaussianRational.from_value(x) for x in row] for row in H]
+    n = len(A)
+    pos = neg = 0
     for k in range(n):
-        if M[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if M[j][j] != 0), None)
-            if swap is not None:
-                # congruent swap of rows/columns k <-> swap
-                M[k], M[swap] = M[swap], M[k]
-                for row in M:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j] != 0),
-                    None,
-                )
-                if off is None:
-                    zero += n - k
-                    break
-                i, j = off
-                # row/col addition makes a nonzero diagonal entry at i
-                M[i] = [a + b for a, b in zip(M[i], M[j])]
-                for row in M:
-                    row[i] = row[i] + row[j]
-                if i != k:
-                    M[k], M[i] = M[i], M[k]
-                    for row in M:
-                        row[k], row[i] = row[i], row[k]
-        piv = M[k][k]
-        if piv == 0:
-            zero += 1
-            continue
-        if piv > 0:
+        p = next((i for i in range(k, n) if not A[i][i].is_zero()), None)
+        if p is None:
+            p, j = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if not A[i][j].is_zero()), (None, None))
+            if p is None:
+                break
+            c = A[j][p].conjugate()
+            A[p] = [a + c * b for a, b in zip(A[p], A[j])]
+            for row in A:
+                row[p] = row[p] + c.conjugate() * row[j]
+        A[k], A[p] = A[p], A[k]
+        for row in A:
+            row[k], row[p] = row[p], row[k]
+        piv = A[k][k]
+        if piv.re > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] / piv
-                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-                for row in M:
-                    row[i] = row[i] - f * row[k]
-    return pos, neg, zero
-
-
-def hermitian_signature(H: Sequence[Sequence[GaussianRational]]) -> Tuple[int, int, int]:
-    """Signature of a Hermitian matrix over Q(i), via its realification.
-
-    The 2n x 2n real symmetric matrix [[Re H, -Im H], [Im H, Re H]] has twice
-    the Hermitian signature.
-    """
-    n = len(H)
-    S = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        for b in range(n):
-            h = GaussianRational.from_value(H[a][b])
-            S[a][b] = h.re
-            S[a][n + b] = -h.im
-            S[n + a][b] = h.im
-            S[n + a][n + b] = h.re
-    pos, neg, zero = real_symmetric_signature(S)
-    assert pos % 2 == 0 and neg % 2 == 0 and zero % 2 == 0
-    return pos // 2, neg // 2, zero // 2
+        inv = QI_ONE / piv
+        for r in range(k + 1, n):
+            f = A[r][k] * inv
+            if not f.is_zero():
+                for s in range(k + 1, n):
+                    A[r][s] = A[r][s] - f * A[k][s]
+    return pos, neg, n - pos - neg

@@ -50,16 +50,18 @@ class CRManifold(NamedTuple):
         rho = tuple(parse_poly(src, table) for src in spec.rho_sources)
         return CRManifold(table, rho, spec.chart)
 
-    def point_bindings(self, p: Point) -> dict:
-        """Bind z-variables to p and conjugate variables to conj(p)."""
+    def point_bindings(self, z: Point, w: Optional[Point] = None) -> dict:
+        """Bind the z-variables to z and the conjugate variables to conj(w),
+        where w defaults to z."""
         names = self.zvar_names
-        if len(p) != len(names):
-            raise ManifoldError(f"point has {len(p)} coordinates, expected {len(names)}")
+        w = z if w is None else w
+        for p in (z, w):
+            if len(p) != len(names):
+                raise ManifoldError(f"point has {len(p)} coordinates, expected {len(names)}")
         out = {}
-        for name, v in zip(names, p):
-            v = GaussianRational.from_value(v)
-            out[name] = v
-            out["~" + name] = v.conjugate()
+        for name, a, b in zip(names, z, w):
+            out[name] = GaussianRational.from_value(a)
+            out["~" + name] = GaussianRational.from_value(b).conjugate()
         return out
 
     def contains(self, p: Point) -> bool:
@@ -150,12 +152,8 @@ def dehomogenize(M: CRManifold, chart_index: int) -> CRManifold:
     keep = [nm for k, nm in enumerate(names) if k != chart_index]
     table = VarTable.make(keep)
     drop = names[chart_index]
-    rho = []
-    for r in M.rho:
-        one = Poly.const(r.table, 1)
-        s = r.substitute({drop: one, "~" + drop: one})
-        rho.append(s.transport(table))
-    return CRManifold(table, tuple(rho), chart="affine")
+    rho = tuple(r.substitute({drop: 1, "~" + drop: 1}).transport(table) for r in M.rho)
+    return CRManifold(table, rho, chart="affine")
 
 
 class LeviReport(NamedTuple):
@@ -180,7 +178,7 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     """Exact signature of the Levi form at p in the conormal direction c.
 
     The form is sum_j c_j * Hess(rho_j) restricted to H_pM, diagonalized by
-    rational congruence on its realification."""
+    Hermitian congruence over Q(i)."""
     c = [Fraction(x) for x in c]
     if len(c) != M.d:
         raise ManifoldError(f"conormal needs {M.d} coefficients")

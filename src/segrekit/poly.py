@@ -234,16 +234,6 @@ class Poly:
             k >>= 1
         return out
 
-    def scale_monomial(self, mono: tuple, c: GaussianRational) -> "Poly":
-        """self * c * x^mono (fast path used by the division algorithm)."""
-        if c.is_zero():
-            return Poly(self.table)
-        if c.is_one():
-            return Poly._raw(self.table, {tuple(map(add, m, mono)): v
-                                          for m, v in self.terms.items()})
-        return Poly._raw(self.table, {tuple(map(add, m, mono)): v * c
-                                      for m, v in self.terms.items()})
-
     def submul(self, f: "Poly", g: "Poly") -> "Poly":
         """self - f*g; the multiply-subtract of the division kernel, which
         GaussianRational also provides."""
@@ -282,26 +272,39 @@ class Poly:
 
     # -- substitution and evaluation ------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
-        """Exact simultaneous substitution; unbound variables stay themselves."""
-        idx_bind = {}
+    def substitute(self, bindings: Mapping[str, object]) -> "Poly":
+        """Exact simultaneous substitution; unbound variables stay themselves.
+
+        A number value folds into each term's coefficient; a polynomial value
+        multiplies the term."""
+        numbers, polys = [], []
         for name, val in bindings.items():
             i = self.table.index(name)
             if isinstance(val, SCALARS):
-                val = Poly.const(self.table, val)
-            if val.table != self.table:
+                numbers.append((i, GaussianRational.from_value(val)))
+            elif val.table != self.table:
                 raise PolyError("binding polynomial over incompatible table")
-            idx_bind[i] = val
-        out = Poly.zero(self.table)
+            else:
+                polys.append((i, val))
+        terms: dict = {}
         for m, c in self.terms.items():
             residual = list(m)
-            factor = Poly.const(self.table, c)
-            for i, e in enumerate(m):
-                if e and i in idx_bind:
+            for i, v in numbers:
+                if m[i]:
                     residual[i] = 0
-                    factor = factor * idx_bind[i] ** e
-            out = out + factor.scale_monomial(tuple(residual), QI_ONE)
-        return out
+                    c = c * v ** m[i]
+            factor = None
+            for i, q in polys:
+                if m[i]:
+                    residual[i] = 0
+                    factor = q ** m[i] if factor is None else factor * q ** m[i]
+            if factor is None:
+                parts = ((tuple(residual), c),)
+            else:
+                parts = ((tuple(map(add, residual, fm)), c * fc) for fm, fc in factor.terms.items())
+            for key, v in parts:
+                terms[key] = terms[key] + v if key in terms else v
+        return Poly._raw(self.table, {m: c for m, c in terms.items() if not c.is_zero()})
 
     def eval(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
         """Exact value; every occurring variable must be bound."""

@@ -62,10 +62,7 @@ def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
 
 def in_segre_variety(M: CRManifold, z, w) -> bool:
     """Exact test z in Q_w by evaluating every defining polynomial."""
-    binding = {}
-    for name, zv, wv in zip(M.zvar_names, z, w):
-        binding[name] = GaussianRational.from_value(zv)
-        binding["~" + name] = GaussianRational.from_value(wv).conjugate()
+    binding = M.point_bindings(z, w)
     return all(r.eval(binding).is_zero() for r in M.rho)
 
 
@@ -106,7 +103,7 @@ def graph_form(Q: SegreVariety, zeta_names: Sequence[str]):
             raise GraphFormError("generators are not linear in the zeta block")
     A = []
     b = []
-    zero_sub = {n: Poly.const(table, 0) for n in zeta_names}
+    zero_sub = dict.fromkeys(zeta_names, 0)
     for g in gens:
         A.append([g.diff(n) for n in zeta_names])
         b.append(g.substitute(zero_sub))

@@ -1,23 +1,28 @@
-"""Exact solutions of zero-dimensional systems by triangular back-substitution.
+"""Exact points of polynomial systems by triangular back-substitution.
 
-Only handles the shapes the toolkit actually produces: a lex Groebner basis
-that becomes, after substituting already-solved variables, a chain of
-univariate polynomials of degree at most 2 (or pure binomials x^k = c with
-k a power of two).  Anything else yields None and callers fall back to
-reporting the degree only.
+One walk serves two callers: `solve_zero_dim` follows every root to list
+the solutions of a zero-dimensional ideal, and the rational-point sampler
+(`correspond.sample_variety_points`) follows one random root at a time.
+Only the shapes the toolkit actually produces are solved: after
+substituting already-solved variables, a chain of univariate polynomials of
+degree at most 2 (or pure binomials x^k = c with k a power of two).  Anything
+else yields None and callers fall back to reporting the degree only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import QI_ZERO, GaussianRational, qi_sqrt
 from .ideal import Ideal
 from .orders import lex
-from .poly import Poly
+from .poly import Poly, VarTable
+
+Roots = List[Tuple[GaussianRational, int]]
+Leaves = List[Tuple[dict, int]]
 
 
-def _univariate_roots(p: Poly, var_index: int) -> Optional[List[Tuple[GaussianRational, int]]]:
+def _univariate_roots(p: Poly, var_index: int) -> Optional[Roots]:
     """Roots (value, multiplicity) of a univariate polynomial over Q(i)."""
     coeffs: Dict[int, GaussianRational] = {}
     for m, c in p.terms.items():
@@ -63,45 +68,61 @@ def _univariate_roots(p: Poly, var_index: int) -> Optional[List[Tuple[GaussianRa
     return None
 
 
-def solve_zero_dim(I: Ideal) -> Optional[List[Tuple[dict, int]]]:
+def back_substitute(gens: Sequence[Poly], table: VarTable,
+                    follow: Callable[[Roots], Roots],
+                    stuck: Callable[[List[Poly]], Optional[Tuple[str, GaussianRational]]],
+                    bound: Optional[dict] = None) -> Optional[Leaves]:
+    """Walk the system gens down to points, one variable at a time.
+
+    Zeros are dropped, and a nonzero constant ends the branch with no point.
+    The first univariate generator gives its Q(i) roots, of which
+    ``follow(roots)`` picks the (value, multiplicity) pairs to pursue; with
+    no univariate generator, ``stuck(live)`` names a (variable, value) to
+    bind, or None to give up.  Each bound value is substituted before the
+    next step.  Returns the leaves as ({name: value}, multiplicity), where
+    every generator vanishes (unbound variables are left out), or None when
+    a root set is not in Q(i) or the walk gave up."""
+    bound = bound or {}
+    live = []
+    for g in gens:
+        if g.is_zero():
+            continue
+        if g.is_constant():
+            return []
+        live.append(g)
+    if not live:
+        return [(bound, 1)]
+    for gi, g in enumerate(live):
+        vs = g.variables()
+        if len(vs) == 1:
+            (vi,) = vs
+            roots = _univariate_roots(g, vi)
+            if roots is None:
+                return None
+            rest = live[:gi] + live[gi + 1:]
+            steps = [(table.names[vi], val, mult) for val, mult in follow(roots)]
+            break
+    else:
+        step = stuck(live)
+        if step is None:
+            return None
+        rest = live
+        steps = [(*step, 1)]
+    out = []
+    for name, val, mult in steps:
+        sub = back_substitute([h.substitute({name: val}) for h in rest], table,
+                              follow, stuck, {**bound, name: val})
+        if sub is None:
+            return None
+        out.extend((pt, m * mult) for pt, m in sub)
+    return out
+
+
+def solve_zero_dim(I: Ideal) -> Optional[Leaves]:
     """All solutions of a zero-dimensional ideal as (point, multiplicity),
     with points as {var name: GaussianRational}; None if not triangular."""
-    order = lex(len(I.table))
-    gb = list(I.with_order(order).groebner())
-    if any(g.is_constant() for g in gb):
-        return []
-    names = I.table.names
-
-    def recurse(remaining: List[Poly], bound: dict) -> Optional[List[Tuple[dict, int]]]:
-        subs = {n: Poly.const(I.table, v) for n, v in bound.items()}
-        remaining = [g.substitute(subs) for g in remaining]
-        live = []
-        for g in remaining:
-            if g.is_zero():
-                continue
-            if g.is_constant():
-                return []  # inconsistent branch
-            live.append(g)
-        if not live:
-            if len(bound) != len(names):
-                return None  # free variable left: not zero-dimensional here
-            return [(dict(bound), 1)]
-        # find a generator that is now univariate
-        for gi, g in enumerate(live):
-            vs = g.variables()
-            if len(vs) == 1:
-                vi = next(iter(vs))
-                roots = _univariate_roots(g, vi)
-                if roots is None:
-                    return None
-                out = []
-                rest = live[:gi] + live[gi + 1:]
-                for val, mult in roots:
-                    sub = recurse(rest, {**bound, names[vi]: val})
-                    if sub is None:
-                        return None
-                    out.extend((pt, m * mult) for pt, m in sub)
-                return out
-        return None
-
-    return recurse(gb, {})
+    gb = I.with_order(lex(len(I.table))).groebner()
+    sols = back_substitute(gb, I.table, lambda roots: roots, lambda live: None)
+    if sols is None or any(len(pt) != len(I.table) for pt, _ in sols):
+        return None  # a root outside Q(i), or a variable left free
+    return sols

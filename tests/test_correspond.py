@@ -10,7 +10,8 @@ from segrekit.correspond import (AlgebraicMap, CorrespondenceError,
                                  ExcludedLocusError, build_correspondence,
                                  compose, fiber, max_rank_check,
                                  power_correspondence,
-                                 relation_correspondence, splits_at,
+                                 relation_correspondence,
+                                 sample_segre_points, splits_at,
                                  verify_invariance)
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.ideal import member
@@ -96,6 +97,23 @@ def test_excluded_locus_raises():
     C = build_correspondence(POWER, HQ2, f)
     with pytest.raises(ExcludedLocusError):
         fiber(C, pt(0, 1))
+
+
+def test_reverse_fiber_meeting_the_excluded_locus_raises():
+    """The ledger wb_z1^2 lives in the free block of a reverse fiber: over
+    (0, 4) every fiber point has wb_z1 = 0."""
+    f = AlgebraicMap.from_text(SQUARE_SRC, POWER)
+    C = build_correspondence(POWER, HQ2, f)
+    assert [str(e) for e in C.excluded] == ["wb_z1^2"]
+    with pytest.raises(ExcludedLocusError):
+        fiber(C, pt(0, 4), reverse=True)
+
+
+def test_segre_sampler_draws_are_pinned():
+    pts = sample_segre_points(SPHERE, pt(Fraction(3, 5), QI(0, Fraction(4, 5))),
+                              random.Random(7), 3)
+    assert [tuple(map(str, z)) for z in pts] == [
+        ("3-4/3*i", "-1-i"), ("-5+2*i", "3/2+5*i"), ("3-2*i", "-3/2-i")]
 
 
 def test_relation_correspondence_valency():

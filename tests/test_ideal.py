@@ -381,8 +381,8 @@ def test_s_poly_matches_its_definition(order, monkeypatch):
             continue
         lf, lg = leading(f, order), leading(g, order)
         l = _lcm(lf, lg)
-        want = (f.scale_monomial(tuple(a - b for a, b in zip(l, lf)), QI_ONE / f.terms[lf])
-                - g.scale_monomial(tuple(a - b for a, b in zip(l, lg)), QI_ONE / g.terms[lg]))
+        want = (Poly(f.table, {tuple(a - b for a, b in zip(l, lf)): QI_ONE / f.terms[lf]}) * f
+                - Poly(g.table, {tuple(a - b for a, b in zip(l, lg)): QI_ONE / g.terms[lg]}) * g)
         fm, gm = f * (QI_ONE / f.terms[lf]), g * (QI_ONE / g.terms[lg])
         monkeypatch.setattr(QI, "__truediv__", counted)
         assert _s_poly(f, g, order) == want

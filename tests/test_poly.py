@@ -97,6 +97,23 @@ def test_substitute():
     assert s == parse_poly("z2^2 - 2*z2 + 1 + z2", TABLE)
 
 
+@settings(max_examples=100)
+@given(polys(), polys(), qis, qis)
+def test_mixed_substitution_equals_one_binding_at_a_time(p, q, a, b):
+    """Numbers fold into coefficients and a polynomial multiplies, in one
+    simultaneous pass."""
+    once = p.substitute({"z1": a, "~z2": q, "~z1": b})
+    stepwise = p.substitute({"z1": a}).substitute({"~z1": b}).substitute({"~z2": q})
+    assert once == stepwise
+
+
+@settings(max_examples=100)
+@given(polys(), qis, qis, qis, qis)
+def test_binding_every_variable_to_a_number_is_eval(p, a, b, ca, cb):
+    binding = {"z1": a, "z2": b, "~z1": ca, "~z2": cb}
+    assert p.substitute(binding) == Poly.const(TABLE, p.eval(binding))
+
+
 def test_transport_renames():
     other = VarTable.make(["w1", "w2"], conjugates=False)
     p = parse_poly("z1*z2 + 2", TABLE).substitute(

@@ -8,7 +8,7 @@ from segrekit.gaussian import GaussianRational as QI
 from segrekit import ideal
 from segrekit.catalog import sample_points
 from segrekit.ideal import dimension, member
-from segrekit.manifold import CRManifold
+from segrekit.manifold import CRManifold, ManifoldError
 from segrekit.parsing import parse_poly
 from segrekit.segre import (SYMBOLIC, check_symmetry, essential_finiteness,
                             graph_form, in_segre_variety, inversion_set,
@@ -61,6 +61,16 @@ def test_membership_and_symmetry_sampled():
     for z in pts[:10]:
         for w in pts[10:]:
             assert check_symmetry(SPHERE, z, w)
+
+
+def test_points_of_the_wrong_length_raise():
+    """A third coordinate is not dropped: (1, 0) lies in Q_(1, 0), but
+    (1, 0, 99) is no point of C^2."""
+    assert in_segre_variety(SPHERE, pt(1, 0), pt(1, 0))
+    with pytest.raises(ManifoldError):
+        in_segre_variety(SPHERE, pt(1, 0, 99), pt(1, 0, 5))
+    with pytest.raises(ManifoldError):
+        in_segre_variety(SPHERE, pt(1, 0), pt(1,))
 
 
 def test_graph_form_sphere():
