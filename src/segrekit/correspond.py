@@ -39,18 +39,13 @@ class AlgebraicMap(NamedTuple):
     @staticmethod
     def from_text(text: str, source: CRManifold) -> "AlgebraicMap":
         spec = parse_map_text(text)
-        if spec.zvars != source.zvar_names:
+        if spec.table.names != source.zvar_names:
             raise CorrespondenceError(
-                f"map variables {spec.zvars} do not match source {source.zvar_names}")
-        comps = []
-        for num_src, den_src in spec.components:
-            num = parse_poly(num_src, source.table)
-            den = (parse_poly(den_src, source.table) if den_src is not None
-                   else Poly.const(source.table, 1))
-            if den.is_zero():
-                raise CorrespondenceError("zero denominator in map component")
-            comps.append((num, den))
-        return AlgebraicMap(source.table, tuple(comps))
+                f"map variables {spec.table.names} do not match source {source.zvar_names}")
+        one = Poly.const(source.table, 1)
+        return AlgebraicMap(source.table, tuple(
+            (num.transport(source.table), one if den is None else den.transport(source.table))
+            for num, den in spec.components))
 
     @staticmethod
     def identity(M: CRManifold) -> "AlgebraicMap":
@@ -60,9 +55,12 @@ class AlgebraicMap(NamedTuple):
             tuple((Poly.var(M.table, n), one) for n in M.zvar_names),
         )
 
+    def _binding(self, p: Sequence) -> dict:
+        """The z-variables bound to p, checked as a point of the source chart."""
+        return dict(zip(self.table.zvars(), CRManifold(self.table, ()).point(p)))
+
     def apply(self, p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
-        names = self.table.zvars()
-        binding = {n: GaussianRational.from_value(v) for n, v in zip(names, p)}
+        binding = self._binding(p)
         out = []
         for num, den in self.components:
             d = den.eval(binding)
@@ -72,8 +70,7 @@ class AlgebraicMap(NamedTuple):
         return tuple(out)
 
     def jacobian_at(self, p: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
-        names = self.table.zvars()
-        binding = {n: GaussianRational.from_value(v) for n, v in zip(names, p)}
+        binding = self._binding(p)
         J = []
         for num, den in self.components:
             dv = den.eval(binding)
@@ -81,7 +78,7 @@ class AlgebraicMap(NamedTuple):
                 raise ZeroDivisionError("point lies on a denominator zero set")
             nv = num.eval(binding)
             row = []
-            for n in names:
+            for n in binding:
                 row.append((num.diff(n).eval(binding) * dv - nv * den.diff(n).eval(binding))
                            / (dv * dv))
             J.append(row)
@@ -272,10 +269,8 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     reverse) and count/solve the zero-dimensional fiber."""
     fixed_names = C.wpb_names if reverse else C.wb_names
     free_names = C.wb_names if reverse else C.wpb_names
-    wbar = tuple(GaussianRational.from_value(x).conjugate() for x in w)
-    if len(wbar) != len(fixed_names):
-        raise CorrespondenceError("point has the wrong number of coordinates")
-    binding = dict(zip(fixed_names, wbar))
+    w = (C.target if reverse else C.source).point(w)
+    binding = {n: x.conjugate() for n, x in zip(fixed_names, w)}
     ftable = VarTable.make(list(free_names), conjugates=False)
     ledger = [(e, e.substitute(binding).transport(ftable)) for e in C.excluded]
     for e, at_w in ledger:

@@ -483,19 +483,15 @@ def dimension(I: Ideal) -> int:
     """
     if I.is_trivial():
         return -1
-    gb = I.groebner()
-    if not gb:
-        return len(I.table)
-    lms = [_lm(g, I.order) for g in gb]
+    lms = [_lm(g, I.order) for g in I.groebner()]
     n = len(I.table)
-    best = 0
     # maximal subset S of variables such that no leading monomial lives in k[S]
     for size in range(n, 0, -1):
         for S in itertools.combinations(range(n), size):
             sset = set(S)
             if all(any(e and i not in sset for i, e in enumerate(m)) for m in lms):
                 return size
-    return best
+    return 0
 
 
 def standard_monomials(I: Ideal, cap: int = 100000) -> List[tuple]:

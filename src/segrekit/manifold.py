@@ -9,7 +9,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal
 from .linalg import hermitian_signature, nullspace, rank
-from .parsing import parse_manifold_text, parse_poly
+from .parsing import parse_manifold_text
 from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
 
 Point = Tuple[GaussianRational, ...]
@@ -45,23 +45,24 @@ class CRManifold(NamedTuple):
 
     @staticmethod
     def from_text(text: str) -> "CRManifold":
-        spec = parse_manifold_text(text)
-        table = VarTable.make(spec.zvars)
-        rho = tuple(parse_poly(src, table) for src in spec.rho_sources)
-        return CRManifold(table, rho, spec.chart)
+        return CRManifold(*parse_manifold_text(text))
+
+    def point(self, p: Sequence) -> Point:
+        """p as a point of C^n, one Gaussian rational per z-variable; every
+        function that takes a point checks it here."""
+        if len(p) != len(self.zvar_names):
+            raise ManifoldError(f"point has {len(p)} coordinates, expected {self.n}")
+        return tuple(GaussianRational.from_value(x) for x in p)
 
     def point_bindings(self, z: Point, w: Optional[Point] = None) -> dict:
         """Bind the z-variables to z and the conjugate variables to conj(w),
         where w defaults to z."""
-        names = self.zvar_names
-        w = z if w is None else w
-        for p in (z, w):
-            if len(p) != len(names):
-                raise ManifoldError(f"point has {len(p)} coordinates, expected {len(names)}")
+        z = self.point(z)
+        w = z if w is None else self.point(w)
         out = {}
-        for name, a, b in zip(names, z, w):
-            out[name] = GaussianRational.from_value(a)
-            out["~" + name] = GaussianRational.from_value(b).conjugate()
+        for name, a, b in zip(self.zvar_names, z, w):
+            out[name] = a
+            out["~" + name] = b.conjugate()
         return out
 
     def contains(self, p: Point) -> bool:
@@ -178,8 +179,12 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     """Exact signature of the Levi form at p in the conormal direction c.
 
     The form is sum_j c_j * Hess(rho_j) restricted to H_pM, diagonalized by
-    Hermitian congruence over Q(i)."""
-    c = [Fraction(x) for x in c]
+    Hermitian congruence over Q(i).  The entries of c are rationals or
+    their strings."""
+    try:
+        c = [Fraction(x) for x in c]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ManifoldError(f"conormal entries must be rationals, got {list(c)}") from None
     if len(c) != M.d:
         raise ManifoldError(f"conormal needs {M.d} coefficients")
     if all(x == 0 for x in c):

@@ -3,6 +3,11 @@
 Polynomial syntax: integers, rationals `a/b`, the imaginary unit `i`,
 variable names, `~name` for the paired conjugate variable, operators
 `+ - * ^` and parentheses.  Division is allowed only by nonzero constants.
+
+Each file line is parsed once, where it stands, so the specs hold `Poly`s:
+a manifold's defining polynomials over its table of z-variables and their
+`~`-partners, a map's components over a table of z-variables alone (a map
+is holomorphic, so `~` is an error there).
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from .poly import Poly, VarTable
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: Optional[int] = None, line: Optional[int] = None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line})"
-        elif pos is not None:
-            loc = f" (column {pos + 1})"
-        super().__init__(message + loc)
+        loc = [f"line {line}"] if line is not None else []
+        if pos is not None:
+            loc.append(f"column {pos + 1}")
+        super().__init__(message + (f" ({', '.join(loc)})" if loc else ""))
+        self.reason = message
         self.pos = pos
         self.line = line
 
@@ -164,76 +168,93 @@ def parse_poly(src: str, table: VarTable) -> Poly:
     return _Parser(src, table).parse()
 
 
-# -- manifold definition files -------------------------------------------------
+# -- manifold and map files ---------------------------------------------------
 #
+# A line is a keyword, its first word, and a body.  The one `vars` line builds
+# the file's variable table, and every other body is parsed where it stands.
+
+_KEYWORD = re.compile(r"\s*(\w*:?)\s*")
+
+
+def _parse_lines(text: str, conjugates: bool, parsers: dict) -> Tuple[VarTable, list]:
+    """The variable table and, line by line, (keyword, parsers[keyword](body,
+    table)).  An error names its line and, inside a body, its column."""
+    table, items = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        if not code.strip():
+            continue
+        m = _KEYWORD.match(code)
+        key, body = m.group(1), code[m.end():]
+        try:
+            if key == "vars":
+                if table is not None:
+                    raise ParseError("repeated `vars` declaration")
+                if not body.split():
+                    raise ParseError("empty `vars` declaration")
+                table = VarTable.make(body.split(), conjugates=conjugates)
+            elif key not in parsers:
+                raise ParseError(f"unrecognized line {code.strip()!r}")
+            elif table is None and key != "chart:":
+                raise ParseError(f"`{key}` before `vars`")
+            else:
+                items.append((key, parsers[key](body, table)))
+        except ParseError as exc:
+            pos = None if exc.pos is None else exc.pos + m.end()
+            raise ParseError(exc.reason, pos, lineno) from None
+    if table is None:
+        raise ParseError("missing `vars` declaration", line=1)
+    return table, items
+
+
 #   vars z1 z2
 #   rho: z1*~z1 + z2*~z2 - 1
 #   chart: projective 0      (optional)
 
 
 class ManifoldSpec(NamedTuple):
-    zvars: tuple
-    rho_sources: tuple
-    chart: object  # "affine" or int (projective chart index)
+    table: VarTable  # the z-variables and their ~-partners
+    rho: tuple       # of Poly over table
+    chart: object    # "affine" or int (projective chart index)
+
+
+def _chart(body: str, table) -> object:
+    m = re.fullmatch(r"\s*(?:affine|projective\s+([0-9]+))\s*", body)
+    if m is None:
+        raise ParseError(f"bad chart {body.strip()!r}, expected `affine` or `projective <index>`")
+    return "affine" if m.group(1) is None else int(m.group(1))
 
 
 def parse_manifold_text(text: str) -> ManifoldSpec:
-    zvars = None
-    rhos = []
-    chart = "affine"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vars"):
-            zvars = tuple(line[len("vars"):].split())
-            if not zvars:
-                raise ParseError("empty `vars` declaration", line=lineno)
-        elif line.startswith("rho:"):
-            if zvars is None:
-                raise ParseError("`rho:` before `vars`", line=lineno)
-            rhos.append(line[len("rho:"):].strip())
-        elif line.startswith("chart:"):
-            body = line[len("chart:"):].split()
-            if len(body) == 1 and body[0] == "affine":
-                chart = "affine"
-            elif len(body) == 2 and body[0] == "projective":
-                chart = int(body[1])
-            else:
-                raise ParseError(f"bad chart declaration {line!r}", line=lineno)
-        else:
-            raise ParseError(f"unrecognized line {line!r}", line=lineno)
-    if zvars is None:
-        raise ParseError("missing `vars` declaration", line=1)
-    if not rhos:
+    table, items = _parse_lines(text, True, {"rho:": parse_poly, "chart:": _chart})
+    rho = tuple(v for key, v in items if key == "rho:")
+    if not rho:
         raise ParseError("no `rho:` lines", line=1)
-    return ManifoldSpec(zvars, tuple(rhos), chart)
+    charts = [v for key, v in items if key == "chart:"]
+    return ManifoldSpec(table, rho, charts[-1] if charts else "affine")
 
 
-# -- map files -----------------------------------------------------------------
-#
 #   vars z1 z2
 #   component: z1^2
 #   component: z2^2 / (1 + z1)    (denominator optional)
 
 
 class MapSpec(NamedTuple):
-    zvars: tuple
-    components: tuple  # (numerator source, denominator source or None)
+    table: VarTable    # the z-variables only: a map is holomorphic
+    components: tuple  # of (numerator, denominator or None), Polys over table
 
 
-def _split_component(src: str, zvars) -> Tuple[str, Optional[str]]:
+def _split_component(src: str, table: VarTable) -> Tuple[Poly, Optional[Poly]]:
     """Split a map component into numerator and optional denominator.
 
     The polynomial grammar already accepts division by constants, so the
     whole source is tried as a single polynomial first; only when that
-    fails is a top-level `/` interpreted as the component denominator."""
-    table = VarTable.make(list(zvars))
+    fails is a top-level `/` interpreted as the component denominator.
+    When no split parses either, the first attempt's error stands."""
     try:
-        parse_poly(src, table)
-        return src, None
-    except ParseError:
-        pass
+        return parse_poly(src, table), None
+    except ParseError as exc:
+        whole = exc
     depth = 0
     for k, ch in enumerate(src):
         if ch == "(":
@@ -241,32 +262,18 @@ def _split_component(src: str, zvars) -> Tuple[str, Optional[str]]:
         elif ch == ")":
             depth -= 1
         elif ch == "/" and depth == 0:
-            num, den = src[:k], src[k + 1:]
             try:
-                parse_poly(num, table)
-                parse_poly(den, table)
-                return num, den
+                num, den = parse_poly(src[:k], table), parse_poly(src[k + 1:], table)
             except ParseError:
                 continue
-    raise ParseError(f"cannot parse map component {src!r}")
+            if den.is_zero():
+                raise ParseError("zero denominator in map component", pos=k + 1)
+            return num, den
+    raise whole
 
 
 def parse_map_text(text: str) -> MapSpec:
-    zvars = None
-    comps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vars"):
-            zvars = tuple(line[len("vars"):].split())
-        elif line.startswith("component:"):
-            if zvars is None:
-                raise ParseError("`component:` before `vars`", line=lineno)
-            num, den = _split_component(line[len("component:"):].strip(), zvars)
-            comps.append((num, den))
-        else:
-            raise ParseError(f"unrecognized line {line!r}", line=lineno)
-    if zvars is None or not comps:
-        raise ParseError("map file needs `vars` and `component:` lines", line=1)
-    return MapSpec(zvars, tuple(comps))
+    table, items = _parse_lines(text, False, {"component:": _split_component})
+    if not items:
+        raise ParseError("map file needs `component:` lines", line=1)
+    return MapSpec(table, tuple(v for _, v in items))

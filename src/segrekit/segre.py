@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import GaussianRational
 from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
                     eliminate, parametric_normal_form)
 from .manifold import CRManifold, ManifoldError, check_reality, polar_gens
@@ -22,10 +21,6 @@ def _ztable(M: CRManifold, params: Sequence[str] = ()) -> VarTable:
     return VarTable.make(list(M.zvar_names) + list(params), conjugates=False)
 
 
-def _conj_point(w) -> Tuple[GaussianRational, ...]:
-    return tuple(GaussianRational.from_value(x).conjugate() for x in w)
-
-
 def _wb_names(M: CRManifold) -> tuple:
     return tuple("wb_" + name for name in M.zvar_names)
 
@@ -35,7 +30,7 @@ def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
     symbolic, else substituted by conj(w)."""
     if w == SYMBOLIC:
         return polar_gens(M, table, _wb_names(M))
-    wbar = {"~" + name: v for name, v in zip(M.zvar_names, _conj_point(w))}
+    wbar = {"~" + name: v.conjugate() for name, v in zip(M.zvar_names, M.point(w))}
     return [r.substitute(wbar).transport(table) for r in M.rho]
 
 
@@ -55,9 +50,7 @@ def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     params = _wb_names(M) if w == SYMBOLIC else ()
     table = _ztable(M, params)
     ideal = Ideal.make(_segre_gens(M, w, table), table=table)
-    if w == SYMBOLIC:
-        return SegreVariety(M, SYMBOLIC, ideal, params)
-    return SegreVariety(M, tuple(GaussianRational.from_value(x) for x in w), ideal)
+    return SegreVariety(M, w if w == SYMBOLIC else M.point(w), ideal, params)
 
 
 def in_segre_variety(M: CRManifold, z, w) -> bool:
@@ -229,6 +222,7 @@ class SegreSetChain(NamedTuple):
 
 def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     """Iterated Segre sets Q^j_p as elimination ideals, with dimensions."""
+    p = M.point(p)
     if not M.contains(p):
         raise ManifoldError("base point does not lie on the manifold")
     ztab = _ztable(M)
@@ -253,8 +247,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
         dims.append(dimension(nxt))
         if dims[-1] == n or nxt == ideals[-2]:
             break
-    return SegreSetChain(tuple(GaussianRational.from_value(x) for x in p),
-                         tuple(ideals), tuple(dims))
+    return SegreSetChain(p, tuple(ideals), tuple(dims))
 
 
 def minimality(M: CRManifold, p, j_max: Optional[int] = None) -> Tuple[bool, int]:

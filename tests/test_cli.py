@@ -139,6 +139,38 @@ def test_exit_code_bad_point():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["segre", "sphere_C2.mfd", "--point", "1,0,99"], 3),
+    (["minimal", "tube_C2.mfd", "--point", "1"], 1),
+    (["correspond", "power_r2_n2.mfd", "hyperquadric_k1_n2.mfd", "square_n2.map",
+      "--fiber", "1,4,9", "--reverse"], 3),
+], ids=["segre", "minimal", "reverse-fiber"])
+def test_wrong_length_point_is_an_input_error(argv, n):
+    code, out, _ = run_cli(*[data_path(a) if a.endswith((".mfd", ".map")) else a
+                             for a in argv])
+    assert code == 2
+    assert json.loads(out)["status"] == \
+        f"input-error: point has {n} coordinates, expected 2"
+
+
+def test_bad_conormal_is_an_input_error():
+    code, out, _ = run_cli("levi", data_path("hyperquadric_k1_n3.mfd"),
+                           "--point", "1,0,0", "--conormal", "1/0")
+    assert code == 2
+    assert "conormal" in json.loads(out)["status"]
+
+
+def test_non_holomorphic_map_is_an_input_error(tmp_path):
+    bad = tmp_path / "conj.map"
+    bad.write_text("vars z1 z2\ncomponent: z1^2\ncomponent: ~z1\n")
+    code, out, _ = run_cli("correspond", data_path("power_r2_n2.mfd"),
+                           data_path("hyperquadric_k1_n2.mfd"), str(bad),
+                           "--fiber", "1,4")
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error: bad map file") and "(line 3, column 12)" in status
+
+
 def test_correspondence_error_is_an_input_error():
     code, out, _ = run_cli(
         "correspond", data_path("power_r2_n2.mfd"),

@@ -15,8 +15,10 @@ from segrekit.correspond import (AlgebraicMap, CorrespondenceError,
                                  verify_invariance)
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.ideal import member
-from segrekit.manifold import CRManifold
-from segrekit.segre import essential_finiteness, inversion_set
+from segrekit.manifold import (CRManifold, ManifoldError, genericity_rank,
+                               levi_signature, tangent_basis)
+from segrekit.segre import (essential_finiteness, inversion_set, minimality,
+                            segre_map_locally_injective, segre_variety)
 
 SPHERE = load_manifold("sphere_C2.mfd")
 POWER = load_manifold("power_r2_n2.mfd")
@@ -45,6 +47,39 @@ def test_map_apply_and_jacobian():
     J = f.jacobian_at(pt(2, 3))
     assert J[0][0] == QI.from_value(4) and J[1][1] == QI.from_value(6)
     assert J[0][1].is_zero()
+
+
+def _sphere_identity():
+    return build_correspondence(SPHERE, SPHERE, AlgebraicMap.identity(SPHERE))
+
+
+# each public function that takes a point, called at a point p of C^2 on the sphere
+POINT_TAKERS = {
+    "segre_variety": lambda p: segre_variety(SPHERE, p),
+    "inversion_set": lambda p: inversion_set(SPHERE, p),
+    "essential_finiteness": lambda p: essential_finiteness(SPHERE, p),
+    "segre_map_locally_injective": lambda p: segre_map_locally_injective(SPHERE, p),
+    "minimality": lambda p: minimality(SPHERE, p),
+    "levi_signature": lambda p: levi_signature(SPHERE, p, (1,)),
+    "genericity_rank": lambda p: genericity_rank(SPHERE, p),
+    "tangent_basis": lambda p: tangent_basis(SPHERE, p),
+    "sample_segre_points": lambda p: sample_segre_points(SPHERE, p, random.Random(0), 1),
+    "apply": lambda p: AlgebraicMap.identity(SPHERE).apply(p),
+    "jacobian_at": lambda p: AlgebraicMap.identity(SPHERE).jacobian_at(p),
+    "max_rank_check": lambda p: max_rank_check(AlgebraicMap.identity(SPHERE), p, SPHERE),
+    "fiber": lambda p: fiber(_sphere_identity(), p),
+    "reverse_fiber": lambda p: fiber(_sphere_identity(), p, reverse=True),
+}
+
+
+@pytest.mark.parametrize("p", [pt(1, 0, 99), pt(1)], ids=["too-long", "too-short"])
+@pytest.mark.parametrize("name", sorted(POINT_TAKERS))
+def test_points_of_the_wrong_length_raise_everywhere(name, p):
+    """No coordinate is dropped and none is missed: (1, 0) is a point of the
+    sphere, and a point of another length is rejected before any work."""
+    POINT_TAKERS[name](pt(1, 0))
+    with pytest.raises(ManifoldError, match=f"point has {len(p)} coordinates, expected 2"):
+        POINT_TAKERS[name](p)
 
 
 def test_max_rank():

@@ -92,6 +92,8 @@ def test_dimension_examples():
     table = VarTable.make(["x", "y"], conjugates=False)
     K = Ideal(tuple(), grevlex(2), table)
     assert dimension(K) == 2
+    # so is the ideal generated by 0: no leading monomials, dimension n
+    assert dimension(make_ideal(["x - x"], "xyzw")) == 4
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 5, 8])

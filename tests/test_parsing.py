@@ -54,8 +54,8 @@ def test_manifold_format():
     vars z1 z2
     rho: z1*~z1 + z2*~z2 - 1
     """)
-    assert spec.zvars == ("z1", "z2")
-    assert len(spec.rho_sources) == 1
+    assert spec.table.zvars() == ("z1", "z2")
+    assert spec.rho == (parse_poly("z1*~z1 + z2*~z2 - 1", spec.table),)
     assert spec.chart == "affine"
 
 
@@ -89,9 +89,51 @@ def test_map_with_denominator():
     component: z1 / z2
     """)
     num, den = spec.components[0]
-    assert num.strip() == "z1" and den.strip() == "z2"
+    assert num == parse_poly("z1", spec.table) and den == parse_poly("z2", spec.table)
 
 
 def test_map_missing_vars():
     with pytest.raises(ParseError):
         parse_map_text("component: z1\n")
+
+
+def _parse_error(parse, text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    return info.value
+
+
+def test_map_components_are_holomorphic():
+    exc = _parse_error(parse_map_text, "vars z1 z2\ncomponent: z1\ncomponent: ~z1 + z2\n")
+    assert exc.line == 3 and exc.pos == len("component: ")
+    assert "(line 3, column 12)" in str(exc)
+
+
+def test_repeated_vars_raises():
+    exc = _parse_error(parse_manifold_text, "vars z1\nrho: z1*~z1 - 1\nvars z1 z2\n")
+    assert exc.line == 3 and "repeated" in str(exc)
+    exc = _parse_error(parse_map_text, "vars z1\nvars z1\ncomponent: z1\n")
+    assert exc.line == 2
+
+
+def test_bad_rho_reports_its_line_and_column():
+    text = "vars z1 z2\nrho: z1*~z1 - 1\n  rho: z1*~z1 + w2\n"
+    exc = _parse_error(parse_manifold_text, text)
+    assert exc.line == 3 and "unknown variable 'w2'" in str(exc)
+    assert exc.pos == text.splitlines()[2].index("w2")
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_manifold_text, "varsity z1\nrho: z1*~z1 - 1\n", 1),
+    (parse_map_text, "varsz1\ncomponent: z1\n", 1),
+    (parse_map_text, "vars\ncomponent: z1\n", 1),
+    (parse_manifold_text, "vars z1\nrho: z1*~z1 - 1\nchart: projective x\n", 3),
+], ids=["keyword-prefix", "map-keyword-prefix", "empty-map-vars", "chart-index"])
+def test_malformed_lines_name_their_line(parse, text, line):
+    exc = _parse_error(parse, text)
+    assert exc.line == line and "invalid literal" not in str(exc)
+
+
+def test_zero_denominator_is_a_parse_error():
+    exc = _parse_error(parse_map_text, "vars z1\ncomponent: z1 / (z1 - z1)\n")
+    assert exc.line == 2 and "zero denominator" in str(exc)
