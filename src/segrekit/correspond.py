@@ -10,7 +10,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .gaussian import QI, QI_ZERO, GaussianRational
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
 from .linalg import rank
-from .manifold import CRManifold, ManifoldError, tangent_basis
+from .manifold import CRManifold, ManifoldError, require_real, tangent_basis
 from .parsing import parse_map_text, parse_poly
 from .poly import Poly, VarTable
 from .segre import SYMBOLIC, containment_ideal, segre_variety
@@ -71,17 +71,14 @@ class AlgebraicMap(NamedTuple):
 
     def jacobian_at(self, p: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
         binding = self._binding(p)
+        names = tuple(binding)
         J = []
         for num, den in self.components:
-            dv = den.eval(binding)
+            dv, dgrad, _ = den.jet(binding, names)
             if dv.is_zero():
                 raise ZeroDivisionError("point lies on a denominator zero set")
-            nv = num.eval(binding)
-            row = []
-            for n in binding:
-                row.append((num.diff(n).eval(binding) * dv - nv * den.diff(n).eval(binding))
-                           / (dv * dv))
-            J.append(row)
+            nv, ngrad, _ = num.jet(binding, names)
+            J.append([(a * dv - nv * b) / (dv * dv) for a, b in zip(ngrad, dgrad)])
         return J
 
 
@@ -163,8 +160,10 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
                       seed: int = 0) -> InvarianceReport:
     """Exact check of f(Q_p) subset Q'_{f(p)} on sampled rational points.
 
-    base_points must lie on M.  Non-invariant maps (including maps whose
-    images leave M') show up as counted failures, not exceptions."""
+    base_points must lie on M, and both manifolds must be real.
+    Non-invariant maps (including maps whose images leave M') show up as
+    counted failures, not exceptions."""
+    require_real(M, Mp)
     rng = random.Random(seed)
     checked = passed = 0
     failures = []
@@ -209,7 +208,9 @@ def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]
 
 def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Correspondence:
     """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}}: the containment
-    ideal of rho'(f(z), wpb) on the symbolic Segre variety of M."""
+    ideal of rho'(f(z), wpb) on the symbolic Segre variety of M.  Both
+    manifolds must be real."""
+    require_real(M, Mp)
     _, wb, wpb = _param_table(M, Mp)
     ttable = VarTable.make(list(M.zvar_names), params=list(wpb), conjugates=False)
     nums = [num.transport(ttable) for num, _ in f.components]

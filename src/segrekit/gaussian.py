@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _make(a: int, b: int, d: int) -> "GaussianRational":
@@ -217,37 +217,97 @@ def format_coeff(c: GaussianRational) -> str:
     return f"{_frac_str(c.re)}{sign}{im}"
 
 
-def frac_sqrt(f: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn != f.numerator or rd * rd != f.denominator:
-        return None
-    return Fraction(rn, rd)
+class PointPowers:
+    """Exact values at a point, in integers.
+
+    The point binds values v_j = (a_j + b_j*i)/D, over one common
+    denominator D, to some slots j.  The powers of each Gaussian integer
+    a_j + b_j*i and of D are computed once, when first needed, and a sum of
+    monomial values is gathered as one Gaussian integer over one
+    denominator and brought to lowest terms once."""
+
+    __slots__ = ("_bound", "_den", "_dens", "_pows")
+
+    def __init__(self, slots):
+        """slots: (j, v_j) pairs, each v_j a GaussianRational, int or Fraction."""
+        values = [(j, v if isinstance(v, GaussianRational) else GaussianRational(v))
+                  for j, v in slots]
+        den = 1
+        for _, v in values:
+            if den % v._d:
+                den = lcm(den, v._d)
+        self._den = den
+        self._dens = {0: 1, 1: den}
+        # (slot, a_j, b_j) for each bound slot; powers above 1 in _pows
+        self._bound = [(j, v._a * (den // v._d), v._b * (den // v._d)) for j, v in values]
+        self._pows = {}
+
+    def _power(self, j: int, a: int, b: int, x: int) -> tuple:
+        """(a + b*i)^x for slot j, by repeated squaring."""
+        out = self._pows.get((j, x))
+        if out is None:
+            u, v, k = 1, 0, x
+            while k:
+                if k & 1:
+                    u, v = u * a - v * b, u * b + v * a
+                k >>= 1
+                if k:
+                    a, b = a * a - b * b, 2 * a * b
+            out = self._pows[j, x] = (u, v)
+        return out
+
+    def total(self, items, strict: bool = True) -> GaussianRational:
+        """The sum of k * c * prod_j v_j^m_j over the (c, k, m) in items,
+        for coefficients c, integers k and exponent vectors m.
+
+        With strict, an exponent on an unbound slot j raises KeyError(j);
+        otherwise unbound slots are left out of the product."""
+        sa, sb, sd = 0, 0, 1
+        dens = self._dens
+        for c, k, m in items:
+            a, b, e = c._a * k, c._b * k, 0
+            for j, u, v in self._bound:
+                x = m[j]
+                if x:
+                    if x > 1:
+                        u, v = self._power(j, u, v, x)
+                    a, b = a * u - b * v, a * v + b * u
+                    e += x
+            if strict and e != sum(m):
+                bound = {j for j, _, _ in self._bound}
+                raise KeyError(next(j for j, x in enumerate(m) if x and j not in bound))
+            d = dens.get(e)
+            if d is None:
+                d = dens[e] = self._den ** e
+            d *= c._d
+            # add (a + b*i)/d to the running sum (sa + sb*i)/sd
+            if d == sd:
+                sa += a
+                sb += b
+            else:
+                g = gcd(sd, d)
+                s, t = sd // g, d // g
+                sa, sb, sd = sa * t + a * s, sb * t + b * s, s * d
+        return _make(sa, sb, sd)
 
 
 def qi_sqrt(c: GaussianRational):
-    """A square root of c within Q(i), or None when no such root exists."""
-    if c.is_zero():
+    """A square root of c within Q(i), or None when no such root exists.
+
+    The root has positive real part, or is +i*sqrt(-c) when c is a
+    negative real.  With c = (a + b*i)/d, a root (x + y*i)/d needs
+    (x + y*i)^2 = (a + b*i)*d in the Gaussian integers, so x^2 + y^2 is the
+    integer square root of the norm of (a + b*i)*d."""
+    if c._a == 0 and c._b == 0:
         return QI_ZERO
-    if c.im == 0:
-        r = frac_sqrt(c.re)
-        if r is not None:
-            return QI(r)
-        r = frac_sqrt(-c.re)
-        if r is not None:
-            return QI(0, r)
+    d = c._d
+    a, b = c._a * d, c._b * d
+    s = math.isqrt(a * a + b * b)
+    if s * s != a * a + b * b:
         return None
-    # (x + y i)^2 = c:  x^2 - y^2 = re, 2 x y = im, x^2 + y^2 = |c|
-    mod = frac_sqrt(c.norm())
-    if mod is None:
+    # x^2 = (s + a)/2 and y^2 = (s - a)/2, with x*y of the sign of b
+    x2, y2 = (s + a) >> 1, (s - a) >> 1
+    x, y = math.isqrt(x2), math.isqrt(y2)
+    if x * x != x2 or y * y != y2 or x2 + y2 != s:
         return None
-    x2 = (c.re + mod) / 2
-    x = frac_sqrt(x2)
-    if x is None or x == 0:
-        return None
-    y = c.im / (2 * x)
-    root = QI(x, y)
-    return root if root * root == c else None
+    return _make(x, y if b >= 0 else -y, d)

@@ -29,7 +29,7 @@ class CRManifold(NamedTuple):
 
     @property
     def n(self) -> int:
-        return len(self.table.indices(Z_VAR))
+        return len(self.table.zvars())
 
     @property
     def d(self) -> int:
@@ -75,16 +75,33 @@ def check_reality(M: CRManifold) -> bool:
     return all(r.is_real() for r in M.rho)
 
 
+def require_real(*manifolds: CRManifold) -> None:
+    """Refuse non-real defining data, which has no Segre geometry."""
+    if not all(check_reality(M) for M in manifolds):
+        raise ManifoldError("defining polynomials are not real")
+
+
+def _jets(M: CRManifold, p: Point, levi: bool = False) -> list:
+    """Per defining polynomial, its ``Poly.jet`` at p: the value, the
+    gradient in (z, ~z), and with levi the mixed Hessian d^2/(dz_j d~z_k)."""
+    names = M.zvar_names
+    conj = tuple("~" + name for name in names)
+    b = M.point_bindings(p)
+    if levi:
+        return [r.jet(b, names, conj) for r in M.rho]
+    return [r.jet(b, names + conj) for r in M.rho]
+
+
+def _generic_rank(M: CRManifold, jets: list) -> int:
+    """Rank of the antiholomorphic gradients, once p is checked to lie on M."""
+    if not all(value.is_zero() for value, _, _ in jets):
+        raise ManifoldError("point does not lie on the manifold")
+    return rank([grad[M.n:] for _, grad, _ in jets])
+
+
 def genericity_rank(M: CRManifold, p: Point) -> int:
     """Rank of the d x n matrix of antiholomorphic gradients at p in M."""
-    if not M.contains(p):
-        raise ManifoldError("point does not lie on the manifold")
-    b = M.point_bindings(p)
-    A = [
-        [r.diff("~" + name).eval(b) for name in M.zvar_names]
-        for r in M.rho
-    ]
-    return rank(A)
+    return _generic_rank(M, _jets(M, p))
 
 
 class PolarVariety(NamedTuple):
@@ -103,8 +120,7 @@ def polar_gens(M: CRManifold, table: VarTable, conj_names: Sequence[str]) -> Lis
 
 
 def polar(M: CRManifold) -> PolarVariety:
-    if not check_reality(M):
-        raise ManifoldError("defining polynomials are not real")
+    require_real(M)
     zeta = tuple("zeta_" + name for name in M.zvar_names)
     table = VarTable.make(list(M.zvar_names) + list(zeta), conjugates=False)
     gens = polar_gens(M, table, zeta)
@@ -167,12 +183,23 @@ class LeviReport(NamedTuple):
         return self.signature[0] >= 1 and self.signature[1] >= 1
 
 
+def _tangent_basis(M: CRManifold, jets: list) -> List[List[GaussianRational]]:
+    return nullspace([grad[:M.n] for _, grad, _ in jets], M.n)
+
+
 def tangent_basis(M: CRManifold, p: Point) -> List[List[GaussianRational]]:
     """Basis of the holomorphic tangent space H_pM (kernel of the
     holomorphic gradients)."""
-    b = M.point_bindings(p)
-    A = [[r.diff(name).eval(b) for name in M.zvar_names] for r in M.rho]
-    return nullspace(A, M.n)
+    return _tangent_basis(M, _jets(M, p))
+
+
+def _dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:
+    """sum_k xs[k] * ys[k], skipping the products with a zero factor."""
+    s = QI_ZERO
+    for x, y in zip(xs, ys):
+        if not (x.is_zero() or y.is_zero()):
+            s = s + x * y
+    return s
 
 
 def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
@@ -189,32 +216,25 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
         raise ManifoldError(f"conormal needs {M.d} coefficients")
     if all(x == 0 for x in c):
         raise ManifoldError("conormal must be nonzero")
-    if genericity_rank(M, p) != M.d:
+    jets = _jets(M, p, levi=True)
+    if _generic_rank(M, jets) != M.d:
         raise ManifoldError("manifold is not generic at the point")
-    b = M.point_bindings(p)
-    names = M.zvar_names
     n = M.n
     H = [[QI_ZERO] * n for _ in range(n)]
-    for coef, r in zip(c, M.rho):
+    for coef, (_, _, hess) in zip(c, jets):
         if coef == 0:
             continue
-        for j, nj in enumerate(names):
-            dj = r.diff(nj)
-            for k, nk in enumerate(names):
-                H[j][k] = H[j][k] + QI(coef) * dj.diff("~" + nk).eval(b)
-    V = tangent_basis(M, p)
+        w = QI(coef)
+        for j, row in enumerate(hess):
+            for k, h in enumerate(row):
+                if not h.is_zero():
+                    H[j][k] = H[j][k] + w * h
+    V = _tangent_basis(M, jets)
     if len(V) != M.m:
         raise ManifoldError("degenerate holomorphic tangent space at the point")
-    # restrict: B = V^H H V
-    m = len(V)
-    B = [[QI_ZERO] * m for _ in range(m)]
-    for a in range(m):
-        for bb in range(m):
-            s = QI_ZERO
-            for j in range(n):
-                for k in range(n):
-                    s = s + V[a][j].conjugate() * H[j][k] * V[bb][k]
-            B[a][bb] = s
+    # restrict: B = V^H (H V), with H V formed first
+    HV = [[_dot(row, v) for row in H] for v in V]
+    B = [[_dot([x.conjugate() for x in u], hv) for hv in HV] for u in V]
     sig = hermitian_signature(B)
     return LeviReport(tuple(p), tuple(c), sig)
 

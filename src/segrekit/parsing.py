@@ -30,7 +30,8 @@ class ParseError(ValueError):
         self.line = line
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9']*)|(.))")
+_NAME = r"[A-Za-z_][A-Za-z_0-9']*"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|(.))")
 
 
 def _tokenize(src: str) -> List[Tuple[str, str, int]]:
@@ -175,6 +176,31 @@ def parse_poly(src: str, table: VarTable) -> Poly:
 
 _KEYWORD = re.compile(r"\s*(\w*:?)\s*")
 
+# the prefixes of the variable blocks the toolkit builds from a manifold's
+# names (Segre parameters, polar and Segre-set blocks, correspondence blocks)
+RESERVED_PREFIXES = ("wb_", "wpb_", "zb_", "zeta_", "u_", "mb_")
+
+
+def _vars_table(body: str, conjugates: bool) -> VarTable:
+    """The table of a `vars` line: each name a name token, not `i`, not
+    starting with a reserved prefix, and not repeated."""
+    names = []
+    for word in re.finditer(r"\S+", body):
+        name, pos = word.group(), word.start()
+        if not re.fullmatch(_NAME, name):
+            raise ParseError(f"bad variable name {name!r}", pos=pos)
+        if name == "i":
+            raise ParseError("`i` is the imaginary unit, not a variable name", pos=pos)
+        if name.startswith(RESERVED_PREFIXES):
+            raise ParseError(f"variable name {name!r} starts with a reserved prefix "
+                             f"({', '.join(RESERVED_PREFIXES)})", pos=pos)
+        if name in names:
+            raise ParseError(f"repeated variable name {name!r}", pos=pos)
+        names.append(name)
+    if not names:
+        raise ParseError("empty `vars` declaration")
+    return VarTable.make(names, conjugates=conjugates)
+
 
 def _parse_lines(text: str, conjugates: bool, parsers: dict) -> Tuple[VarTable, list]:
     """The variable table and, line by line, (keyword, parsers[keyword](body,
@@ -190,9 +216,7 @@ def _parse_lines(text: str, conjugates: bool, parsers: dict) -> Tuple[VarTable, 
             if key == "vars":
                 if table is not None:
                     raise ParseError("repeated `vars` declaration")
-                if not body.split():
-                    raise ParseError("empty `vars` declaration")
-                table = VarTable.make(body.split(), conjugates=conjugates)
+                table = _vars_table(body, conjugates)
             elif key not in parsers:
                 raise ParseError(f"unrecognized line {code.strip()!r}")
             elif table is None and key != "chart:":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, format_coeff
+from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, PointPowers, format_coeff
 
 Z_VAR = "z"
 CONJ_VAR = "conj"
@@ -29,10 +29,11 @@ class PolyError(ValueError):
 class VarTable:
     """Ordered variable set with kinds and conjugate pairing."""
 
-    __slots__ = ("names", "kinds", "pairs")
+    __slots__ = ("names", "kinds", "pairs", "_index", "_zvars")
 
     def __init__(self, names: tuple, kinds: tuple, pairs: tuple):
-        if len(set(names)) != len(names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise PolyError("variable names must be unique")
         for i, j in enumerate(pairs):
             if j is not None and pairs[j] != i:
@@ -40,6 +41,8 @@ class VarTable:
         self.names = names
         self.kinds = kinds
         self.pairs = pairs  # index of conjugate partner, or None
+        self._index = index
+        self._zvars = tuple(n for n, k in zip(names, kinds) if k == Z_VAR)
 
     def __eq__(self, other):
         if self is other:
@@ -77,15 +80,15 @@ class VarTable:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise PolyError(f"unknown variable {name!r}") from None
 
     def indices(self, kind: str) -> tuple:
         return tuple(i for i, k in enumerate(self.kinds) if k == kind)
 
     def zvars(self) -> tuple:
-        return tuple(self.names[i] for i in self.indices(Z_VAR))
+        return self._zvars
 
     def extend_params(self, extra: Sequence[str]) -> "VarTable":
         return VarTable(
@@ -281,18 +284,19 @@ class Poly:
         for name, val in bindings.items():
             i = self.table.index(name)
             if isinstance(val, SCALARS):
-                numbers.append((i, GaussianRational.from_value(val)))
+                numbers.append((i, val))
             elif val.table != self.table:
                 raise PolyError("binding polynomial over incompatible table")
             else:
                 polys.append((i, val))
+        point = PointPowers(numbers)
         terms: dict = {}
         for m, c in self.terms.items():
             residual = list(m)
-            for i, v in numbers:
-                if m[i]:
+            if numbers:
+                for i, _ in numbers:
                     residual[i] = 0
-                    c = c * v ** m[i]
+                c = point.total(((c, 1, m),), strict=False)
             factor = None
             for i, q in polys:
                 if m[i]:
@@ -306,21 +310,58 @@ class Poly:
                 terms[key] = terms[key] + v if key in terms else v
         return Poly._raw(self.table, {m: c for m, c in terms.items() if not c.is_zero()})
 
+    def _point(self, point: Mapping[str, object]) -> PointPowers:
+        index = self.table.index
+        return PointPowers([(index(name), v) for name, v in point.items()])
+
+    def _total(self, point: PointPowers, items) -> GaussianRational:
+        try:
+            return point.total(items)
+        except KeyError as exc:
+            raise PolyError(f"unbound variable {self.table.names[exc.args[0]]!r}") from None
+
     def eval(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
         """Exact value; every occurring variable must be bound."""
-        values = [None] * len(self.table)
-        for name, v in point.items():
-            values[self.table.index(name)] = GaussianRational.from_value(v)
-        total = QI_ZERO
+        return self._total(self._point(point), ((c, 1, m) for m, c in self.terms.items()))
+
+    def jet(self, point: Mapping[str, GaussianRational], names: Sequence[str],
+            mixed: Sequence[str] = ()) -> tuple:
+        """(value, gradient, mixed Hessian) at point, every occurring variable
+        bound: the first partials in names + mixed, and the second partials
+        d^2/(d names_j d mixed_k) as rows j, columns k.
+
+        One pass over the terms lists each value's (coefficient, factor,
+        exponents) contributions; each value is then summed and normalized
+        once, with no derivative polynomial built."""
+        index = self.table.index
+        first = [index(n) for n in (*names, *mixed)]
+        second = [index(n) for n in mixed]
+        value = []
+        grad = [[] for _ in first]
+        hess = [[[] for _ in second] for _ in names]
+        rows = len(names)
         for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    if values[i] is None:
-                        raise PolyError(f"unbound variable {self.table.names[i]!r}")
-                    v = v * values[i] ** e
-            total = total + v
-        return total
+            value.append((c, 1, m))
+            for j, a in enumerate(first):
+                ea = m[a]
+                if not ea:
+                    continue
+                low = list(m)
+                low[a] -= 1
+                grad[j].append((c, ea, low))
+                if j < rows:
+                    for k, b in enumerate(second):
+                        eb = low[b]
+                        if eb:
+                            low2 = low.copy()
+                            low2[b] -= 1
+                            hess[j][k].append((c, ea * eb, low2))
+        pt = self._point(point)
+
+        def total(items):
+            return self._total(pt, items) if items else QI_ZERO
+
+        return total(value), [total(g) for g in grad], [[total(h) for h in row] for row in hess]
 
     def diff(self, name: str) -> "Poly":
         i = self.table.index(name)

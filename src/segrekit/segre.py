@@ -7,7 +7,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
                     eliminate, parametric_normal_form)
-from .manifold import CRManifold, ManifoldError, check_reality, polar_gens
+from .manifold import CRManifold, ManifoldError, polar_gens, require_real
 from .poly import Poly, VarTable
 
 SYMBOLIC = "symbolic"
@@ -45,8 +45,7 @@ class SegreVariety(NamedTuple):
 
 
 def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
-    if not check_reality(M):
-        raise ManifoldError("defining polynomials are not real")
+    require_real(M)
     params = _wb_names(M) if w == SYMBOLIC else ()
     table = _ztable(M, params)
     ideal = Ideal.make(_segre_gens(M, w, table), table=table)
@@ -161,7 +160,7 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
     z-coefficients are collected.  Returns (generators, excluded, table): the
     nonzero coefficients, target by target and ascending in Q_w's order of
     their z-monomials, and the excluded-locus ledger, over the parameter
-    table (wb_* if w is symbolic, then the target block)."""
+    table (wb_* if w is symbolic, then the target block).  M must be real."""
     zvars = M.zvar_names
     table = targets[0].table
     params = [n for n in table.names if n not in zvars]
@@ -192,6 +191,7 @@ def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
 
     The containment Q_w subset Q_z with targets rho(z, zb): the identity-map
     case of a correspondence graph."""
+    require_real(M)
     zb = tuple("zb_" + name for name in M.zvar_names)
     ttable = VarTable.make(list(M.zvar_names), params=zb, conjugates=False)
     gens, excluded, ptable = containment_ideal(M, w, polar_gens(M, ttable, zb))

@@ -91,3 +91,29 @@ def test_oracle_is_seed_deterministic():
     a = numeric_oracle([p], ["x"], seed=7)
     b = numeric_oracle([p], ["x"], seed=7)
     assert a.count == b.count == 3
+
+
+@pytest.mark.parametrize("name", ["sphere_C2", "hyperquadric_k1_n3", "tube_C2"])
+@pytest.mark.parametrize("module, function", [
+    ("segre", "essential_finiteness"),
+    ("manifold", "levi_signature"),
+])
+def test_suite_computes_each_quantity_once_per_point(name, module, function, monkeypatch):
+    import importlib
+
+    import segrekit.catalog as catalog
+
+    home = importlib.import_module("segrekit." + module)
+    calls = []
+    real = getattr(home, function)
+
+    def counted(M, *args):
+        calls.append(tuple(tuple(a) for a in args))
+        return real(M, *args)
+
+    # the catalog's own name, and the one other modules call through
+    monkeypatch.setattr(catalog, function, counted)
+    monkeypatch.setattr(home, function, counted)
+    rep = run_suite(load_catalog()[name], seed=0)
+    assert rep.ok
+    assert len(calls) == len(set(calls))

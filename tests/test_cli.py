@@ -257,3 +257,37 @@ def test_exit_code_exponent_too_large_for_the_engine(tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "resource-limit"
     assert doc["results"]["limit_stats"] == {"exponent": 40000, "max_exponent": 32767}
+
+
+NON_REAL = "vars z1 z2\nrho: i*z1*~z1 + z2*~z2 - 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["essfin", "{m}", "--point", "0,1"],
+    ["segre", "{m}", "--symbolic"],
+    ["minimal", "{m}", "--point", "0,1"],
+    ["correspond", "{m}", "sphere_C2.mfd", "identity_C2.map"],
+    ["correspond", "sphere_C2.mfd", "{m}", "identity_C2.map", "--fiber", "1,4"],
+], ids=["essfin", "segre", "minimal", "correspond-source", "correspond-target"])
+def test_non_real_manifold_is_an_input_error(argv, tmp_path):
+    mfd = tmp_path / "non_real.mfd"
+    mfd.write_text(NON_REAL)
+    argv = [str(mfd) if a == "{m}" else data_path(a) if a.endswith((".mfd", ".map")) else a
+            for a in argv]
+    code, out, _ = run_cli(*argv)
+    assert code == 2
+    assert json.loads(out)["status"] == "input-error: defining polynomials are not real"
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("vars i z2\nrho: i*~i + z2*~z2 - 1\n", ["segre", "{m}", "--point", "0,1"]),
+    ("vars z1 wb_z1\nrho: z1*~z1 + wb_z1*~wb_z1 - 1\n", ["segre", "{m}", "--symbolic"]),
+    ("vars z1 z1\nrho: z1*~z1 - 1\n", ["essfin", "{m}", "--point", "1,0"]),
+], ids=["i", "reserved-prefix", "repeated"])
+def test_bad_vars_names_are_input_errors(text, argv, tmp_path):
+    mfd = tmp_path / "bad.mfd"
+    mfd.write_text(text)
+    code, out, _ = run_cli(*[str(mfd) if a == "{m}" else a for a in argv])
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error: bad manifold file") and "(line 1, column" in status

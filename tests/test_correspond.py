@@ -244,3 +244,13 @@ def test_inversion_set_and_identity_correspondence_agree(fname, w, degree):
     assert w in [p for p, _ in res.solutions]
     assert essential_finiteness(M, w) == (True, degree)
     assert res.degree == degree
+
+
+def test_correspondences_refuse_non_real_data():
+    non_real = CRManifold.from_text("vars z1 z2\nrho: i*z1*~z1 + z2*~z2 - 1\n")
+    for source, target in [(non_real, SPHERE), (SPHERE, non_real)]:
+        f = AlgebraicMap.identity(source)
+        with pytest.raises(ManifoldError, match="defining polynomials are not real"):
+            build_correspondence(source, target, f)
+        with pytest.raises(ManifoldError, match="defining polynomials are not real"):
+            verify_invariance(source, target, f, [(QI(1), QI(0))], per_point=2)

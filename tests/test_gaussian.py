@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrekit.gaussian import (GaussianRational as QI, QI_I, QI_ONE, QI_ZERO,
-                               format_coeff, frac_sqrt, qi_sqrt)
+                               format_coeff, qi_sqrt)
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 qis = st.builds(QI, fracs, fracs)
@@ -54,10 +54,12 @@ def test_pow_matches_repeated_product(a, k):
     assert a ** k == acc
 
 
-def test_frac_sqrt():
-    assert frac_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert frac_sqrt(Fraction(2)) is None
-    assert frac_sqrt(Fraction(0)) == 0
+def test_qi_sqrt_of_rationals():
+    assert qi_sqrt(QI(Fraction(9, 4))) == QI(Fraction(3, 2))
+    assert qi_sqrt(QI(Fraction(-9, 4))) == QI(0, Fraction(3, 2))
+    assert qi_sqrt(QI(Fraction(2))) is None
+    assert qi_sqrt(QI(Fraction(2, 9))) is None
+    assert qi_sqrt(QI(0)) == 0
 
 
 def test_qi_sqrt_exact_cases():

@@ -137,3 +137,39 @@ def test_malformed_lines_name_their_line(parse, text, line):
 def test_zero_denominator_is_a_parse_error():
     exc = _parse_error(parse_map_text, "vars z1\ncomponent: z1 / (z1 - z1)\n")
     assert exc.line == 2 and "zero denominator" in str(exc)
+
+
+@pytest.mark.parametrize("parse, body", [
+    (parse_manifold_text, "rho: z1*~z1 - 1\n"),
+    (parse_map_text, "component: z1\n"),
+], ids=["manifold", "map"])
+@pytest.mark.parametrize("names, bad, reason", [
+    ("i z2", "i", "imaginary unit"),
+    ("z1 wb_z1", "wb_z1", "reserved prefix"),
+    ("z1 wpb_1", "wpb_1", "reserved prefix"),
+    ("zb_a z1", "zb_a", "reserved prefix"),
+    ("z1 zeta_z1", "zeta_z1", "reserved prefix"),
+    ("u_1 z1", "u_1", "reserved prefix"),
+    ("z1 mb_q", "mb_q", "reserved prefix"),
+    ("z1 z2 z1", "z1", "repeated variable name 'z1'"),
+    ("z1 1z", "1z", "bad variable name '1z'"),
+    ("z1 z-2", "z-2", "bad variable name 'z-2'"),
+    ("z1 ~z2", "~z2", "bad variable name '~z2'"),
+], ids=["i", "wb", "wpb", "zb", "zeta", "u", "mb", "repeated", "digit", "dash", "tilde"])
+def test_vars_names_are_checked_where_they_enter(parse, body, names, bad, reason):
+    line = f"vars {names}"
+    exc = _parse_error(parse, "# variables\n" + line + "\n" + body)
+    assert exc.line == 2 and reason in str(exc)
+    # the column is that of the offending name (its last occurrence if repeated)
+    assert exc.pos == line.rindex(bad)
+
+
+def test_vars_names_the_grammar_accepts():
+    spec = parse_manifold_text("vars z_1 w' Zeta u1 mbz\nrho: z_1*~z_1 + w'*~w' - 1\n")
+    assert spec.table.zvars() == ("z_1", "w'", "Zeta", "u1", "mbz")
+
+
+def test_i_can_no_longer_shadow_the_imaginary_unit():
+    # `vars i z2` used to parse `i*~i` as the imaginary unit times a variable
+    with pytest.raises(ParseError, match="imaginary unit"):
+        parse_manifold_text("vars i z2\nrho: i*~i + z2*~z2 - 1\n")

@@ -175,3 +175,22 @@ def test_minimality_reuses_the_cached_segre_set_bases(monkeypatch):
     p = sample_points("tube_C2", 1, 0)[0]
     assert minimality(TUBE, p) == (False, 1)
     assert len(calls) == 3
+
+
+NON_REAL = CRManifold.from_text("vars z1 z2\nrho: i*z1*~z1 + z2*~z2 - 1\n")
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: segre_variety(NON_REAL, pt(1, 0)),
+    lambda: segre_variety(NON_REAL, SYMBOLIC),
+    lambda: inversion_set(NON_REAL, pt(0, 1)),
+    lambda: inversion_set(NON_REAL, SYMBOLIC),
+    lambda: essential_finiteness(NON_REAL, pt(0, 1)),
+    lambda: segre_map_locally_injective(NON_REAL, pt(0, 1)),
+    lambda: minimality(NON_REAL, pt(0, 1)),
+], ids=["segre", "segre-symbolic", "inversion", "inversion-symbolic", "essfin",
+        "injective", "minimality"])
+def test_every_segre_computation_refuses_non_real_data(compute):
+    # essential_finiteness used to report (True, 1) here
+    with pytest.raises(ManifoldError, match="defining polynomials are not real"):
+        compute()
