@@ -206,33 +206,54 @@ def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]
     return VarTable.make(list(wb) + list(wpb), conjugates=False), wb, wpb
 
 
-def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Correspondence:
-    """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}}: the containment
-    ideal of rho'(f(z), wpb) on the symbolic Segre variety of M.  Both
-    manifolds must be real."""
-    require_real(M, Mp)
-    _, wb, wpb = _param_table(M, Mp)
+def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> List[Poly]:
+    """rho'(f(z), wpb) for each defining polynomial of Mp, denominators
+    cleared (each component's to the degree of rho' in its variable), over
+    M's z-variables and the wpb_* block.
+
+    Each factor num_k^a * den_k^(deg_k - a) * wpb_k^b is made once per
+    (k, a, deg_k - a, b), and a term multiplies only its factors that are
+    not 1."""
+    wpb = _param_table(M, Mp)[2]
     ttable = VarTable.make(list(M.zvar_names), params=list(wpb), conjugates=False)
     nums = [num.transport(ttable) for num, _ in f.components]
     dens = [den.transport(ttable) for _, den in f.components]
+    one = Poly.const(ttable, 1)
+    factors = {}
+
+    def product(polys) -> Poly:
+        out = None
+        for p in polys:
+            if p != one:
+                out = p if out is None else out * p
+        return one if out is None else out
+
+    def factor(k: int, a: int, e: int, b: int) -> Poly:
+        key = (k, a, e, b)
+        if key not in factors:
+            factors[key] = product((nums[k] ** a, dens[k] ** e, Poly.var(ttable, wpb[k]) ** b))
+        return factors[key]
 
     targets: List[Poly] = []
     for rp in Mp.rho:
-        # rho'(f(z), wpb) with denominators cleared
-        degs = [rp.degree_in([rp.table.index(n)]) for n in Mp.zvar_names]
+        slots = [(rp.table.index(n), rp.table.index("~" + n)) for n in Mp.zvar_names]
+        degs = [rp.degree_in([i]) for i, _ in slots]
         acc = Poly.zero(ttable)
         for mono, c in rp.terms.items():
-            piece = Poly.const(ttable, c)
-            for k, n in enumerate(Mp.zvar_names):
-                a = mono[rp.table.index(n)]
-                b = mono[rp.table.index("~" + n)]
-                piece = piece * nums[k] ** a * dens[k] ** (degs[k] - a)
-                if b:
-                    piece = piece * Poly.var(ttable, wpb[k]) ** b
-            acc = acc + piece
+            piece = product(factor(k, mono[i], degs[k] - mono[i], mono[j])
+                            for k, (i, j) in enumerate(slots))
+            acc = acc + (piece if c.is_one() else piece * c)
         targets.append(acc)
+    return targets
 
-    gens, excluded, ptable = containment_ideal(M, SYMBOLIC, targets)
+
+def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Correspondence:
+    """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}}: the containment
+    ideal of the ``graph_targets`` on the symbolic Segre variety of M.  Both
+    manifolds must be real."""
+    require_real(M, Mp)
+    _, wb, wpb = _param_table(M, Mp)
+    gens, excluded, ptable = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f))
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
     graph = Ideal.make(gens, table=ptable)
@@ -285,8 +306,11 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     d = dimension(I)
     if d < 0:
         raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")
-    # Nullstellensatz: some fiber point lies on V(e) unless 1 is in I + <e(w)>
+    # Nullstellensatz: some fiber point lies on V(e) unless 1 is in I + <e(w)>,
+    # as it is when e(w) is a nonzero constant
     for e, at_w in ledger:
+        if at_w.is_constant():
+            continue
         if not Ideal.make(I.groebner() + (at_w,), table=ftable).is_trivial():
             raise ExcludedLocusError(f"a fiber point lies on the excluded locus {e}")
     if d > 0:

@@ -13,7 +13,6 @@ or leaves the engine.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from heapq import heappop, heappush, heapify
@@ -21,7 +20,7 @@ from operator import itemgetter, le
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI_ONE
-from .orders import MonomialOrder, ResourceLimitError, block_elim, grevlex
+from .orders import MonomialOrder, ResourceLimitError, block_elim
 from .poly import Poly, PolyError, VarTable
 
 
@@ -34,6 +33,8 @@ class Limits(NamedTuple):
 
 
 DEFAULT_LIMITS = Limits()
+# the most standard monomials a zero-dimensional ideal may have
+STANDARD_CAP = 100000
 _SCOPED_LIMITS: ContextVar[Limits] = ContextVar("segrekit_limits",
                                                 default=DEFAULT_LIMITS)
 
@@ -379,9 +380,10 @@ def _interreduce(G: Sequence[_Packed], order: MonomialOrder,
 
 class Ideal:
     """Finite generating set with an optional cached reduced Groebner basis,
-    computed under the caps in force when it is first asked for."""
+    computed under the caps in force when it is first asked for, and the
+    staircase read from it."""
 
-    __slots__ = ("generators", "order", "table", "_gb")
+    __slots__ = ("generators", "order", "table", "_gb", "_stairs")
 
     def __init__(self, generators: Tuple[Poly, ...], order: MonomialOrder,
                  table: VarTable, _gb: Optional[Tuple[Poly, ...]] = None):
@@ -389,6 +391,7 @@ class Ideal:
         self.order = order
         self.table = table
         self._gb = _gb
+        self._stairs = None
 
     @staticmethod
     def make(gens: Iterable[Poly], order: Optional[MonomialOrder] = None,
@@ -398,13 +401,19 @@ class Ideal:
             if not gens:
                 raise PolyError("empty ideal needs an explicit table")
             table = gens[0].table
-        order = order or grevlex(len(table))
-        return Ideal(gens, order, table)
+        return Ideal(gens, order or table.grevlex, table)
 
     def groebner(self) -> Tuple[Poly, ...]:
         if self._gb is None:
             self._gb = tuple(buchberger(self.generators, self.order))
         return self._gb
+
+    def staircase(self) -> List[tuple]:
+        """The minimal leading monomials: those of the reduced basis, which
+        ``dimension`` and ``degree_zero_dim`` read."""
+        if self._stairs is None:
+            self._stairs = [_lm(g, self.order) for g in self.groebner()]
+        return self._stairs
 
     def with_order(self, order: MonomialOrder) -> "Ideal":
         """The ideal under ``order``: itself, cached basis and all, when
@@ -423,7 +432,7 @@ class Ideal:
             return NotImplemented
         if self.table != other.table:
             return False
-        order = grevlex(len(self.table))
+        order = self.table.grevlex
         return self.with_order(order).groebner() == other.with_order(order).groebner()
 
 
@@ -444,11 +453,7 @@ def member(p: Poly, I: Ideal) -> bool:
 def _rabinowitsch(I: Ideal, p: Poly, stem: str) -> Ideal:
     """I + <1 - t*p> over the table of I extended by a fresh variable t,
     named ``stem`` or ``stem`` with the first number that makes it fresh."""
-    aux = stem
-    k = 0
-    while aux in I.table.names:
-        k += 1
-        aux = f"{stem}{k}"
+    aux = I.table.fresh(stem)
     ext = I.table.extend_params([aux])
     gens = [g.transport(ext) for g in I.generators]
     t = Poly.var(ext, aux)
@@ -476,28 +481,51 @@ def eliminate(I: Ideal, keep_names: Sequence[str]) -> Ideal:
     return Ideal.make(kept, table=sub)
 
 
+def _min_cover(supports: List[frozenset], bound: int) -> int:
+    """Fewest variables meeting every support (none empty), or ``bound``
+    when no cover has fewer: branch on the variables of a smallest support
+    not met yet."""
+    if not supports:
+        return 0
+    if bound <= 1:
+        return bound
+    best = bound
+    for v in min(supports, key=len):
+        best = min(best, 1 + _min_cover([s for s in supports if v not in s], best - 1))
+    return best
+
+
 def dimension(I: Ideal) -> int:
-    """Krull dimension of the quotient ring, from the leading-term staircase.
+    """Krull dimension of the quotient ring, from the staircase: n minus the
+    fewest variables that meet the support of every minimal leading monomial.
 
-    Returns -1 for the trivial ideal (empty variety).
-    """
-    if I.is_trivial():
+    Returns -1 for the trivial ideal (empty variety)."""
+    supports = {frozenset(i for i, e in enumerate(m) if e) for m in I.staircase()}
+    if frozenset() in supports:
         return -1
-    lms = [_lm(g, I.order) for g in I.groebner()]
     n = len(I.table)
-    # maximal subset S of variables such that no leading monomial lives in k[S]
-    for size in range(n, 0, -1):
-        for S in itertools.combinations(range(n), size):
-            sset = set(S)
-            if all(any(e and i not in sset for i, e in enumerate(m)) for m in lms):
-                return size
-    return 0
+    return n - _min_cover(list(supports), n)
 
 
-def standard_monomials(I: Ideal, cap: int = 100000) -> List[tuple]:
+def _count_below(stairs: List[tuple], n: int, seen: dict) -> int:
+    """The number of monomials in the first n variables that no element of
+    ``stairs`` divides, counted slice by slice in the last variable; every
+    variable must have a pure power in ``stairs``."""
+    if n == 0:
+        return 1
+    key = (n, frozenset(stairs))
+    if key not in seen:
+        top = min(s[-1] for s in stairs if not any(s[:-1]))
+        cuts = sorted({s[-1] for s in stairs if s[-1] < top} | {0}) + [top]
+        seen[key] = sum(
+            (hi - lo) * _count_below([s[:-1] for s in stairs if s[-1] <= lo], n - 1, seen)
+            for lo, hi in zip(cuts, cuts[1:]))
+    return seen[key]
+
+
+def standard_monomials(I: Ideal, cap: int = STANDARD_CAP) -> List[tuple]:
     """Monomials outside the leading-term ideal; requires dimension 0."""
-    gb = I.groebner()
-    lms = [_lm(g, I.order) for g in gb]
+    lms = I.staircase()
     n = len(I.table)
     seen = {(0,) * n}
     frontier = [(0,) * n]
@@ -523,11 +551,19 @@ def standard_monomials(I: Ideal, cap: int = 100000) -> List[tuple]:
 
 
 def degree_zero_dim(I: Ideal) -> int:
-    """Vector-space dimension of the quotient; the solution count with multiplicity."""
-    d = dimension(I)
-    if d != 0:
-        raise PolyError(f"degree requested on an ideal of dimension {d}")
-    return len(standard_monomials(I))
+    """Vector-space dimension of the quotient, the solution count with
+    multiplicity: the standard monomials, counted from the staircase without
+    listing them.  A count above STANDARD_CAP raises ResourceLimitError."""
+    stairs = I.staircase()
+    n = len(I.table)
+    pure = {i for m in stairs for i, e in enumerate(m) if e and sum(m) == e}
+    if len(pure) < n:
+        raise PolyError(f"degree requested on an ideal of dimension {dimension(I)}")
+    count = _count_below(stairs, n, {})
+    if count > STANDARD_CAP:
+        raise ResourceLimitError("standard monomial count exceeded cap",
+                                 {"count": count, "cap": STANDARD_CAP})
+    return count
 
 
 def saturate(I: Ideal, e: Poly) -> Ideal:
@@ -543,7 +579,7 @@ def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):
     """Quotient p/d when the division is exact, else None."""
     if d.is_zero():
         return None
-    codec = (order or grevlex(len(p.table))).codec
+    codec = (order or p.table.grevlex).codec
     quot = {}
     rem = _divide(_pack(p.terms, codec), [_divisor(_pack(d.terms, codec))], codec,
                   _field_step, [quot])
@@ -557,12 +593,14 @@ def coefficients_in(p: Poly, main_indices: Sequence[int]) -> dict:
     """Split p as a sum over monomials in the main block with parameter
     polynomials as coefficients: {main exponent tuple -> Poly}."""
     main = set(main_indices)
+    mask = [i in main for i in range(len(p.table))]
     buckets = {}
     for m, c in p.terms.items():
-        key = tuple(m[i] if i in main else 0 for i in range(len(m)))
-        rest = tuple(0 if i in main else m[i] for i in range(len(m)))
+        key = tuple([e if k else 0 for e, k in zip(m, mask)])
+        rest = tuple([0 if k else e for e, k in zip(m, mask)])
         buckets.setdefault(key, {})[rest] = c
-    return {k: Poly(p.table, v) for k, v in buckets.items()}
+    # each term lands in one bucket, so the maps need no cleaning
+    return {k: Poly._raw(p.table, v) for k, v in buckets.items()}
 
 
 def parametric_normal_form(
@@ -577,7 +615,7 @@ def parametric_normal_form(
     table = I.table
     params = {table.index(n) for n in param_names}
     main = [i for i in range(len(table)) if i not in params]
-    codec = grevlex(len(table)).codec
+    codec = table.grevlex.codec
     divisors = [_divisor(_pack(coefficients_in(g, main), codec))
                 for g in I.generators if not g.is_zero()]
     excluded: List[Poly] = []

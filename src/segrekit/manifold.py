@@ -135,10 +135,16 @@ def _bidegrees(p: Poly) -> Tuple[int, int]:
     return dz, dc
 
 
-def homogenize(M: CRManifold, hom_var: str = "z0") -> CRManifold:
-    """Bihomogenize each defining polynomial with a new chart variable."""
+def homogenize(M: CRManifold, hom_var: Optional[str] = None) -> CRManifold:
+    """Bihomogenize each defining polynomial with a new chart variable:
+    ``hom_var``, which must not be one of M's, or by default z0 (z01, z02,
+    ... when M has a z0)."""
     if M.chart != "affine":
         raise ManifoldError("manifold is already projective")
+    if hom_var is None:
+        hom_var = M.table.fresh("z0")
+    elif hom_var in M.table.names:
+        raise ManifoldError(f"chart variable {hom_var!r} is already a variable of the manifold")
     new_vars = [hom_var] + list(M.zvar_names)
     table = VarTable.make(new_vars)
     rho = []
@@ -207,7 +213,8 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
 
     The form is sum_j c_j * Hess(rho_j) restricted to H_pM, diagonalized by
     Hermitian congruence over Q(i).  The entries of c are rationals or
-    their strings."""
+    their strings, and M must be real: otherwise the form is not Hermitian."""
+    require_real(M)
     try:
         c = [Fraction(x) for x in c]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

@@ -13,6 +13,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, PointPowers, format_coeff
+from .orders import MonomialOrder, grevlex
 
 Z_VAR = "z"
 CONJ_VAR = "conj"
@@ -27,9 +28,10 @@ class PolyError(ValueError):
 
 
 class VarTable:
-    """Ordered variable set with kinds and conjugate pairing."""
+    """Ordered variable set with kinds and conjugate pairing, and the grevlex
+    order on it that ideals and reductions over the table share."""
 
-    __slots__ = ("names", "kinds", "pairs", "_index", "_zvars")
+    __slots__ = ("names", "kinds", "pairs", "_index", "_zvars", "_grevlex")
 
     def __init__(self, names: tuple, kinds: tuple, pairs: tuple):
         index = {name: i for i, name in enumerate(names)}
@@ -43,6 +45,7 @@ class VarTable:
         self.pairs = pairs  # index of conjugate partner, or None
         self._index = index
         self._zvars = tuple(n for n, k in zip(names, kinds) if k == Z_VAR)
+        self._grevlex = None
 
     def __eq__(self, other):
         if self is other:
@@ -89,6 +92,23 @@ class VarTable:
 
     def zvars(self) -> tuple:
         return self._zvars
+
+    @property
+    def grevlex(self) -> MonomialOrder:
+        """The grevlex order on the table's variables, made on first use and
+        kept, codec and all."""
+        if self._grevlex is None:
+            self._grevlex = grevlex(len(self.names))
+        return self._grevlex
+
+    def fresh(self, stem: str) -> str:
+        """``stem``, or ``stem`` with the first number that makes it a name
+        the table does not have."""
+        name, k = stem, 0
+        while name in self._index:
+            k += 1
+            name = f"{stem}{k}"
+        return name
 
     def extend_params(self, extra: Sequence[str]) -> "VarTable":
         return VarTable(
@@ -228,14 +248,14 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise PolyError("negative polynomial power")
-        out = Poly.const(self.table, 1)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
-        return out
+        return Poly.const(self.table, 1) if out is None else out
 
     def submul(self, f: "Poly", g: "Poly") -> "Poly":
         """self - f*g; the multiply-subtract of the division kernel, which
@@ -271,7 +291,21 @@ class Poly:
         return Poly(self.table, terms)
 
     def is_real(self) -> bool:
-        return self.conjugate() == self
+        """True when the polynomial equals its conjugate: each term's
+        coefficient is the conjugate of its partner term's, the term with
+        paired z/conjugate exponents swapped.  No conjugate is built."""
+        table = self.table
+        pairs = table.pairs
+        for i, (kind, j) in enumerate(zip(table.kinds, pairs)):
+            if j is None and kind in (Z_VAR, CONJ_VAR) and any(m[i] for m in self.terms):
+                raise PolyError(f"variable {table.names[i]!r} has no conjugate partner")
+        swap = [i if j is None else j for i, j in enumerate(pairs)]
+        terms = self.terms
+        for m, c in terms.items():
+            partner = terms.get(tuple([m[j] for j in swap]))
+            if partner is None or partner != c.conjugate():
+                return False
+        return True
 
     # -- substitution and evaluation ------------------------------------------
 
@@ -396,11 +430,9 @@ class Poly:
     # -- printing ----------------------------------------------------------------
 
     def to_str(self, order=None) -> str:
-        from .orders import grevlex
-
         if self.is_zero():
             return "0"
-        order = order or grevlex(len(self.table))
+        order = order or self.table.grevlex
         parts = []
         for m in sorted(self.terms, key=order.key, reverse=True):
             c = self.terms[m]

@@ -92,26 +92,28 @@ def back_substitute(gens: Sequence[Poly], table: VarTable,
         live.append(g)
     if not live:
         return [(bound, 1)]
-    for gi, g in enumerate(live):
-        vs = g.variables()
+    occurs = [g.variables() for g in live]
+    for gi, (g, vs) in enumerate(zip(live, occurs)):
         if len(vs) == 1:
             (vi,) = vs
             roots = _univariate_roots(g, vi)
             if roots is None:
                 return None
-            rest = live[:gi] + live[gi + 1:]
+            rest = list(zip(live[:gi] + live[gi + 1:], occurs[:gi] + occurs[gi + 1:]))
             steps = [(table.names[vi], val, mult) for val, mult in follow(roots)]
             break
     else:
         step = stuck(live)
         if step is None:
             return None
-        rest = live
+        rest = list(zip(live, occurs))
         steps = [(*step, 1)]
     out = []
     for name, val, mult in steps:
-        sub = back_substitute([h.substitute({name: val}) for h in rest], table,
-                              follow, stuck, {**bound, name: val})
+        # a root is substituted only where its variable occurs
+        vi = table.index(name)
+        sub = back_substitute([h.substitute({name: val}) if vi in vs else h for h, vs in rest],
+                              table, follow, stuck, {**bound, name: val})
         if sub is None:
             return None
         out.extend((pt, m * mult) for pt, m in sub)

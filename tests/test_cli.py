@@ -268,7 +268,8 @@ NON_REAL = "vars z1 z2\nrho: i*z1*~z1 + z2*~z2 - 1\n"
     ["minimal", "{m}", "--point", "0,1"],
     ["correspond", "{m}", "sphere_C2.mfd", "identity_C2.map"],
     ["correspond", "sphere_C2.mfd", "{m}", "identity_C2.map", "--fiber", "1,4"],
-], ids=["essfin", "segre", "minimal", "correspond-source", "correspond-target"])
+    ["levi", "{m}", "--point", "0,1", "--conormal", "1"],
+], ids=["essfin", "segre", "minimal", "correspond-source", "correspond-target", "levi"])
 def test_non_real_manifold_is_an_input_error(argv, tmp_path):
     mfd = tmp_path / "non_real.mfd"
     mfd.write_text(NON_REAL)

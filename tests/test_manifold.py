@@ -70,6 +70,29 @@ def test_homogenized_is_real():
     assert check_reality(homogenize(POWER))
 
 
+def test_homogenize_picks_a_fresh_chart_variable():
+    """z0 is a legal variable name; the chart variable then becomes z01."""
+    M = CRManifold.from_text("vars z0 z1\nrho: z0*~z0 + z1*~z1 - 1\n")
+    H = homogenize(M)
+    assert H.zvar_names == ("z01", "z0", "z1")
+    assert check_reality(H)
+    assert [str(r) for r in dehomogenize(H, 0).rho] == [str(r) for r in M.rho]
+
+
+@pytest.mark.parametrize("name", ["z1", "z2"])
+def test_homogenize_refuses_a_chart_variable_it_has(name):
+    with pytest.raises(ManifoldError, match=f"chart variable '{name}'"):
+        homogenize(POWER, name)
+
+
+def test_levi_refuses_non_real_data():
+    """i|z1|^2 + |z2|^2 = 1 gives the form [[i]] at (0, 1), which is not
+    Hermitian."""
+    M = CRManifold.from_text("vars z1 z2\nrho: i*z1*~z1 + z2*~z2 - 1\n")
+    with pytest.raises(ManifoldError, match="defining polynomials are not real"):
+        levi_signature(M, pt(0, 1), (1,))
+
+
 def test_levi_sphere_definite():
     rep = levi_signature(SPHERE, pt(1, 0), (1,))
     assert rep.signature == (1, 0, 0)
