@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -13,60 +12,80 @@ from .gaussian import GaussianRational as QI
 from .gaussian import QI_ZERO
 from .manifold import (CRManifold, check_reality, genericity_rank,
                        levi_signature)
-from .segre import check_symmetry, essential_finiteness, minimality
+from .segre import essential_finiteness, minimality, symmetry_holds
 from .correspond import (AlgebraicMap, Correspondence, build_correspondence,
                          fiber, power_correspondence, verify_invariance)
 
 
 # -- rational point samplers -------------------------------------------------------
+#
+# The samplers draw ratios t = p/q (q > 0, not reduced) and build each
+# coordinate as one Gaussian-integer triple (a, b, d), meaning (a + b*i)/d,
+# brought to lowest terms once.
 
-def _phase(t: Fraction) -> QI:
-    """Rational point on the unit circle: ((1-t^2) + 2t i) / (1+t^2)."""
-    d = 1 + t * t
-    return QI((1 - t * t) / d, (2 * t) / d)
+
+def _ratio(rng: random.Random) -> Tuple[int, int]:
+    return rng.randint(-9, 9), rng.randint(1, 6)
 
 
-def _frac(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+def _phase(rng: random.Random) -> Tuple[int, int, int]:
+    """A rational point of the unit circle, ((1-t^2) + 2t i) / (1+t^2)."""
+    p, q = _ratio(rng)
+    return q * q - p * p, 2 * p * q, q * q + p * p
+
+
+def _times(z: Tuple[int, int, int], num: int, den: int) -> Tuple[int, int, int]:
+    """The triple z times the rational num/den."""
+    return z[0] * num, z[1] * num, z[2] * den
+
+
+def _sphere(rng: random.Random) -> Tuple[tuple, tuple]:
+    """Triples with |z1|^2 + |z2|^2 = 1: phases times (1-t^2)/(1+t^2) and
+    2t/(1+t^2)."""
+    p, q = _ratio(rng)
+    z1 = _times(_phase(rng), q * q - p * p, q * q + p * p)
+    return z1, _times(_phase(rng), 2 * p * q, q * q + p * p)
+
+
+def _cosh_sinh(rng: random.Random) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(t + 1/t)/2 and (t - 1/t)/2, as (num, den) pairs, at a t = p/q != 0."""
+    p, q = _ratio(rng)
+    while p == 0:
+        p, q = _ratio(rng)
+    return (p * p + q * q, 2 * p * q), (p * p - q * q, 2 * p * q)
 
 
 def sample_sphere_point(rng: random.Random) -> Tuple[QI, QI]:
     """Rational point with |z1|^2 + |z2|^2 = 1."""
-    t = _frac(rng)
-    u = (1 - t * t) / (1 + t * t)
-    v = (2 * t) / (1 + t * t)
-    return (_phase(_frac(rng)) * QI(u), _phase(_frac(rng)) * QI(v))
+    z1, z2 = _sphere(rng)
+    return QI.from_ints(*z1), QI.from_ints(*z2)
 
 
 def sample_hyperquadric3_point(rng: random.Random) -> Tuple[QI, QI, QI]:
     """Rational point with |z1|^2 + |z2|^2 - |z3|^2 = 1."""
-    t = _frac(rng)
-    while t == 0:
-        t = _frac(rng)
-    c = (t - 1 / t) / 2
-    e = (t + 1 / t) / 2
-    z1, z2 = sample_sphere_point(rng)
-    return (z1 * QI(e), z2 * QI(e), _phase(_frac(rng)) * QI(c))
+    e, c = _cosh_sinh(rng)
+    z1, z2 = _sphere(rng)
+    return (QI.from_ints(*_times(z1, *e)), QI.from_ints(*_times(z2, *e)),
+            QI.from_ints(*_times(_phase(rng), *c)))
 
 
 def sample_hyperquadric2_point(rng: random.Random) -> Tuple[QI, QI]:
     """Rational point with 1 + |z1|^2 - |z2|^2 = 0."""
-    t = _frac(rng)
-    while t == 0:
-        t = _frac(rng)
-    c = (t - 1 / t) / 2
-    e = (t + 1 / t) / 2
-    return (_phase(_frac(rng)) * QI(c), _phase(_frac(rng)) * QI(e))
+    e, c = _cosh_sinh(rng)
+    z1 = QI.from_ints(*_times(_phase(rng), *c))
+    return z1, QI.from_ints(*_times(_phase(rng), *e))
 
 
 def sample_power_point(rng: random.Random) -> Tuple[QI, QI]:
     """Rational point with 1 + |z1|^4 - |z2|^4 = 0 (slice z1 = 0)."""
-    return (QI_ZERO, _phase(_frac(rng)))
+    return (QI_ZERO, QI.from_ints(*_phase(rng)))
 
 
 def sample_tube_point(rng: random.Random) -> Tuple[QI, QI]:
     """Rational point with |z1|^2 = 1; z2 is free."""
-    return (_phase(_frac(rng)), QI(_frac(rng), _frac(rng)))
+    z1 = QI.from_ints(*_phase(rng))
+    (a, c), (b, d) = _ratio(rng), _ratio(rng)
+    return z1, QI.from_ints(a * d, b * c, c * d)
 
 
 SAMPLERS: Dict[str, Callable[[random.Random], tuple]] = {
@@ -193,8 +212,7 @@ def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
             "sampled points satisfy the defining equations")
     rep.add("genericity", all(genericity_rank(M, p) == M.d for p in pts),
             "full-rank antiholomorphic gradient at samples")
-    sym_pts = sample_points(entry.name, 8, seed + 1)
-    sym = all(check_symmetry(M, z, w) for z in sym_pts for w in sym_pts)
+    sym = symmetry_holds(M, sample_points(entry.name, 8, seed + 1))
     rep.add("segre_symmetry", sym, "z in Q_w iff w in Q_z on sample pairs")
     # each quantity is computed once per point (and conormal)
     levi = _once(lambda p, c: levi_signature(M, p, c))
@@ -237,8 +255,8 @@ def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
         mini, j = minimality(M, pts[0])
         rep.add("minimal", mini == exp["minimal"]["value"],
                 "minimal: %s (index %d)" % (mini, j))
+    pts2 = sample_points(entry.name, 3, seed + 2) if entry.maps else []
     for label, f in entry.maps.items():
-        pts2 = sample_points(entry.name, 3, seed + 2)
         imgs = [f.apply(p) for p in pts2]
         if all(M.contains(q) for q in imgs):
             inv = verify_invariance(M, M, f, pts2, per_point=5, seed=seed)
@@ -258,7 +276,7 @@ def _suite_correspondence(entry: CatalogEntry, seed: int) -> SuiteReport:
     rep = SuiteReport(entry.name, [])
     exp = entry.expected
     C = _build_entry_correspondence(entry)
-    generic = tuple(QI(Fraction(v)) for v in (1, 4))
+    generic = (QI(1), QI(4))
     if "forward_fiber" in exp:
         res = fiber(C, generic)
         rep.add("forward_fiber", res.degree == exp["forward_fiber"]["value"],

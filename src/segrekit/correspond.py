@@ -5,15 +5,16 @@ invariance verification, fibers and branch counting, splitting, composition."""
 from __future__ import annotations
 
 import random
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ZERO, GaussianRational
+from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
 from .linalg import rank
-from .manifold import CRManifold, ManifoldError, require_real, tangent_basis
+from .manifold import (CRManifold, ManifoldError, check_point, require_real,
+                       tangent_basis)
 from .parsing import parse_map_text, parse_poly
-from .poly import Poly, VarTable
-from .segre import SYMBOLIC, containment_ideal, segre_variety
+from .poly import Z_VAR, Poly, VarTable
+from .segre import SYMBOLIC, containment_ideal, real_segre_variety, segre_variety
 from .solve import back_substitute, solve_zero_dim
 
 
@@ -27,6 +28,11 @@ class ExcludedLocusError(CorrespondenceError):
 
 class SamplingError(RuntimeError):
     pass
+
+
+def _read(p: Poly, pt: PointPowers) -> GaussianRational:
+    """p at the prepared point; a constant is read, not evaluated."""
+    return p.constant_value() if p.is_constant() else p.eval(pt)
 
 
 class AlgebraicMap(NamedTuple):
@@ -55,29 +61,37 @@ class AlgebraicMap(NamedTuple):
             tuple((Poly.var(M.table, n), one) for n in M.zvar_names),
         )
 
-    def _binding(self, p: Sequence) -> dict:
-        """The z-variables bound to p, checked as a point of the source chart."""
-        return dict(zip(self.table.zvars(), CRManifold(self.table, ()).point(p)))
+    def _point(self, p: Sequence) -> PointPowers:
+        """p checked as a point of the source chart, bound to the z-variables:
+        the one table every numerator and denominator is evaluated at."""
+        zs = self.table.indices(Z_VAR)
+        return PointPowers(list(zip(zs, check_point(p, len(zs)))))
+
+    def defined_at(self, p: Sequence[GaussianRational]) -> bool:
+        """True when no denominator vanishes at p."""
+        pt = self._point(p)
+        return not any(_read(den, pt).is_zero() for _, den in self.components)
 
     def apply(self, p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
-        binding = self._binding(p)
+        pt = self._point(p)
         out = []
         for num, den in self.components:
-            d = den.eval(binding)
+            d = _read(den, pt)
             if d.is_zero():
                 raise ZeroDivisionError("point lies on a denominator zero set")
-            out.append(num.eval(binding) / d)
+            v = num.eval(pt)
+            out.append(v if d.is_one() else v / d)
         return tuple(out)
 
     def jacobian_at(self, p: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
-        binding = self._binding(p)
-        names = tuple(binding)
+        pt = self._point(p)
+        names = self.table.zvars()
         J = []
         for num, den in self.components:
-            dv, dgrad, _ = den.jet(binding, names)
+            dv, dgrad, _ = den.jet(pt, names)
             if dv.is_zero():
                 raise ZeroDivisionError("point lies on a denominator zero set")
-            nv, ngrad, _ = num.jet(binding, names)
+            nv, ngrad, _ = num.jet(pt, names)
             J.append([(a * dv - nv * b) / (dv * dv) for a, b in zip(ngrad, dgrad)])
         return J
 
@@ -109,10 +123,12 @@ def max_rank_check(f: AlgebraicMap, p, M: Optional[CRManifold] = None) -> RankRe
 
 
 def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Random,
-                          count: int, attempts: int = 400) -> List[tuple]:
+                          count: int, attempts: int = 400,
+                          keep: Callable[[tuple], bool] = lambda pt: True) -> List[tuple]:
     """Rational points on V(gens) by back-substitution through one random
     root at a time, binding a random variable to a random value where no
-    generator is univariate, and drawing the variables left free last."""
+    generator is univariate, and drawing the variables left free last.
+    A point that ``keep`` refuses is passed over, and its attempt counts."""
     def draw() -> GaussianRational:
         return QI(rng.randint(-6, 6), rng.randint(-2, 2))
 
@@ -130,7 +146,7 @@ def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Ran
             continue
         bound = leaves[0][0]
         pt = tuple(bound[n] if n in bound else draw() for n in table.names)
-        if pt not in points:
+        if pt not in points and keep(pt):
             points.append(pt)
     if len(points) < count:
         raise SamplingError(
@@ -160,9 +176,10 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
                       seed: int = 0) -> InvarianceReport:
     """Exact check of f(Q_p) subset Q'_{f(p)} on sampled rational points.
 
-    base_points must lie on M, and both manifolds must be real.
-    Non-invariant maps (including maps whose images leave M') show up as
-    counted failures, not exceptions."""
+    base_points must lie on M, and both manifolds must be real (checked
+    once per call).  Non-invariant maps (including maps whose images leave
+    M') show up as counted failures, not exceptions.  A sample of Q_p on a
+    pole of f says nothing about the inclusion, and another is drawn."""
     require_real(M, Mp)
     rng = random.Random(seed)
     checked = passed = 0
@@ -170,11 +187,13 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
     for p in base_points:
         if not M.contains(p):
             raise ManifoldError(f"base point {p} is not on the source manifold")
-        fp = f.apply(p)
-        zs = sample_segre_points(M, p, rng, per_point)
-        for z in zs:
-            binding = Mp.point_bindings(f.apply(z), fp)
-            vals = [r.eval(binding) for r in Mp.rho]
+        # rho'(f(z), conj(f(p))): the conjugate half is prepared once per p
+        fp_half = Mp.half(Mp.point(f.apply(p)), conj=True)
+        Q = real_segre_variety(M, p).ideal
+        for z in sample_variety_points(Q.generators, Q.table, rng, per_point,
+                                       keep=f.defined_at):
+            at = PointPowers.join(Mp.half(Mp.point(f.apply(z))), fp_half)
+            vals = [r.eval(at) for r in Mp.rho]
             checked += len(vals)
             good = sum(1 for v in vals if v.is_zero())
             passed += good

@@ -69,6 +69,15 @@ class GaussianRational:
             return v
         return GaussianRational(v)
 
+    @staticmethod
+    def from_ints(a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b*i)/d for integers a, b and d != 0, in lowest terms."""
+        if d < 0:
+            a, b, d = -a, -b, -d
+        elif d == 0:
+            raise ZeroDivisionError("zero denominator in Q(i)")
+        return _make(a, b, d)
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -218,15 +227,19 @@ def format_coeff(c: GaussianRational) -> str:
 
 
 class PointPowers:
-    """Exact values at a point, in integers.
+    """Exact values at a point, in integers: the table that every polynomial
+    evaluated at the point reads.
 
-    The point binds values v_j = (a_j + b_j*i)/D, over one common
-    denominator D, to some slots j.  The powers of each Gaussian integer
-    a_j + b_j*i and of D are computed once, when first needed, and a sum of
-    monomial values is gathered as one Gaussian integer over one
-    denominator and brought to lowest terms once."""
+    The point binds values to slots j.  A table made from (j, v_j) pairs
+    holds the v_j as Gaussian integers a_j + b_j*i over one common
+    denominator D; ``join`` puts prepared tables side by side, each slot
+    keeping its own denominator.  The powers of each a_j + b_j*i and of its
+    D are computed once, when first needed, and kept for every later sum
+    over the table and over every table joined from it.  A sum of monomial
+    values is gathered as one Gaussian integer over one denominator and
+    brought to lowest terms once."""
 
-    __slots__ = ("_bound", "_den", "_dens", "_pows")
+    __slots__ = ("_bound",)
 
     def __init__(self, slots):
         """slots: (j, v_j) pairs, each v_j a GaussianRational, int or Fraction."""
@@ -236,24 +249,17 @@ class PointPowers:
         for _, v in values:
             if den % v._d:
                 den = lcm(den, v._d)
-        self._den = den
-        self._dens = {0: 1, 1: den}
-        # (slot, a_j, b_j) for each bound slot; powers above 1 in _pows
-        self._bound = [(j, v._a * (den // v._d), v._b * (den // v._d)) for j, v in values]
-        self._pows = {}
+        # (slot, a_j, b_j, D, powers) for each bound slot, where powers maps
+        # an exponent x > 1 to ((a_j + b_j*i)^x, D^x)
+        self._bound = [(j, v._a * (den // v._d), v._b * (den // v._d), den, {})
+                       for j, v in values]
 
-    def _power(self, j: int, a: int, b: int, x: int) -> tuple:
-        """(a + b*i)^x for slot j, by repeated squaring."""
-        out = self._pows.get((j, x))
-        if out is None:
-            u, v, k = 1, 0, x
-            while k:
-                if k & 1:
-                    u, v = u * a - v * b, u * b + v * a
-                k >>= 1
-                if k:
-                    a, b = a * a - b * b, 2 * a * b
-            out = self._pows[j, x] = (u, v)
+    @staticmethod
+    def join(*tables: "PointPowers") -> "PointPowers":
+        """One table binding the slots of all the tables, which must be
+        disjoint; it shares their powers."""
+        out = object.__new__(PointPowers)
+        out._bound = [slot for t in tables for slot in t._bound]
         return out
 
     def total(self, items, strict: bool = True) -> GaussianRational:
@@ -263,23 +269,23 @@ class PointPowers:
         With strict, an exponent on an unbound slot j raises KeyError(j);
         otherwise unbound slots are left out of the product."""
         sa, sb, sd = 0, 0, 1
-        dens = self._dens
+        bound = self._bound
         for c, k, m in items:
-            a, b, e = c._a * k, c._b * k, 0
-            for j, u, v in self._bound:
+            a, b, d, e = c._a * k, c._b * k, c._d, 0
+            for j, u, v, den, powers in bound:
                 x = m[j]
                 if x:
                     if x > 1:
-                        u, v = self._power(j, u, v, x)
+                        p = powers.get(x)
+                        if p is None:
+                            p = powers[x] = _power(u, v, den, x)
+                        u, v, den = p
                     a, b = a * u - b * v, a * v + b * u
+                    d *= den
                     e += x
             if strict and e != sum(m):
-                bound = {j for j, _, _ in self._bound}
-                raise KeyError(next(j for j, x in enumerate(m) if x and j not in bound))
-            d = dens.get(e)
-            if d is None:
-                d = dens[e] = self._den ** e
-            d *= c._d
+                slots = {slot[0] for slot in bound}
+                raise KeyError(next(j for j, x in enumerate(m) if x and j not in slots))
             # add (a + b*i)/d to the running sum (sa + sb*i)/sd
             if d == sd:
                 sa += a
@@ -289,6 +295,18 @@ class PointPowers:
                 s, t = sd // g, d // g
                 sa, sb, sd = sa * t + a * s, sb * t + b * s, s * d
         return _make(sa, sb, sd)
+
+
+def _power(a: int, b: int, den: int, x: int) -> tuple:
+    """((a + b*i)^x as a pair, den^x) for x >= 1, by repeated squaring."""
+    u, v, k = 1, 0, x
+    while True:
+        if k & 1:
+            u, v = u * a - v * b, u * b + v * a
+        k >>= 1
+        if not k:
+            return u, v, den ** x
+        a, b = a * a - b * b, 2 * a * b
 
 
 def qi_sqrt(c: GaussianRational):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ZERO, GaussianRational
+from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
 from .ideal import Ideal
 from .linalg import hermitian_signature, nullspace, rank
 from .parsing import parse_manifold_text
@@ -50,24 +50,45 @@ class CRManifold(NamedTuple):
     def point(self, p: Sequence) -> Point:
         """p as a point of C^n, one Gaussian rational per z-variable; every
         function that takes a point checks it here."""
-        if len(p) != len(self.zvar_names):
-            raise ManifoldError(f"point has {len(p)} coordinates, expected {self.n}")
-        return tuple(GaussianRational.from_value(x) for x in p)
+        return check_point(p, self.n)
 
-    def point_bindings(self, z: Point, w: Optional[Point] = None) -> dict:
-        """Bind the z-variables to z and the conjugate variables to conj(w),
-        where w defaults to z."""
+    def _slots(self, p: Point, conj: bool) -> list:
+        zs = self.table.indices(Z_VAR)
+        if conj:
+            pairs = self.table.pairs
+            return [(pairs[j], x.conjugate()) for j, x in zip(zs, p)]
+        return list(zip(zs, p))
+
+    def half(self, p: Point, conj: bool = False) -> PointPowers:
+        """The checked point p prepared as half of a table over M's
+        variables: p bound to the z-variables or, with conj, conj(p) bound to
+        the conjugate variables, over p's own denominator.  ``PointPowers.join``
+        of a z-half and a conjugate half is a whole table."""
+        return PointPowers(self._slots(p, conj))
+
+    def point_bindings(self, z: Point, w: Optional[Point] = None) -> PointPowers:
+        """The z-variables bound to z and the conjugate variables to conj(w),
+        where w defaults to z: one table that every polynomial over M's
+        variables evaluated there shares."""
         z = self.point(z)
-        w = z if w is None else self.point(w)
-        out = {}
-        for name, a, b in zip(self.zvar_names, z, w):
-            out[name] = a
-            out["~" + name] = b.conjugate()
-        return out
+        if w is None:
+            return PointPowers(self._slots(z, False) + self._slots(z, True))
+        return PointPowers.join(self.half(z), self.half(self.point(w), conj=True))
 
     def contains(self, p: Point) -> bool:
-        b = self.point_bindings(p)
-        return all(r.eval(b).is_zero() for r in self.rho)
+        return vanish(self.rho, self.point_bindings(p))
+
+
+def check_point(p: Sequence, n: int) -> Point:
+    """p as a point of C^n, one Gaussian rational per coordinate."""
+    if len(p) != n:
+        raise ManifoldError(f"point has {len(p)} coordinates, expected {n}")
+    return tuple(GaussianRational.from_value(x) for x in p)
+
+
+def vanish(polys: Sequence[Poly], table: PointPowers) -> bool:
+    """True when every polynomial is zero at the prepared point."""
+    return all(r.eval(table).is_zero() for r in polys)
 
 
 def check_reality(M: CRManifold) -> bool:

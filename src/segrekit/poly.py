@@ -166,7 +166,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> GaussianRational:
         if self.is_zero():
@@ -344,7 +344,11 @@ class Poly:
                 terms[key] = terms[key] + v if key in terms else v
         return Poly._raw(self.table, {m: c for m, c in terms.items() if not c.is_zero()})
 
-    def _point(self, point: Mapping[str, object]) -> PointPowers:
+    def _prepared(self, point) -> PointPowers:
+        """point as a table of values: a name -> value mapping is prepared
+        here; a PointPowers, whose slots are this table's indices, is already."""
+        if isinstance(point, PointPowers):
+            return point
         index = self.table.index
         return PointPowers([(index(name), v) for name, v in point.items()])
 
@@ -355,14 +359,16 @@ class Poly:
             raise PolyError(f"unbound variable {self.table.names[exc.args[0]]!r}") from None
 
     def eval(self, point: Mapping[str, GaussianRational]) -> GaussianRational:
-        """Exact value; every occurring variable must be bound."""
-        return self._total(self._point(point), ((c, 1, m) for m, c in self.terms.items()))
+        """Exact value; every occurring variable must be bound.  The point is
+        a name -> value mapping, or the PointPowers that many polynomials
+        evaluated at one point share."""
+        return self._total(self._prepared(point), ((c, 1, m) for m, c in self.terms.items()))
 
     def jet(self, point: Mapping[str, GaussianRational], names: Sequence[str],
             mixed: Sequence[str] = ()) -> tuple:
-        """(value, gradient, mixed Hessian) at point, every occurring variable
-        bound: the first partials in names + mixed, and the second partials
-        d^2/(d names_j d mixed_k) as rows j, columns k.
+        """(value, gradient, mixed Hessian) at point (as for ``eval``), every
+        occurring variable bound: the first partials in names + mixed, and
+        the second partials d^2/(d names_j d mixed_k) as rows j, columns k.
 
         One pass over the terms lists each value's (coefficient, factor,
         exponents) contributions; each value is then summed and normalized
@@ -390,7 +396,7 @@ class Poly:
                             low2 = low.copy()
                             low2[b] -= 1
                             hess[j][k].append((c, ea * eb, low2))
-        pt = self._point(point)
+        pt = self._prepared(point)
 
         def total(items):
             return self._total(pt, items) if items else QI_ZERO

@@ -3,11 +3,14 @@ minimality criterion."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
                     eliminate, parametric_normal_form)
-from .manifold import CRManifold, ManifoldError, polar_gens, require_real
+from .gaussian import PointPowers
+from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
+                       vanish)
 from .poly import Poly, VarTable
 
 SYMBOLIC = "symbolic"
@@ -27,10 +30,10 @@ def _wb_names(M: CRManifold) -> tuple:
 
 def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
     """rho(z, w-bar) over `table`: ~z renamed to the wb_* block when w is
-    symbolic, else substituted by conj(w)."""
+    symbolic, else substituted by conj(w) for the checked point w."""
     if w == SYMBOLIC:
         return polar_gens(M, table, _wb_names(M))
-    wbar = {"~" + name: v.conjugate() for name, v in zip(M.zvar_names, M.point(w))}
+    wbar = {"~" + name: v.conjugate() for name, v in zip(M.zvar_names, w)}
     return [r.substitute(wbar).transport(table) for r in M.rho]
 
 
@@ -46,21 +49,42 @@ class SegreVariety(NamedTuple):
 
 def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     require_real(M)
+    return real_segre_variety(M, w)
+
+
+def real_segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
+    """``segre_variety`` for a manifold its caller has checked to be real."""
+    if w != SYMBOLIC:
+        w = M.point(w)
     params = _wb_names(M) if w == SYMBOLIC else ()
     table = _ztable(M, params)
     ideal = Ideal.make(_segre_gens(M, w, table), table=table)
-    return SegreVariety(M, w if w == SYMBOLIC else M.point(w), ideal, params)
+    return SegreVariety(M, w, ideal, params)
 
 
 def in_segre_variety(M: CRManifold, z, w) -> bool:
     """Exact test z in Q_w by evaluating every defining polynomial."""
-    binding = M.point_bindings(z, w)
-    return all(r.eval(binding).is_zero() for r in M.rho)
+    return vanish(M.rho, M.point_bindings(z, w))
+
+
+def symmetry_holds(M: CRManifold, points) -> bool:
+    """z in Q_w  <=>  w in Q_z for every pair of the points (must always
+    hold for real defining data).
+
+    Each point is checked and prepared once, as a z-half and a conjugate
+    half; the test z in Q_w reads the table joining z's z-half with w's
+    conjugate half."""
+    halves = [(M.half(p), M.half(p, conj=True)) for p in map(M.point, points)]
+
+    def inside(a, b) -> bool:
+        return vanish(M.rho, PointPowers.join(a[0], b[1]))
+
+    return all(inside(a, b) == inside(b, a) for a, b in combinations(halves, 2))
 
 
 def check_symmetry(M: CRManifold, z, w) -> bool:
     """z in Q_w  <=>  w in Q_z (must always hold for real defining data)."""
-    return in_segre_variety(M, z, w) == in_segre_variety(M, w, z)
+    return symmetry_holds(M, (z, w))
 
 
 class GraphFormError(ValueError):
@@ -168,6 +192,8 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
         params = list(_wb_names(M)) + params
         table = VarTable.make(list(zvars), params=params, conjugates=False)
         targets = [p.transport(table) for p in targets]
+    else:
+        w = M.point(w)
     Qw = Ideal.make(_segre_gens(M, w, table), table=table)
 
     gens: List[Poly] = []

@@ -108,6 +108,50 @@ def test_invariance_detects_non_cr_map():
     assert not rep.ok and rep.failures
 
 
+POLE_MAP = "vars z1 z2\ncomponent: z1/z2\ncomponent: 1\n"
+
+
+def test_invariance_skips_samples_on_a_pole():
+    """(3/5, 4/5) is on the sphere and f = (z1/z2, 1) is defined there, but
+    seed 15 samples a point of Q_p with z2 = 0; it is passed over and
+    another is drawn, where it used to raise ZeroDivisionError."""
+    f = AlgebraicMap.from_text(POLE_MAP, SPHERE)
+    p = pt(Fraction(3, 5), Fraction(4, 5))
+    rep = verify_invariance(SPHERE, SPHERE, f, [p], per_point=5, seed=15)
+    assert rep.checked == 5 and not rep.ok
+    assert len(rep.failures) == 5
+    assert all(fail["z"][1] != "0" for fail in rep.failures)
+
+
+def test_invariance_without_poles_keeps_its_draws():
+    f = AlgebraicMap.from_text(POLE_MAP, SPHERE)
+    p = pt(Fraction(3, 5), Fraction(4, 5))
+    rep = verify_invariance(SPHERE, SPHERE, f, [p], per_point=5, seed=14)
+    assert (rep.checked, rep.passed) == (5, 0)
+    assert [x["z"] for x in rep.failures] == [
+        ("-5+2*i", "5-3/2*i"), ("-5", "5"), ("-11/3-4/3*i", "4+i"),
+        ("13/3+4/3*i", "-2-i"), ("-19/3", "6")]
+
+
+def test_invariance_checks_reality_once_per_manifold(monkeypatch):
+    from segrekit.poly import Poly
+
+    calls = []
+    real = Poly.is_real
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Poly, "is_real", counted)
+    f = AlgebraicMap.from_text(ROT_SRC, SPHERE)
+    rep = verify_invariance(SPHERE, SPHERE, f, sample_points("sphere_C2", 3, seed=4),
+                            per_point=2, seed=4)
+    assert rep.ok
+    # one call per defining polynomial of each manifold argument
+    assert len(calls) == 2 * SPHERE.d
+
+
 def test_power_graph_generators():
     f = AlgebraicMap.from_text(SQUARE_SRC, POWER)
     C = build_correspondence(POWER, HQ2, f)
