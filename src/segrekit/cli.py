@@ -126,6 +126,12 @@ def cmd_levi(args, rep: Report) -> int:
 def cmd_correspond(args, rep: Report) -> int:
     from .correspond import AlgebraicMap, build_correspondence, fiber, splits_at
 
+    given = [flag for flag, on in (("--reverse", args.reverse), ("--splits", args.splits)) if on]
+    if given and args.fiber is None:
+        raise InputError(f"{' and '.join(given)}: no --fiber point given")
+    if args.splits and args.reverse:
+        raise InputError("--splits decides splitting over a source point "
+                         "and cannot be combined with --reverse")
     M = _load_manifold(args.source, rep, "source")
     Mp = _load_manifold(args.target, rep, "target")
     map_text = _read_file(args.map)
@@ -147,7 +153,7 @@ def cmd_correspond(args, rep: Report) -> int:
             rep.results[key + "_solutions"] = [
                 {"point": _fmt_point(pt), "multiplicity": m}
                 for pt, m in res.solutions]
-        if args.splits and not args.reverse:
+        if args.splits:
             rep.results["splits"] = splits_at(C, w)
     return EXIT_OK
 
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reverse", action="store_true",
                    help="fiber over a target point instead")
     p.add_argument("--splits", action="store_true",
-                   help="also decide splitting at the fiber point")
+                   help="also decide splitting at the point of a forward fiber")
     p.set_defaults(func=cmd_correspond)
 
     p = sub.add_parser("suite", help="verify bundled catalog entries")

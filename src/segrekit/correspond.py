@@ -13,7 +13,7 @@ from .linalg import rank
 from .manifold import (CRManifold, ManifoldError, check_point, require_real,
                        tangent_basis)
 from .parsing import parse_map_text, parse_poly
-from .poly import Z_VAR, Poly, VarTable
+from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
 from .segre import SYMBOLIC, containment_ideal, real_segre_variety, segre_variety
 from .solve import back_substitute, solve_zero_dim
 
@@ -220,9 +220,10 @@ class Correspondence(NamedTuple):
 
 
 def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]:
-    wb = tuple("wb_" + n for n in M.zvar_names)
-    wpb = tuple("wpb_" + n for n in Mp.zvar_names)
-    return VarTable.make(list(wb) + list(wpb), conjugates=False), wb, wpb
+    """The graph's table, wb_* from M's names then wpb_* from Mp's, and
+    the two blocks."""
+    wb, wpb = M.block(WB), Mp.block(WPB)
+    return VarTable.make(wb + wpb, conjugates=False), wb, wpb
 
 
 def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> List[Poly]:
@@ -233,8 +234,8 @@ def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> List[Poly]:
     Each factor num_k^a * den_k^(deg_k - a) * wpb_k^b is made once per
     (k, a, deg_k - a, b), and a term multiplies only its factors that are
     not 1."""
-    wpb = _param_table(M, Mp)[2]
-    ttable = VarTable.make(list(M.zvar_names), params=list(wpb), conjugates=False)
+    wpb = Mp.block(WPB)
+    ttable = VarTable.make(M.zvar_names, params=wpb, conjugates=False)
     nums = [num.transport(ttable) for num, _ in f.components]
     dens = [den.transport(ttable) for _, den in f.components]
     one = Poly.const(ttable, 1)
@@ -271,8 +272,8 @@ def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Corr
     ideal of the ``graph_targets`` on the symbolic Segre variety of M.  Both
     manifolds must be real."""
     require_real(M, Mp)
-    _, wb, wpb = _param_table(M, Mp)
-    gens, excluded, ptable = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f))
+    ptable, wb, wpb = _param_table(M, Mp)
+    gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f), ptable)
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
     graph = Ideal.make(gens, table=ptable)
@@ -295,9 +296,14 @@ def relation_correspondence(M: CRManifold, Mp: CRManifold,
 
 
 def power_correspondence(M: CRManifold, Mp: CRManifold, r: int, s: int) -> Correspondence:
-    """Graph of F(z) = z^(r/s) componentwise: wpb_k^s = wb_k^r."""
-    rels = [f"wpb_{n}^{s} - wb_{n}^{r}" for n in Mp.zvar_names]
-    return relation_correspondence(M, Mp, rels)
+    """Graph of F(z) = z^(r/s) componentwise: wpb_k^s = wb_k^r, the k-th
+    coordinate of M to the k-th of Mp."""
+    if M.n != Mp.n:
+        raise CorrespondenceError(
+            f"a power correspondence needs equal dimensions, got {M.n} and {Mp.n}")
+    ptable, wb, wpb = _param_table(M, Mp)
+    gens = [Poly.var(ptable, b) ** s - Poly.var(ptable, a) ** r for a, b in zip(wb, wpb)]
+    return Correspondence(Ideal.make(gens, table=ptable), M, Mp, wb, wpb)
 
 
 class FiberResult(NamedTuple):
@@ -368,16 +374,12 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     eliminate it."""
     if C1.target.rho != C2.source.rho:
         raise CorrespondenceError("inner manifolds of the composition differ")
-    mid = tuple("mb_" + n for n in C1.target.zvar_names)
-    joint = VarTable.make(list(C1.wb_names) + list(mid) + list(C2.wpb_names),
-                          conjugates=False)
+    ptable, wb, wpb = _param_table(C1.source, C2.target)
+    mid = C1.target.block(MB)
+    joint = VarTable.make(wb + mid + wpb, conjugates=False)
     g1 = [g.transport(joint, dict(zip(C1.wpb_names, mid))) for g in C1.graph.generators]
     g2 = [g.transport(joint, dict(zip(C2.wb_names, mid))) for g in C2.graph.generators]
-    J = Ideal.make(g1 + g2, table=joint)
-    E = eliminate(J, list(C1.wb_names) + list(C2.wpb_names))
-    ptable, wb, wpb = _param_table(C1.source, C2.target)
-    gens = [g.transport(ptable) for g in E.generators]
-    graph = Ideal.make(gens, table=ptable)
+    graph = eliminate(Ideal.make(g1 + g2, table=joint), ptable)
     # ledgers involving the eliminated middle block cannot be expressed in
     # the composed ring and are dropped; the rest carry over
     exc = []

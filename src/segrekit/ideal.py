@@ -466,19 +466,16 @@ def radical_member(p: Poly, I: Ideal) -> bool:
     return p.is_zero() or _rabinowitsch(I, p, "_t").is_trivial()
 
 
-def eliminate(I: Ideal, keep_names: Sequence[str]) -> Ideal:
-    """Generators of the elimination ideal, expressed over a table of `keep_names`."""
-    keep_idx = {I.table.index(n) for n in keep_names}
+def eliminate(I: Ideal, keep: VarTable) -> Ideal:
+    """The elimination ideal onto ``keep``, the caller's table of some of
+    I's variables in any order: the elements of a basis under a block order
+    eliminating the other variables that involve none of them, written
+    over ``keep``."""
+    keep_idx = {I.table.index(n) for n in keep.names}
     elim_idx = [i for i in range(len(I.table)) if i not in keep_idx]
-    order = block_elim(len(I.table), elim_idx)
-    gb = buchberger(I.generators, order)
-    sub = VarTable(
-        tuple(I.table.names[i] for i in sorted(keep_idx)),
-        tuple(I.table.kinds[i] for i in sorted(keep_idx)),
-        tuple(None for _ in keep_idx),
-    )
-    kept = [g.transport(sub) for g in gb if g.variables() <= keep_idx]
-    return Ideal.make(kept, table=sub)
+    gb = buchberger(I.generators, block_elim(len(I.table), elim_idx))
+    return Ideal.make([g.transport(keep) for g in gb if g.variables() <= keep_idx],
+                      table=keep)
 
 
 def _min_cover(supports: List[frozenset], bound: int) -> int:
@@ -570,9 +567,7 @@ def saturate(I: Ideal, e: Poly) -> Ideal:
     """Saturation I : e^infinity via the extended-ring elimination trick."""
     if e.is_zero() or e.is_constant():
         return I
-    E = eliminate(_rabinowitsch(I, e, "_s"), I.table.names)
-    out = [g.transport(I.table) for g in E.generators]
-    return Ideal.make(out, I.order, I.table)
+    return eliminate(_rabinowitsch(I, e, "_s"), I.table).with_order(I.order)
 
 
 def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):

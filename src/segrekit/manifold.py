@@ -10,7 +10,7 @@ from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
 from .ideal import Ideal
 from .linalg import hermitian_signature, nullspace, rank
 from .parsing import parse_manifold_text
-from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
+from .poly import CONJ_VAR, Z_VAR, ZETA, Poly, VarTable
 
 Point = Tuple[GaussianRational, ...]
 
@@ -42,6 +42,10 @@ class CRManifold(NamedTuple):
     @property
     def zvar_names(self) -> tuple:
         return self.table.zvars()
+
+    def block(self, prefix: str) -> tuple:
+        """The z-variables' names behind ``prefix``, one of ``poly.BLOCKS``."""
+        return tuple(prefix + name for name in self.table.zvars())
 
     @staticmethod
     def from_text(text: str) -> "CRManifold":
@@ -142,8 +146,8 @@ def polar_gens(M: CRManifold, table: VarTable, conj_names: Sequence[str]) -> Lis
 
 def polar(M: CRManifold) -> PolarVariety:
     require_real(M)
-    zeta = tuple("zeta_" + name for name in M.zvar_names)
-    table = VarTable.make(list(M.zvar_names) + list(zeta), conjugates=False)
+    zeta = M.block(ZETA)
+    table = VarTable.make(M.zvar_names + zeta, conjugates=False)
     gens = polar_gens(M, table, zeta)
     return PolarVariety(Ideal.make(gens, table=table), zeta)
 

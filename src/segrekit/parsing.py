@@ -16,7 +16,7 @@ import re
 from typing import List, NamedTuple, Optional, Tuple
 
 from .gaussian import QI
-from .poly import Poly, VarTable
+from .poly import BLOCKS, Poly, VarTable
 
 
 class ParseError(ValueError):
@@ -176,14 +176,11 @@ def parse_poly(src: str, table: VarTable) -> Poly:
 
 _KEYWORD = re.compile(r"\s*(\w*:?)\s*")
 
-# the prefixes of the variable blocks the toolkit builds from a manifold's
-# names (Segre parameters, polar and Segre-set blocks, correspondence blocks)
-RESERVED_PREFIXES = ("wb_", "wpb_", "zb_", "zeta_", "u_", "mb_")
-
 
 def _vars_table(body: str, conjugates: bool) -> VarTable:
     """The table of a `vars` line: each name a name token, not `i`, not
-    starting with a reserved prefix, and not repeated."""
+    starting with the prefix of a block the toolkit builds (``poly.BLOCKS``),
+    and not repeated."""
     names = []
     for word in re.finditer(r"\S+", body):
         name, pos = word.group(), word.start()
@@ -191,9 +188,9 @@ def _vars_table(body: str, conjugates: bool) -> VarTable:
             raise ParseError(f"bad variable name {name!r}", pos=pos)
         if name == "i":
             raise ParseError("`i` is the imaginary unit, not a variable name", pos=pos)
-        if name.startswith(RESERVED_PREFIXES):
+        if name.startswith(BLOCKS):
             raise ParseError(f"variable name {name!r} starts with a reserved prefix "
-                             f"({', '.join(RESERVED_PREFIXES)})", pos=pos)
+                             f"({', '.join(BLOCKS)})", pos=pos)
         if name in names:
             raise ParseError(f"repeated variable name {name!r}", pos=pos)
         names.append(name)

@@ -11,7 +11,7 @@ from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
 from .gaussian import PointPowers
 from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
                        vanish)
-from .poly import Poly, VarTable
+from .poly import U, WB, ZB, Poly, VarTable
 
 SYMBOLIC = "symbolic"
 
@@ -20,19 +20,11 @@ class InconclusiveError(RuntimeError):
     pass
 
 
-def _ztable(M: CRManifold, params: Sequence[str] = ()) -> VarTable:
-    return VarTable.make(list(M.zvar_names) + list(params), conjugates=False)
-
-
-def _wb_names(M: CRManifold) -> tuple:
-    return tuple("wb_" + name for name in M.zvar_names)
-
-
 def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
     """rho(z, w-bar) over `table`: ~z renamed to the wb_* block when w is
     symbolic, else substituted by conj(w) for the checked point w."""
     if w == SYMBOLIC:
-        return polar_gens(M, table, _wb_names(M))
+        return polar_gens(M, table, M.block(WB))
     wbar = {"~" + name: v.conjugate() for name, v in zip(M.zvar_names, w)}
     return [r.substitute(wbar).transport(table) for r in M.rho]
 
@@ -56,8 +48,8 @@ def real_segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     """``segre_variety`` for a manifold its caller has checked to be real."""
     if w != SYMBOLIC:
         w = M.point(w)
-    params = _wb_names(M) if w == SYMBOLIC else ()
-    table = _ztable(M, params)
+    params = M.block(WB) if w == SYMBOLIC else ()
+    table = VarTable.make(M.zvar_names + params, conjugates=False)
     ideal = Ideal.make(_segre_gens(M, w, table), table=table)
     return SegreVariety(M, w, ideal, params)
 
@@ -160,12 +152,12 @@ class InversionSet(NamedTuple):
             return None
         out = []
         for pt, mult in sols:
-            z = tuple(pt["zb_" + n].conjugate() for n in self.base_names())
+            z = tuple(pt[ZB + n].conjugate() for n in self.base_names())
             out.append((z, mult))
         return out
 
     def base_names(self):
-        return tuple(n[len("zb_"):] for n in self.param_names)
+        return tuple(n[len(ZB):] for n in self.param_names)
 
     def finiteness(self) -> Tuple[bool, Optional[int]]:
         """(True, degree R) when the inversion set is zero-dimensional."""
@@ -174,25 +166,23 @@ class InversionSet(NamedTuple):
         return True, degree_zero_dim(self.ideal)
 
 
-def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
-    """Conditions on the target parameters under which every target vanishes
-    on Q_w.
+def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTable):
+    """Conditions on the parameters under which every target vanishes on Q_w.
 
-    `targets` share one table: M's z-variables and a block of target
-    parameters.  Each is pseudo-reduced against the generators of Q_w (whose
-    wb_* block joins the parameters when w is symbolic) and its
-    z-coefficients are collected.  Returns (generators, excluded, table): the
-    nonzero coefficients, target by target and ascending in Q_w's order of
-    their z-monomials, and the excluded-locus ledger, over the parameter
-    table (wb_* if w is symbolic, then the target block).  M must be real."""
+    ``ptable`` is the caller's parameter table: the target block, with the
+    wb_* block when w is symbolic.  The targets share one table of M's
+    z-variables and some of those parameters.  Each is pseudo-reduced
+    against the generators of Q_w and its z-coefficients are collected.
+    Returns (generators, excluded) over ``ptable``: the nonzero
+    coefficients, target by target and ascending in Q_w's order of their
+    z-monomials, and the excluded-locus ledger.  M must be real."""
     zvars = M.zvar_names
+    params = ptable.names
     table = targets[0].table
-    params = [n for n in table.names if n not in zvars]
-    if w == SYMBOLIC:
-        params = list(_wb_names(M)) + params
-        table = VarTable.make(list(zvars), params=params, conjugates=False)
+    if table.names != zvars + params:
+        table = VarTable.make(zvars, params=params, conjugates=False)
         targets = [p.transport(table) for p in targets]
-    else:
+    if w != SYMBOLIC:
         w = M.point(w)
     Qw = Ideal.make(_segre_gens(M, w, table), table=table)
 
@@ -206,26 +196,22 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly]):
                 excluded.append(e)
         coeffs = coefficients_in(rem, z_idx)
         gens.extend(coeffs[m] for m in sorted(coeffs, key=Qw.order.key))
-
-    ptable = VarTable.make(params, conjugates=False)
     return ([g.transport(ptable) for g in gens if not g.is_zero()],
-            tuple(e.transport(ptable) for e in excluded), ptable)
+            tuple(e.transport(ptable) for e in excluded))
 
 
 def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
     """I_w as an ideal in the conjugate coordinates zb of z.
 
     The containment Q_w subset Q_z with targets rho(z, zb): the identity-map
-    case of a correspondence graph."""
+    case of a correspondence graph.  At the symbolic point the ideal lives
+    over zb with the wb_* block after it as parameters."""
     require_real(M)
-    zb = tuple("zb_" + name for name in M.zvar_names)
-    ttable = VarTable.make(list(M.zvar_names), params=zb, conjugates=False)
-    gens, excluded, ptable = containment_ideal(M, w, polar_gens(M, ttable, zb))
-    if w == SYMBOLIC:
-        # the ideal lives in zb, with the wb_* block after it as parameters
-        ptable = VarTable.make(list(zb) + list(_wb_names(M)), conjugates=False)
-        gens = [g.transport(ptable) for g in gens]
-        excluded = tuple(e.transport(ptable) for e in excluded)
+    zb = M.block(ZB)
+    params = zb + M.block(WB) if w == SYMBOLIC else zb
+    ptable = VarTable.make(params, conjugates=False)
+    ttable = VarTable.make(M.zvar_names, params=params, conjugates=False)
+    gens, excluded = containment_ideal(M, w, polar_gens(M, ttable, zb), ptable)
     return InversionSet(Ideal.make(gens, table=ptable), excluded, zb)
 
 
@@ -251,24 +237,21 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     p = M.point(p)
     if not M.contains(p):
         raise ManifoldError("base point does not lie on the manifold")
-    ztab = _ztable(M)
     Q1 = segre_variety(M, p).ideal
+    ztab = Q1.table
     ideals = [Q1]
     dims = [dimension(Q1)]
     n = M.n
-    uvars = tuple("u_" + name for name in M.zvar_names)
-    joint = VarTable.make(list(M.zvar_names) + list(uvars), conjugates=False)
+    uvars = M.block(U)
+    joint = VarTable.make(M.zvar_names + uvars, conjugates=False)
     rename_u = dict(zip(M.zvar_names, uvars))
+    polar = polar_gens(M, joint, uvars)
     for _ in range(1, j_max):
         # conjugate of the previous Segre set in the u-block, and the polar
         # constraint rho(z, u)
         gens = [Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
                 .transport(joint, rename_u) for g in ideals[-1].generators]
-        gens += polar_gens(M, joint, uvars)
-        J = Ideal.make(gens, table=joint)
-        nxt = eliminate(J, M.zvar_names)
-        # transport onto the shared z-table for comparisons
-        nxt = Ideal.make([g.transport(ztab) for g in nxt.generators], table=ztab)
+        nxt = eliminate(Ideal.make(gens + polar, table=joint), ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))
         if dims[-1] == n or nxt == ideals[-2]:

@@ -185,7 +185,7 @@ def test_criterion_7_engine_soundness():
     curve = Ideal.make([parse_poly("x - t^2", ptable),
                         parse_poly("y - t^3", ptable)],
                        grevlex(3), ptable)
-    E = eliminate(curve, ["x", "y"])
+    E = eliminate(curve, VarTable.make(["x", "y"], conjugates=False))
     rng = random.Random(70)
     for _ in range(100):
         t = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),

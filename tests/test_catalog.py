@@ -131,3 +131,39 @@ def test_suite_computes_each_quantity_once_per_point(name, module, function, mon
     rep = run_suite(load_catalog()[name], seed=0)
     assert rep.ok
     assert len(calls) == len(set(calls))
+
+
+def _stretched_sphere():
+    """sphere_C2 with the self-map (z1, 2*z2), which does not preserve it."""
+    from segrekit.correspond import AlgebraicMap
+
+    entry = load_catalog()["sphere_C2"]
+    stretch = AlgebraicMap.from_text("vars z1 z2\ncomponent: z1\ncomponent: 2*z2\n",
+                                     entry.manifold)
+    return entry._replace(maps={"stretch": stretch})
+
+
+def test_suite_reports_a_self_map_that_leaves_the_manifold():
+    rep = run_suite(_stretched_sphere(), seed=0)
+    checks = {c.name: c for c in rep.checks}
+    assert checks["invariance_stretch"].ok is False
+    assert rep.ok is False
+
+
+def test_suite_all_exits_with_a_mismatch_on_a_failing_self_map(monkeypatch):
+    import io
+    import json
+    from contextlib import redirect_stderr, redirect_stdout
+
+    import segrekit.catalog as catalog
+    from segrekit.cli import main
+
+    entry = _stretched_sphere()
+    monkeypatch.setattr(catalog, "load_catalog", lambda: {entry.name: entry})
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["suite", "--all"])
+    doc = json.loads(out.getvalue())
+    assert code == 1
+    assert doc["status"] == "mismatch"
+    assert doc["results"]["sphere_C2"]["checks"]["invariance_stretch"]["ok"] is False

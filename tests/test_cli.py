@@ -292,3 +292,27 @@ def test_bad_vars_names_are_input_errors(text, argv, tmp_path):
     assert code == 2
     status = json.loads(out)["status"]
     assert status.startswith("input-error: bad manifold file") and "(line 1, column" in status
+
+
+def _correspond(*flags):
+    return run_cli("correspond", data_path("power_r2_n2.mfd"),
+                   data_path("hyperquadric_k1_n2.mfd"), data_path("square_n2.map"), *flags)
+
+
+def test_correspond_splits_at_a_forward_fiber_point():
+    code, out, _ = _correspond("--fiber", "1,4", "--splits")
+    assert code == 0
+    assert json.loads(out)["results"]["splits"] is True
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--splits"], ["--splits", "--fiber"]),
+    (["--reverse"], ["--reverse", "--fiber"]),
+    (["--fiber", "1,4", "--reverse", "--splits"], ["--splits", "--reverse"]),
+], ids=["splits-alone", "reverse-alone", "reverse-splits"])
+def test_correspond_flags_that_would_do_nothing_are_input_errors(flags, named):
+    code, out, _ = _correspond(*flags)
+    status = json.loads(out)["status"]
+    assert code == 2
+    assert status.startswith("input-error: ")
+    assert all(flag in status for flag in named)

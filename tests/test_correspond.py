@@ -298,3 +298,29 @@ def test_correspondences_refuse_non_real_data():
             build_correspondence(source, target, f)
         with pytest.raises(ManifoldError, match="defining polynomials are not real"):
             verify_invariance(source, target, f, [(QI(1), QI(0))], per_point=2)
+
+
+def test_power_correspondence_between_differently_named_manifolds():
+    """wb_* comes from the source's names and wpb_* from the target's:
+    z = (z1, z2) to w = (w1, w2) with w_k = z_k^2."""
+    target = CRManifold.from_text("vars w1 w2\nrho: 1 + w1*~w1 - w2*~w2\n")
+    C = power_correspondence(POWER, target, 2, 1)
+    assert C.wb_names == ("wb_z1", "wb_z2") and C.wpb_names == ("wpb_w1", "wpb_w2")
+    assert sorted(str(g) for g in C.graph.generators) == ["-wb_z1^2+wpb_w1", "-wb_z2^2+wpb_w2"]
+    forward = fiber(C, pt(2, 3))
+    assert forward.degree == 1 and forward.solutions == [(pt(4, 9), 1)]
+    assert fiber(C, pt(4, 9), reverse=True).degree == 4
+
+
+def test_power_correspondence_refuses_unequal_dimensions():
+    HQ3 = load_manifold("hyperquadric_k1_n3.mfd")
+    for source, target in [(HQ3, POWER), (POWER, HQ3)]:
+        with pytest.raises(CorrespondenceError, match="equal dimensions"):
+            power_correspondence(source, target, 2, 1)
+
+
+def test_fiber_of_positive_dimension_raises():
+    """wpb_z1 = wb_z1 leaves wpb_z2 free over every source point."""
+    C = relation_correspondence(SPHERE, SPHERE, ["wpb_z1 - wb_z1"])
+    with pytest.raises(CorrespondenceError, match="fiber has positive dimension 1"):
+        fiber(C, pt(1, 2))

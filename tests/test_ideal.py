@@ -60,7 +60,7 @@ def test_twisted_cubic_elimination():
     table = VarTable.make(["t", "x", "y", "z"], conjugates=False)
     I = Ideal.make([P("x - t", table), P("y - t^2", table),
                     P("z - t^3", table)], grevlex(len(table)), table)
-    E = eliminate(I, ["x", "y", "z"])
+    E = eliminate(I, VarTable.make(["x", "y", "z"], conjugates=False))
     et = E.table
     # the eliminant must contain y^3 - z^2 type relations; check vanishing
     assert member(P("y^3 - z^2", et), E) or member(P("z^2 - y^3", et), E)
@@ -71,7 +71,7 @@ def test_elimination_vanishes_on_projection():
     table = VarTable.make(["t", "x", "y"], conjugates=False)
     I = Ideal.make([P("x - t^2", table), P("y - t^3", table)],
                    grevlex(len(table)), table)
-    E = eliminate(I, ["x", "y"])
+    E = eliminate(I, VarTable.make(["x", "y"], conjugates=False))
     rng = random.Random(3)
     for _ in range(100):
         t = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
@@ -466,3 +466,19 @@ def test_with_the_same_order_an_ideal_keeps_its_basis():
     gb = I.groebner()
     assert I.with_order(lex(2)) is not I
     assert I.with_order(lex(2)).with_order(grevlex(2)).groebner() == gb
+
+
+def test_eliminate_writes_onto_the_callers_table():
+    """The twisted cubic eliminated onto (z, x, y), an order of the kept
+    variables that is not I's, gives the ideal it gives onto (x, y, z), and
+    the result lives over the table the caller passed."""
+    table = VarTable.make(["t", "x", "y", "z"], conjugates=False)
+    I = Ideal.make([P("x - t", table), P("y - t^2", table), P("z - t^3", table)],
+                   table=table)
+    in_order = VarTable.make(["x", "y", "z"], conjugates=False)
+    shuffled = VarTable.make(["z", "x", "y"], conjugates=False)
+    E = eliminate(I, in_order)
+    F = eliminate(I, shuffled)
+    assert E.table is in_order and F.table is shuffled
+    assert Ideal.make([g.transport(in_order) for g in F.generators], table=in_order) == E
+    assert member(P("y^3 - z^2", shuffled), F)

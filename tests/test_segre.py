@@ -1,5 +1,6 @@
 """Segre varieties, inversion sets, Segre sets, minimality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,25 @@ def test_every_segre_computation_refuses_non_real_data(compute):
     # essential_finiteness used to report (True, 1) here
     with pytest.raises(ManifoldError, match="defining polynomials are not real"):
         compute()
+
+
+def test_graph_form_of_two_generators():
+    """The symbolic Segre variety of D2 (|z|^2 = 1, z1*~z2 + z2*~z1 = |z3|^2)
+    solved for (z1, z2) by Cramer's rule: at random rational (z3, wb), the
+    solution satisfies both generators."""
+    D2 = CRManifold.from_text("vars z1 z2 z3\n"
+                              "rho: z1*~z1 + z2*~z2 + z3*~z3 - 1\n"
+                              "rho: z1*~z2 + z2*~z1 - z3*~z3\n")
+    Q = segre_variety(D2, SYMBOLIC)
+    h = graph_form(Q, ["z1", "z2"])
+    rng = random.Random(5)
+    checked = 0
+    while checked < 20:
+        point = {n: QI(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+                 for n in ("z3", "wb_z1", "wb_z2", "wb_z3")}
+        dens = {k: den.eval(point) for k, (_, den) in h.items()}
+        if any(d.is_zero() for d in dens.values()):
+            continue
+        point.update({k: num.eval(point) / dens[k] for k, (num, _) in h.items()})
+        assert all(g.eval(point).is_zero() for g in Q.ideal.generators)
+        checked += 1
