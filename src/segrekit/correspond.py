@@ -96,6 +96,14 @@ class AlgebraicMap(NamedTuple):
         return J
 
 
+def _require_fit(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> None:
+    """Both manifolds real, and one component of f per coordinate of Mp."""
+    require_real(M, Mp)
+    if len(f.components) != Mp.n:
+        raise CorrespondenceError(f"map has {len(f.components)} components "
+                                  f"but the target has dimension {Mp.n}")
+
+
 class RankReport(NamedTuple):
     full_rank: bool
     rank: int
@@ -176,11 +184,11 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
                       seed: int = 0) -> InvarianceReport:
     """Exact check of f(Q_p) subset Q'_{f(p)} on sampled rational points.
 
-    base_points must lie on M, and both manifolds must be real (checked
-    once per call).  Non-invariant maps (including maps whose images leave
-    M') show up as counted failures, not exceptions.  A sample of Q_p on a
-    pole of f says nothing about the inclusion, and another is drawn."""
-    require_real(M, Mp)
+    base_points must lie on M; both manifolds must be real and f must fit
+    Mp (checked once per call).  Non-invariant maps (including maps whose
+    images leave M') are counted failures, not exceptions.  A sample of Q_p
+    on a pole of f says nothing about the inclusion, and another is drawn."""
+    _require_fit(M, Mp, f)
     rng = random.Random(seed)
     checked = passed = 0
     failures = []
@@ -188,11 +196,11 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
         if not M.contains(p):
             raise ManifoldError(f"base point {p} is not on the source manifold")
         # rho'(f(z), conj(f(p))): the conjugate half is prepared once per p
-        fp_half = Mp.half(Mp.point(f.apply(p)), conj=True)
+        fp_half = Mp.half(f.apply(p), conj=True)
         Q = real_segre_variety(M, p).ideal
         for z in sample_variety_points(Q.generators, Q.table, rng, per_point,
                                        keep=f.defined_at):
-            at = PointPowers.join(Mp.half(Mp.point(f.apply(z))), fp_half)
+            at = PointPowers.join(Mp.half(f.apply(z)), fp_half)
             vals = [r.eval(at) for r in Mp.rho]
             checked += len(vals)
             good = sum(1 for v in vals if v.is_zero())
@@ -270,8 +278,8 @@ def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> List[Poly]:
 def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Correspondence:
     """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}}: the containment
     ideal of the ``graph_targets`` on the symbolic Segre variety of M.  Both
-    manifolds must be real."""
-    require_real(M, Mp)
+    manifolds must be real, and f must fit Mp."""
+    _require_fit(M, Mp, f)
     ptable, wb, wpb = _param_table(M, Mp)
     gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f), ptable)
     if not gens:

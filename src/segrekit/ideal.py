@@ -584,34 +584,32 @@ def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):
 # -- parametric pseudo-reduction -------------------------------------------------
 
 
-def coefficients_in(p: Poly, main_indices: Sequence[int]) -> dict:
-    """Split p as a sum over monomials in the main block with parameter
-    polynomials as coefficients: {main exponent tuple -> Poly}."""
-    main = set(main_indices)
-    mask = [i in main for i in range(len(p.table))]
+def coefficients_in(p: Poly, n: int, onto: VarTable) -> dict:
+    """Split p as a sum over monomials in its first n variables, the main
+    block, with polynomials over ``onto`` (the rest of p's table, in order)
+    as coefficients: {main exponent padded with zeros -> Poly over onto}."""
+    pad = (0,) * (len(p.table) - n)
     buckets = {}
     for m, c in p.terms.items():
-        key = tuple([e if k else 0 for e, k in zip(m, mask)])
-        rest = tuple([0 if k else e for e, k in zip(m, mask)])
-        buckets.setdefault(key, {})[rest] = c
+        buckets.setdefault(m[:n] + pad, {})[m[n:]] = c
     # each term lands in one bucket, so the maps need no cleaning
-    return {k: Poly._raw(p.table, v) for k, v in buckets.items()}
+    return {k: Poly._raw(onto, v) for k, v in buckets.items()}
 
 
-def parametric_normal_form(
-    p: Poly, I: Ideal, param_names: Sequence[str]
-) -> Tuple[Poly, List[Poly]]:
-    """Pseudo-remainder of p modulo I's generators, treating `param_names`
-    as coefficients.
+def parametric_normal_form(p: Poly, I: Ideal, ptable: VarTable) -> Tuple[dict, List[Poly]]:
+    """Pseudo-remainder of p modulo I's generators, treating the variables
+    of ``ptable``, the last variables of I's table, as coefficients.
 
-    Returns (remainder, excluded): the reduction is valid wherever none of
-    the `excluded` parameter polynomials vanish.
-    """
+    Returns (coefficients, excluded), both over ``ptable``: the remainder as
+    {monomial of I's table in the main block: coefficient}, ascending in the
+    table's grevlex order, and the parameter polynomials in order of first
+    use.  The reduction is valid wherever none of ``excluded`` vanish."""
     table = I.table
-    params = {table.index(n) for n in param_names}
-    main = [i for i in range(len(table)) if i not in params]
+    n = len(table) - len(ptable)
+    if table.names[n:] != ptable.names:
+        raise PolyError(f"parameters {ptable.names} are not the last of {table.names}")
     codec = table.grevlex.codec
-    divisors = [_divisor(_pack(coefficients_in(g, main), codec))
+    divisors = [_divisor(_pack(coefficients_in(g, n, ptable), codec))
                 for g in I.generators if not g.is_zero()]
     excluded: List[Poly] = []
     steps = 0
@@ -627,17 +625,20 @@ def parametric_normal_form(
             excluded.append(lc)
         return lc, c
 
-    rem = _divide(_pack(coefficients_in(p, main), codec), divisors, codec, pseudo_step)
-    work = Poly(table, {tuple(x + y for x, y in zip(codec.dec(m), r)): v
-                        for m, c in rem.items() for r, v in c.terms.items()})
+    rem = _divide(_pack(coefficients_in(p, n, ptable), codec), divisors, codec, pseudo_step)
     # strip excluded-locus factors: off their zero sets the remainder's
-    # vanishing is unchanged
+    # vanishing is unchanged.  They involve parameters only, so one divides
+    # the remainder exactly when it divides every coefficient.
     changed = True
-    while changed and not work.is_zero():
+    while changed and rem:
         changed = False
         for e in excluded:
-            q = exact_div(work, e)
-            if q is not None:
-                work = q
-                changed = True
-    return work, excluded
+            quot = []
+            for c in rem.values():
+                if (q := exact_div(c, e)) is None:
+                    break
+                quot.append(q)
+            else:
+                rem, changed = dict(zip(rem, quot)), True
+    # the remainder comes in descending order
+    return {codec.dec(m): rem[m] for m in reversed(rem)}, excluded

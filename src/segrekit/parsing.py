@@ -270,27 +270,27 @@ def _split_component(src: str, table: VarTable) -> Tuple[Poly, Optional[Poly]]:
 
     The polynomial grammar already accepts division by constants, so the
     whole source is tried as a single polynomial first; only when that
-    fails is a top-level `/` interpreted as the component denominator.
-    When no split parses either, the first attempt's error stands."""
+    fails is the last top-level `/` read as the component denominator, so
+    that `a/b/c` is (a/b)/c.  When that split does not parse, the first
+    attempt's error stands."""
     try:
         return parse_poly(src, table), None
     except ParseError as exc:
         whole = exc
-    depth = 0
+    depth, cut = 0, None
     for k, ch in enumerate(src):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            try:
-                num, den = parse_poly(src[:k], table), parse_poly(src[k + 1:], table)
-            except ParseError:
-                continue
-            if den.is_zero():
-                raise ParseError("zero denominator in map component", pos=k + 1)
-            return num, den
-    raise whole
+        depth += (ch == "(") - (ch == ")")
+        if ch == "/" and depth == 0:
+            cut = k
+    if cut is None:
+        raise whole
+    try:
+        num, den = parse_poly(src[:cut], table), parse_poly(src[cut + 1:], table)
+    except ParseError:
+        raise whole from None
+    if den.is_zero():
+        raise ParseError("zero denominator in map component", pos=cut + 1)
+    return num, den
 
 
 def parse_map_text(text: str) -> MapSpec:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .ideal import (Ideal, coefficients_in, degree_zero_dim, dimension,
-                    eliminate, parametric_normal_form)
+from .ideal import (Ideal, degree_zero_dim, dimension, eliminate,
+                    parametric_normal_form)
 from .gaussian import PointPowers
 from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
                        vanish)
@@ -172,10 +172,10 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTabl
     ``ptable`` is the caller's parameter table: the target block, with the
     wb_* block when w is symbolic.  The targets share one table of M's
     z-variables and some of those parameters.  Each is pseudo-reduced
-    against the generators of Q_w and its z-coefficients are collected.
-    Returns (generators, excluded) over ``ptable``: the nonzero
-    coefficients, target by target and ascending in Q_w's order of their
-    z-monomials, and the excluded-locus ledger.  M must be real."""
+    against the generators of Q_w, which writes its z-coefficients onto
+    ``ptable``.  Returns (generators, excluded) over ``ptable``: the
+    nonzero coefficients, target by target and ascending in Q_w's order of
+    their z-monomials, and the excluded-locus ledger.  M must be real."""
     zvars = M.zvar_names
     params = ptable.names
     table = targets[0].table
@@ -188,16 +188,11 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTabl
 
     gens: List[Poly] = []
     excluded: List[Poly] = []
-    z_idx = [table.index(n) for n in zvars]
     for p in targets:
-        rem, exc = parametric_normal_form(p, Qw, params)
-        for e in exc:
-            if all(e != x for x in excluded):
-                excluded.append(e)
-        coeffs = coefficients_in(rem, z_idx)
-        gens.extend(coeffs[m] for m in sorted(coeffs, key=Qw.order.key))
-    return ([g.transport(ptable) for g in gens if not g.is_zero()],
-            tuple(e.transport(ptable) for e in excluded))
+        coeffs, exc = parametric_normal_form(p, Qw, ptable)
+        gens.extend(coeffs.values())
+        excluded += [e for e in exc if e not in excluded]
+    return gens, tuple(excluded)
 
 
 def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:

@@ -316,3 +316,22 @@ def test_correspond_flags_that_would_do_nothing_are_input_errors(flags, named):
     assert code == 2
     assert status.startswith("input-error: ")
     assert all(flag in status for flag in named)
+
+
+@pytest.mark.parametrize("target, text, named", [
+    ("hyperquadric_k1_n3.mfd", None, "map has 2 components but the target has dimension 3"),
+    ("sphere_C2.mfd", "vars z1 z2\ncomponent: z1\ncomponent: z2\ncomponent: z1*z2\n",
+     "map has 3 components but the target has dimension 2"),
+    ("sphere_C2.mfd", "vars z1 z2\ncomponent: z1/z2/2\ncomponent: z2\n",
+     "(line 2, column 14)"),
+], ids=["two-onto-C3", "three-onto-C2", "two-slashes"])
+def test_a_map_that_does_not_fit_or_parse_is_an_input_error(target, text, named, tmp_path):
+    path = data_path("identity_C2.map")
+    if text is not None:
+        path = tmp_path / "f.map"
+        path.write_text(text)
+    code, out, _ = run_cli("correspond", data_path("sphere_C2.mfd"), data_path(target),
+                           str(path))
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error: ") and named in status

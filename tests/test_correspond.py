@@ -324,3 +324,23 @@ def test_fiber_of_positive_dimension_raises():
     C = relation_correspondence(SPHERE, SPHERE, ["wpb_z1 - wb_z1"])
     with pytest.raises(CorrespondenceError, match="fiber has positive dimension 1"):
         fiber(C, pt(1, 2))
+
+
+THREE_ONTO_SPHERE = "vars z1 z2\ncomponent: z1\ncomponent: z2\ncomponent: z1*z2\n"
+
+
+@pytest.mark.parametrize("target, text, count, dim", [
+    ("hyperquadric_k1_n3.mfd", None, 2, 3),
+    ("sphere_C2.mfd", THREE_ONTO_SPHERE, 3, 2),
+], ids=["two-onto-C3", "three-onto-C2"])
+def test_a_map_that_does_not_fit_its_target_is_refused(target, text, count, dim):
+    """One component per target coordinate, checked before any graph is
+    built or any point is sampled."""
+    Mp = load_manifold(target)
+    f = AlgebraicMap.identity(SPHERE) if text is None else AlgebraicMap.from_text(text, SPHERE)
+    message = f"map has {count} components but the target has dimension {dim}"
+    with pytest.raises(CorrespondenceError, match=message):
+        build_correspondence(SPHERE, Mp, f)
+    with pytest.raises(CorrespondenceError, match=message):
+        verify_invariance(SPHERE, Mp, f, sample_points("sphere_C2", 1, seed=3), per_point=2)
+

@@ -173,3 +173,27 @@ def test_i_can_no_longer_shadow_the_imaginary_unit():
     # `vars i z2` used to parse `i*~i` as the imaginary unit times a variable
     with pytest.raises(ParseError, match="imaginary unit"):
         parse_manifold_text("vars i z2\nrho: i*~i + z2*~z2 - 1\n")
+
+
+@pytest.mark.parametrize("component", ["z1/z2/2", "z1/(z2)/3"])
+def test_a_component_is_split_at_its_last_top_level_slash_only(component):
+    """a/b/c is (a/b)/c; with a non-constant b the numerator a/b is no
+    polynomial, so the component is refused where the whole parse failed."""
+    exc = _parse_error(parse_map_text, f"vars z1 z2\ncomponent: {component}\n")
+    assert exc.line == 2 and "division only by nonzero constants" in str(exc)
+    assert exc.pos == len("component: z1/") - 1
+
+
+@pytest.mark.parametrize("component, num, den", [
+    ("1/2/z1", "1/2", "z1"),
+    ("z1/2/(1+z2)", "z1/2", "1+z2"),
+    ("z2^2 / (1 + z1)", "z2^2", "1 + z1"),
+    ("(z1^2 + 3*z2) / (1 + z1*z2)", "z1^2 + 3*z2", "1 + z1*z2"),
+    ("-7/25*z1 + 24/25*z2", "-7/25*z1 + 24/25*z2", None),
+    ("(3/5)*z1 + (4/5)*z2", "(3/5)*z1 + (4/5)*z2", None),
+])
+def test_components_with_slashes_that_parse(component, num, den):
+    spec = parse_map_text(f"vars z1 z2\ncomponent: {component}\n")
+    assert spec.components[0][0] == parse_poly(num, spec.table)
+    got = spec.components[0][1]
+    assert got is None if den is None else got == parse_poly(den, spec.table)
