@@ -12,6 +12,7 @@ from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
 from .linalg import rank
 from .manifold import (CRManifold, ManifoldError, check_point, require_real,
                        tangent_basis)
+from .orders import lex
 from .parsing import parse_map_text, parse_poly
 from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
 from .segre import SYMBOLIC, containment_ideal, real_segre_variety, segre_variety
@@ -69,19 +70,25 @@ class AlgebraicMap(NamedTuple):
 
     def defined_at(self, p: Sequence[GaussianRational]) -> bool:
         """True when no denominator vanishes at p."""
-        pt = self._point(p)
-        return not any(_read(den, pt).is_zero() for _, den in self.components)
+        return self.image(p) is not None
 
-    def apply(self, p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
+    def image(self, p: Sequence[GaussianRational]) -> Optional[Tuple[GaussianRational, ...]]:
+        """f(p), or None when p lies on a pole: some denominator vanishes."""
         pt = self._point(p)
         out = []
         for num, den in self.components:
             d = _read(den, pt)
             if d.is_zero():
-                raise ZeroDivisionError("point lies on a denominator zero set")
+                return None
             v = num.eval(pt)
             out.append(v if d.is_one() else v / d)
         return tuple(out)
+
+    def apply(self, p: Sequence[GaussianRational]) -> Tuple[GaussianRational, ...]:
+        out = self.image(p)
+        if out is None:
+            raise ZeroDivisionError("point lies on a denominator zero set")
+        return out
 
     def jacobian_at(self, p: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
         pt = self._point(p)
@@ -136,14 +143,15 @@ def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Ran
     """Rational points on V(gens) by back-substitution through one random
     root at a time, binding a random variable to a random value where no
     generator is univariate, and drawing the variables left free last.
-    A point that ``keep`` refuses is passed over, and its attempt counts."""
+    ``keep`` is asked about each drawn point not yet kept, in the order
+    drawn, and the points it accepts are kept in that order; a point it
+    refuses is passed over, and its attempt counts."""
     def draw() -> GaussianRational:
         return QI(rng.randint(-6, 6), rng.randint(-2, 2))
 
-    def bind_one(live: List[Poly]):
+    def bind_one(occurring: List[set]):
         value = draw()  # before the variable: sampled points depend on the draw order
-        occurring = sorted(set().union(*(g.variables() for g in live)))
-        return table.names[rng.choice(occurring)], value
+        return table.names[rng.choice(sorted(set().union(*occurring)))], value
 
     points = []
     tried = 0
@@ -184,23 +192,37 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
                       seed: int = 0) -> InvarianceReport:
     """Exact check of f(Q_p) subset Q'_{f(p)} on sampled rational points.
 
-    base_points must lie on M; both manifolds must be real and f must fit
-    Mp (checked once per call).  Non-invariant maps (including maps whose
-    images leave M') are counted failures, not exceptions.  A sample of Q_p
-    on a pole of f says nothing about the inclusion, and another is drawn."""
+    base_points must lie on M and off the poles of f; both manifolds must
+    be real and f must fit Mp (checked once per call).  Non-invariant maps
+    (including maps whose images leave M') are counted failures, not
+    exceptions.  A sample of Q_p on a pole of f says nothing about the
+    inclusion, and another is drawn."""
     _require_fit(M, Mp, f)
     rng = random.Random(seed)
     checked = passed = 0
     failures = []
+    images = []  # f(z) of each sample kept for the current base point
+
+    def keep(z: tuple) -> bool:
+        image = f.image(z)
+        if image is not None:
+            images.append(image)
+        return image is not None
+
     for p in base_points:
         if not M.contains(p):
             raise ManifoldError(f"base point {p} is not on the source manifold")
+        fp = f.image(p)
+        if fp is None:
+            raise CorrespondenceError(
+                f"base point ({', '.join(map(str, M.point(p)))}) lies on a pole of the map")
         # rho'(f(z), conj(f(p))): the conjugate half is prepared once per p
-        fp_half = Mp.half(f.apply(p), conj=True)
+        fp_half = Mp.half(fp, conj=True)
         Q = real_segre_variety(M, p).ideal
-        for z in sample_variety_points(Q.generators, Q.table, rng, per_point,
-                                       keep=f.defined_at):
-            at = PointPowers.join(Mp.half(f.apply(z)), fp_half)
+        images.clear()
+        zs = sample_variety_points(Q.generators, Q.table, rng, per_point, keep=keep)
+        for z, fz in zip(zs, images):
+            at = PointPowers.join(Mp.half(fz), fp_half)
             vals = [r.eval(at) for r in Mp.rho]
             checked += len(vals)
             good = sum(1 for v in vals if v.is_zero())
@@ -327,15 +349,19 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     w = (C.target if reverse else C.source).point(w)
     binding = {n: x.conjugate() for n, x in zip(fixed_names, w)}
     ftable = VarTable.make(list(free_names), conjugates=False)
-    ledger = [(e, e.substitute(binding).transport(ftable)) for e in C.excluded]
+    ledger = [(e, e.substitute(binding, ftable)) for e in C.excluded]
     for e, at_w in ledger:
         if at_w.is_zero():
             raise ExcludedLocusError(f"point lies on the excluded locus {e}")
-    gens = [g.substitute(binding) for g in C.graph.generators]
-    gens = [g.transport(ftable) for g in gens if not g.is_zero()]
+    gens = [g.substitute(binding, ftable) for g in C.graph.generators]
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise CorrespondenceError("fiber is the whole space (empty specialized ideal)")
-    I = Ideal.make(gens, table=ftable)
+    # one basis: dimension, the ledger check, degree and solutions all read
+    # it.  It is a lex basis unless fewer generators than variables leave
+    # the fiber empty or of positive dimension (Krull's principal ideal
+    # theorem), which a grevlex basis shows at a fraction of the cost
+    I = Ideal.make(gens, lex(len(ftable)) if len(gens) >= len(ftable) else None, ftable)
     d = dimension(I)
     if d < 0:
         raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")

@@ -451,13 +451,17 @@ def member(p: Poly, I: Ideal) -> bool:
 
 
 def _rabinowitsch(I: Ideal, p: Poly, stem: str) -> Ideal:
-    """I + <1 - t*p> over the table of I extended by a fresh variable t,
-    named ``stem`` or ``stem`` with the first number that makes it fresh."""
-    aux = I.table.fresh(stem)
-    ext = I.table.extend_params([aux])
-    gens = [g.transport(ext) for g in I.generators]
-    t = Poly.var(ext, aux)
-    gens.append(Poly.const(ext, 1) - t * p.transport(ext))
+    """I + <1 - t*p>, 1 - t*p first, over the table of I extended by a
+    fresh variable t, named ``stem`` or ``stem`` with the first number that
+    makes it fresh; p is over I's table."""
+    if p.table != I.table:
+        raise PolyError("polynomial and ideal over different variable tables")
+    ext = I.table.extend_params([I.table.fresh(stem)])
+    # t is the last variable: each exponent gains one trailing entry
+    rab = {(0,) * len(ext): QI_ONE}
+    rab.update((m + (1,), -c) for m, c in p.terms.items())
+    gens = [Poly._raw(ext, rab)]
+    gens += [Poly._raw(ext, {m + (0,): c for m, c in g.terms.items()}) for g in I.generators]
     return Ideal.make(gens, table=ext)
 
 

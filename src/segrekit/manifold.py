@@ -19,13 +19,33 @@ class ManifoldError(ValueError):
     pass
 
 
-class CRManifold(NamedTuple):
-    """Generic real-algebraic CR submanifold of C^n (or a projective chart),
-    cut out by d real defining polynomials in (z, ~z)."""
-
+class _ManifoldFields(NamedTuple):
     table: VarTable
     rho: tuple          # d polynomials
-    chart: object = "affine"   # "affine" or homogeneous chart index
+    chart: object       # "affine" or homogeneous chart index
+    real: bool          # every defining polynomial equals its conjugate
+
+
+class CRManifold(_ManifoldFields):
+    """Generic real-algebraic CR submanifold of C^n (or a projective chart),
+    cut out by d real defining polynomials in (z, ~z).
+
+    Built from (table, rho, chart); the reality verdict is made then, once,
+    and recorded in ``real``."""
+
+    __slots__ = ()
+
+    def __new__(cls, table: VarTable, rho: tuple, chart: object = "affine"):
+        return super().__new__(cls, table, rho, chart, all(r.is_real() for r in rho))
+
+    @classmethod
+    def _make(cls, fields) -> "CRManifold":
+        # ``_replace`` builds through here, so the verdict is made anew
+        table, rho, chart, _ = fields
+        return cls(table, rho, chart)
+
+    def __getnewargs__(self):
+        return self[:3]
 
     @property
     def n(self) -> int:
@@ -96,13 +116,14 @@ def vanish(polys: Sequence[Poly], table: PointPowers) -> bool:
 
 
 def check_reality(M: CRManifold) -> bool:
-    """True iff every defining polynomial equals its conjugate."""
-    return all(r.is_real() for r in M.rho)
+    """True iff every defining polynomial equals its conjugate, as recorded
+    when M was built."""
+    return M.real
 
 
 def require_real(*manifolds: CRManifold) -> None:
     """Refuse non-real defining data, which has no Segre geometry."""
-    if not all(check_reality(M) for M in manifolds):
+    if not all(M.real for M in manifolds):
         raise ManifoldError("defining polynomials are not real")
 
 
@@ -200,7 +221,7 @@ def dehomogenize(M: CRManifold, chart_index: int) -> CRManifold:
     keep = [nm for k, nm in enumerate(names) if k != chart_index]
     table = VarTable.make(keep)
     drop = names[chart_index]
-    rho = tuple(r.substitute({drop: 1, "~" + drop: 1}).transport(table) for r in M.rho)
+    rho = tuple(r.substitute({drop: 1, "~" + drop: 1}, table) for r in M.rho)
     return CRManifold(table, rho, chart="affine")
 
 

@@ -315,32 +315,45 @@ class Poly:
 
     # -- substitution and evaluation ------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, object]) -> "Poly":
+    def substitute(self, bindings: Mapping[str, object],
+                   table: Optional[VarTable] = None) -> "Poly":
         """Exact simultaneous substitution; unbound variables stay themselves.
 
-        A number value folds into each term's coefficient; a polynomial value
-        multiplies the term."""
+        A number value folds into each term's coefficient; a polynomial value,
+        which must lie over the result's table, multiplies the term.  The
+        result is over ``table`` when given, each unbound variable laid out
+        under its name there in the same pass, else over this table."""
+        src = self.table
+        table = src if table is None else table
         numbers, polys = [], []
         for name, val in bindings.items():
-            i = self.table.index(name)
+            i = src.index(name)
             if isinstance(val, SCALARS):
                 numbers.append((i, val))
-            elif val.table != self.table:
+            elif val.table != table:
                 raise PolyError("binding polynomial over incompatible table")
             else:
                 polys.append((i, val))
+        bound = {i for i, _ in numbers} | {i for i, _ in polys}
+        # (slot here, slot in the result) of each unbound variable; a
+        # variable the result's table lacks is an error once it occurs
+        keep = [(i, table._index.get(name)) for i, name in enumerate(src.names)
+                if i not in bound]
         point = PointPowers(numbers)
+        size = len(table)
         terms: dict = {}
         for m, c in self.terms.items():
-            residual = list(m)
+            residual = [0] * size
+            for i, j in keep:
+                if m[i]:
+                    if j is None:
+                        raise PolyError(f"unknown variable {src.names[i]!r}")
+                    residual[j] = m[i]
             if numbers:
-                for i, _ in numbers:
-                    residual[i] = 0
                 c = point.total(((c, 1, m),), strict=False)
             factor = None
             for i, q in polys:
                 if m[i]:
-                    residual[i] = 0
                     factor = q ** m[i] if factor is None else factor * q ** m[i]
             if factor is None:
                 parts = ((tuple(residual), c),)
@@ -348,7 +361,7 @@ class Poly:
                 parts = ((tuple(map(add, residual, fm)), c * fc) for fm, fc in factor.terms.items())
             for key, v in parts:
                 terms[key] = terms[key] + v if key in terms else v
-        return Poly._raw(self.table, {m: c for m, c in terms.items() if not c.is_zero()})
+        return Poly._raw(table, {m: c for m, c in terms.items() if not c.is_zero()})
 
     def _prepared(self, point) -> PointPowers:
         """point as a table of values: a name -> value mapping is prepared

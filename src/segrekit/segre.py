@@ -26,7 +26,7 @@ def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
     if w == SYMBOLIC:
         return polar_gens(M, table, M.block(WB))
     wbar = {"~" + name: v.conjugate() for name, v in zip(M.zvar_names, w)}
-    return [r.substitute(wbar).transport(table) for r in M.rho]
+    return [r.substitute(wbar, table) for r in M.rho]
 
 
 class SegreVariety(NamedTuple):

@@ -68,63 +68,84 @@ def _univariate_roots(p: Poly, var_index: int) -> Optional[Roots]:
     return None
 
 
+def _bind(terms: dict, vi: int, powers: dict) -> dict:
+    """The term map with variable vi bound to a value; ``powers`` maps an
+    exponent x to the value's x-th power, holds the value at 1 and gains
+    each power on first use.  Zero coefficients are dropped."""
+    out: dict = {}
+    for m, c in terms.items():
+        x = m[vi]
+        if x:
+            p = powers.get(x)
+            if p is None:
+                p = powers[x] = powers[1] ** x
+            c = c * p
+            m = m[:vi] + (0,) + m[vi + 1:]
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
 def back_substitute(gens: Sequence[Poly], table: VarTable,
                     follow: Callable[[Roots], Roots],
-                    stuck: Callable[[List[Poly]], Optional[Tuple[str, GaussianRational]]],
-                    bound: Optional[dict] = None) -> Optional[Leaves]:
+                    stuck: Callable[[List[set]], Optional[Tuple[str, GaussianRational]]]
+                    ) -> Optional[Leaves]:
     """Walk the system gens down to points, one variable at a time.
 
-    Zeros are dropped, and a nonzero constant ends the branch with no point.
-    The first univariate generator gives its Q(i) roots, of which
-    ``follow(roots)`` picks the (value, multiplicity) pairs to pursue; with
-    no univariate generator, ``stuck(live)`` names a (variable, value) to
-    bind, or None to give up.  Each bound value is substituted before the
-    next step.  Returns the leaves as ({name: value}, multiplicity), where
-    every generator vanishes (unbound variables are left out), or None when
-    a root set is not in Q(i) or the walk gave up."""
-    bound = bound or {}
-    live = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        if g.is_constant():
+    Each live generator is held as its term map and the set of variables
+    occurring in it.  Zeros are dropped, and a nonzero constant ends the
+    branch with no point.  The first univariate generator gives its Q(i)
+    roots, of which ``follow(roots)`` picks the (value, multiplicity) pairs
+    to pursue; with no univariate generator, ``stuck(occurring)``, given
+    each live generator's set of occurring variable indices, names a
+    (variable, value) to bind, or None to give up.  A bound value rewrites
+    only the generators its variable occurs in.  Returns the leaves as
+    ({name: value}, multiplicity), where every generator vanishes (unbound
+    variables are left out), or None when a root set is not in Q(i) or the
+    walk gave up."""
+    def walk(live: list, bound: dict) -> Optional[Leaves]:
+        if not all(vs for _, vs in live):
             return []
-        live.append(g)
-    if not live:
-        return [(bound, 1)]
-    occurs = [g.variables() for g in live]
-    for gi, (g, vs) in enumerate(zip(live, occurs)):
-        if len(vs) == 1:
-            (vi,) = vs
-            roots = _univariate_roots(g, vi)
-            if roots is None:
+        if not live:
+            return [(bound, 1)]
+        for gi, (terms, vs) in enumerate(live):
+            if len(vs) == 1:
+                (vi,) = vs
+                roots = _univariate_roots(Poly._raw(table, terms), vi)
+                if roots is None:
+                    return None
+                rest = live[:gi] + live[gi + 1:]
+                steps = [(vi, val, mult) for val, mult in follow(roots)]
+                break
+        else:
+            step = stuck([vs for _, vs in live])
+            if step is None:
                 return None
-            rest = list(zip(live[:gi] + live[gi + 1:], occurs[:gi] + occurs[gi + 1:]))
-            steps = [(table.names[vi], val, mult) for val, mult in follow(roots)]
-            break
-    else:
-        step = stuck(live)
-        if step is None:
-            return None
-        rest = list(zip(live, occurs))
-        steps = [(*step, 1)]
-    out = []
-    for name, val, mult in steps:
-        # a root is substituted only where its variable occurs
-        vi = table.index(name)
-        sub = back_substitute([h.substitute({name: val}) if vi in vs else h for h, vs in rest],
-                              table, follow, stuck, {**bound, name: val})
-        if sub is None:
-            return None
-        out.extend((pt, m * mult) for pt, m in sub)
-    return out
+            rest = live
+            steps = [(table.index(step[0]), step[1], 1)]
+        out = []
+        for vi, val, mult in steps:
+            powers = {1: val}
+            nxt = []
+            for terms, vs in rest:
+                if vi in vs:
+                    terms = _bind(terms, vi, powers)
+                    vs = {i for m in terms for i, x in enumerate(m) if x}
+                if terms:
+                    nxt.append((terms, vs))
+            sub = walk(nxt, {**bound, table.names[vi]: val})
+            if sub is None:
+                return None
+            out.extend((pt, m * mult) for pt, m in sub)
+        return out
+
+    return walk([(g.terms, g.variables()) for g in gens if not g.is_zero()], {})
 
 
 def solve_zero_dim(I: Ideal) -> Optional[Leaves]:
     """All solutions of a zero-dimensional ideal as (point, multiplicity),
     with points as {var name: GaussianRational}; None if not triangular."""
     gb = I.with_order(lex(len(I.table))).groebner()
-    sols = back_substitute(gb, I.table, lambda roots: roots, lambda live: None)
+    sols = back_substitute(gb, I.table, lambda roots: roots, lambda occurring: None)
     if sols is None or any(len(pt) != len(I.table) for pt, _ in sols):
         return None  # a root outside Q(i), or a variable left free
     return sols

@@ -133,7 +133,23 @@ def test_invariance_without_poles_keeps_its_draws():
         ("13/3+4/3*i", "-2-i"), ("-19/3", "6")]
 
 
+def test_invariance_refuses_a_base_point_on_a_pole():
+    """(1, 0) is on the sphere and on the pole z2 = 0 of f = (z1/z2, 1): the
+    base point is refused by name, as one off the manifold is."""
+    f = AlgebraicMap.from_text(POLE_MAP, SPHERE)
+    with pytest.raises(CorrespondenceError, match=r"base point \(1, 0\) lies on a pole"):
+        verify_invariance(SPHERE, SPHERE, f, [(1, 0)], per_point=2, seed=0)
+    with pytest.raises(CorrespondenceError, match=r"\(3/5, 4/5\*i\)"):
+        verify_invariance(SPHERE, SPHERE, AlgebraicMap.from_text(
+            "vars z1 z2\ncomponent: z1\ncomponent: 1/(5*z2 - 4*i)\n", SPHERE),
+            [pt(Fraction(3, 5), QI(0, Fraction(4, 5)))], per_point=2, seed=0)
+
+
 def test_invariance_checks_reality_once_per_manifold(monkeypatch):
+    """Reality is decided when a manifold is built, one ``Poly.is_real``
+    call per defining polynomial, and read afterwards: ``verify_invariance``
+    makes no call."""
+    from segrekit.manifold import dehomogenize, homogenize
     from segrekit.poly import Poly
 
     calls = []
@@ -144,12 +160,18 @@ def test_invariance_checks_reality_once_per_manifold(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Poly, "is_real", counted)
+    M = CRManifold.from_text("vars z1 z2 z3\nrho: z1*~z1 + z2*~z2 - 1\nrho: z3 + ~z3\n")
+    assert M.d == 2 and len(calls) == M.d
+    P = homogenize(M)
+    assert len(calls) == 2 * M.d
+    dehomogenize(P, 0)
+    assert len(calls) == 3 * M.d
+    calls.clear()
     f = AlgebraicMap.from_text(ROT_SRC, SPHERE)
     rep = verify_invariance(SPHERE, SPHERE, f, sample_points("sphere_C2", 3, seed=4),
                             per_point=2, seed=4)
     assert rep.ok
-    # one call per defining polynomial of each manifold argument
-    assert len(calls) == 2 * SPHERE.d
+    assert calls == []
 
 
 def test_power_graph_generators():
