@@ -15,7 +15,7 @@ from .manifold import (CRManifold, ManifoldError, check_point, require_real,
 from .orders import lex
 from .parsing import parse_map_text, parse_poly
 from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
-from .segre import SYMBOLIC, containment_ideal, real_segre_variety, segre_variety
+from .segre import SYMBOLIC, containment_ideal, segre_variety
 from .solve import back_substitute, solve_zero_dim
 
 
@@ -51,7 +51,8 @@ class AlgebraicMap(NamedTuple):
                 f"map variables {spec.table.names} do not match source {source.zvar_names}")
         one = Poly.const(source.table, 1)
         return AlgebraicMap(source.table, tuple(
-            (num.transport(source.table), one if den is None else den.transport(source.table))
+            (num.substitute({}, source.table),
+             one if den is None else den.substitute({}, source.table))
             for num, den in spec.components))
 
     @staticmethod
@@ -218,7 +219,7 @@ def verify_invariance(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
                 f"base point ({', '.join(map(str, M.point(p)))}) lies on a pole of the map")
         # rho'(f(z), conj(f(p))): the conjugate half is prepared once per p
         fp_half = Mp.half(fp, conj=True)
-        Q = real_segre_variety(M, p).ideal
+        Q = segre_variety(M, p).ideal
         images.clear()
         zs = sample_variety_points(Q.generators, Q.table, rng, per_point, keep=keep)
         for z, fz in zip(zs, images):
@@ -256,18 +257,20 @@ def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]
     return VarTable.make(wb + wpb, conjugates=False), wb, wpb
 
 
-def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> List[Poly]:
+def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
+                  ptable: VarTable) -> List[Poly]:
     """rho'(f(z), wpb) for each defining polynomial of Mp, denominators
     cleared (each component's to the degree of rho' in its variable), over
-    M's z-variables and the wpb_* block.
+    the containment ring: M's z-variables followed by ``ptable``'s names,
+    which hold the wpb_* block.
 
     Each factor num_k^a * den_k^(deg_k - a) * wpb_k^b is made once per
     (k, a, deg_k - a, b), and a term multiplies only its factors that are
     not 1."""
     wpb = Mp.block(WPB)
-    ttable = VarTable.make(M.zvar_names, params=wpb, conjugates=False)
-    nums = [num.transport(ttable) for num, _ in f.components]
-    dens = [den.transport(ttable) for _, den in f.components]
+    ttable = VarTable.make(M.zvar_names, params=ptable.names, conjugates=False)
+    nums = [num.substitute({}, ttable) for num, _ in f.components]
+    dens = [den.substitute({}, ttable) for _, den in f.components]
     one = Poly.const(ttable, 1)
     factors = {}
 
@@ -303,7 +306,7 @@ def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Corr
     manifolds must be real, and f must fit Mp."""
     _require_fit(M, Mp, f)
     ptable, wb, wpb = _param_table(M, Mp)
-    gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f), ptable)
+    gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
     graph = Ideal.make(gens, table=ptable)
@@ -411,8 +414,8 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     ptable, wb, wpb = _param_table(C1.source, C2.target)
     mid = C1.target.block(MB)
     joint = VarTable.make(wb + mid + wpb, conjugates=False)
-    g1 = [g.transport(joint, dict(zip(C1.wpb_names, mid))) for g in C1.graph.generators]
-    g2 = [g.transport(joint, dict(zip(C2.wb_names, mid))) for g in C2.graph.generators]
+    g1 = [g.substitute(dict(zip(C1.wpb_names, mid)), joint) for g in C1.graph.generators]
+    g2 = [g.substitute(dict(zip(C2.wb_names, mid)), joint) for g in C2.graph.generators]
     graph = eliminate(Ideal.make(g1 + g2, table=joint), ptable)
     # ledgers involving the eliminated middle block cannot be expressed in
     # the composed ring and are dropped; the rest carry over
@@ -420,9 +423,9 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     for e in C1.excluded:
         used = {C1.graph.table.names[i] for i in e.variables()}
         if used <= set(C1.wb_names):
-            exc.append(e.transport(ptable))
+            exc.append(e.substitute({}, ptable))
     for e in C2.excluded:
         used = {C2.graph.table.names[i] for i in e.variables()}
         if used <= set(C2.wpb_names):
-            exc.append(e.transport(ptable))
+            exc.append(e.substitute({}, ptable))
     return Correspondence(graph, C1.source, C2.target, wb, wpb, tuple(exc))

@@ -478,7 +478,7 @@ def eliminate(I: Ideal, keep: VarTable) -> Ideal:
     keep_idx = {I.table.index(n) for n in keep.names}
     elim_idx = [i for i in range(len(I.table)) if i not in keep_idx]
     gb = buchberger(I.generators, block_elim(len(I.table), elim_idx))
-    return Ideal.make([g.transport(keep) for g in gb if g.variables() <= keep_idx],
+    return Ideal.make([g.substitute({}, keep) for g in gb if g.variables() <= keep_idx],
                       table=keep)
 
 

@@ -159,10 +159,11 @@ class PolarVariety(NamedTuple):
 
 
 def polar_gens(M: CRManifold, table: VarTable, conj_names: Sequence[str]) -> List[Poly]:
-    """The defining polynomials over `table`, each ~z renamed to its entry
-    of `conj_names` (the z-variables keep their names)."""
+    """The defining polynomials laid out over `table` by ``Poly.substitute``,
+    each ~z renamed to its entry of `conj_names` (the z-variables keep
+    their names)."""
     rename = {"~" + name: c for name, c in zip(M.zvar_names, conj_names)}
-    return [r.transport(table, rename) for r in M.rho]
+    return [r.substitute(rename, table) for r in M.rho]
 
 
 def polar(M: CRManifold) -> PolarVariety:
@@ -191,21 +192,19 @@ def homogenize(M: CRManifold, hom_var: Optional[str] = None) -> CRManifold:
         hom_var = M.table.fresh("z0")
     elif hom_var in M.table.names:
         raise ManifoldError(f"chart variable {hom_var!r} is already a variable of the manifold")
-    new_vars = [hom_var] + list(M.zvar_names)
-    table = VarTable.make(new_vars)
+    table = VarTable.make([hom_var] + list(M.zvar_names))
+    zi = table.indices(Z_VAR)
+    ci = table.indices(CONJ_VAR)
+    h0 = table.index(hom_var)
+    c0 = table.index("~" + hom_var)
     rho = []
     for r in M.rho:
+        # laid out over the new table, where the chart variable's slots are 0
+        r = r.substitute({}, table)
         dz, dc = _bidegrees(r)
-        zi = r.table.indices(Z_VAR)
-        ci = r.table.indices(CONJ_VAR)
-        h0 = table.index(hom_var)
-        c0 = table.index("~" + hom_var)
         terms = {}
         for m, c in r.terms.items():
-            new = [0] * len(table)
-            for i, e in enumerate(m):
-                if e:
-                    new[table.index(r.table.names[i])] = e
+            new = list(m)
             new[h0] = dz - sum(m[i] for i in zi)
             new[c0] = dc - sum(m[i] for i in ci)
             terms[tuple(new)] = c

@@ -320,35 +320,42 @@ class Poly:
         """Exact simultaneous substitution; unbound variables stay themselves.
 
         A number value folds into each term's coefficient; a polynomial value,
-        which must lie over the result's table, multiplies the term.  The
-        result is over ``table`` when given, each unbound variable laid out
-        under its name there in the same pass, else over this table."""
+        which must lie over the result's table, multiplies the term; a name
+        (a ``str``) renames the variable.  The result is over ``table`` when
+        given, else over this table, each variable not bound to a value laid
+        out under its name or new name there in the same pass; variables
+        renamed into one slot multiply.  It is the one routine that moves a
+        polynomial to another table."""
         src = self.table
         table = src if table is None else table
         numbers, polys = [], []
+        target = list(src.names)  # each variable's name in the result
         for name, val in bindings.items():
             i = src.index(name)
-            if isinstance(val, SCALARS):
+            if isinstance(val, str):
+                target[i] = val
+            elif isinstance(val, SCALARS):
                 numbers.append((i, val))
             elif val.table != table:
                 raise PolyError("binding polynomial over incompatible table")
             else:
                 polys.append((i, val))
         bound = {i for i, _ in numbers} | {i for i, _ in polys}
-        # (slot here, slot in the result) of each unbound variable; a
-        # variable the result's table lacks is an error once it occurs
-        keep = [(i, table._index.get(name)) for i, name in enumerate(src.names)
-                if i not in bound]
+        # (slot here, slot in the result, name there) of each variable not
+        # bound to a value; a name the result's table lacks is an error once
+        # its variable occurs
+        keep = [(i, table._index.get(name), name)
+                for i, name in enumerate(target) if i not in bound]
         point = PointPowers(numbers)
         size = len(table)
         terms: dict = {}
         for m, c in self.terms.items():
             residual = [0] * size
-            for i, j in keep:
+            for i, j, name in keep:
                 if m[i]:
                     if j is None:
-                        raise PolyError(f"unknown variable {src.names[i]!r}")
-                    residual[j] = m[i]
+                        raise PolyError(f"unknown variable {name!r}")
+                    residual[j] += m[i]
             if numbers:
                 c = point.total(((c, 1, m),), strict=False)
             factor = None
@@ -432,25 +439,6 @@ class Poly:
                 key = tuple(new)
                 terms[key] = terms.get(key, QI_ZERO) + c * m[i]
         return Poly(self.table, terms)
-
-    # -- table transport --------------------------------------------------------
-
-    def transport(self, table: VarTable, name_map: Optional[Mapping[str, str]] = None) -> "Poly":
-        """Rewrite over another table; variables renamed through name_map."""
-        name_map = name_map or {}
-        idx = {}
-        for i in self.variables():
-            src = self.table.names[i]
-            idx[i] = table.index(name_map.get(src, src))
-        terms = {}
-        for m, c in self.terms.items():
-            new = [0] * len(table)
-            for i, e in enumerate(m):
-                if e:
-                    new[idx[i]] += e
-            key = tuple(new)
-            terms[key] = terms[key] + c if key in terms else c
-        return Poly(table, terms)
 
     # -- printing ----------------------------------------------------------------
 

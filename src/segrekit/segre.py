@@ -11,7 +11,7 @@ from .ideal import (Ideal, degree_zero_dim, dimension, eliminate,
 from .gaussian import PointPowers
 from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
                        vanish)
-from .poly import U, WB, ZB, Poly, VarTable
+from .poly import U, WB, ZB, Poly, PolyError, VarTable
 
 SYMBOLIC = "symbolic"
 
@@ -41,11 +41,6 @@ class SegreVariety(NamedTuple):
 
 def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     require_real(M)
-    return real_segre_variety(M, w)
-
-
-def real_segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
-    """``segre_variety`` for a manifold its caller has checked to be real."""
     if w != SYMBOLIC:
         w = M.point(w)
     params = M.block(WB) if w == SYMBOLIC else ()
@@ -170,18 +165,17 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTabl
     """Conditions on the parameters under which every target vanishes on Q_w.
 
     ``ptable`` is the caller's parameter table: the target block, with the
-    wb_* block when w is symbolic.  The targets share one table of M's
-    z-variables and some of those parameters.  Each is pseudo-reduced
+    wb_* block when w is symbolic.  The targets lie over the containment
+    ring, one table of M's z-variables followed by ``ptable``'s names; a
+    target laid out any other way is refused.  Each is pseudo-reduced
     against the generators of Q_w, which writes its z-coefficients onto
     ``ptable``.  Returns (generators, excluded) over ``ptable``: the
     nonzero coefficients, target by target and ascending in Q_w's order of
     their z-monomials, and the excluded-locus ledger.  M must be real."""
-    zvars = M.zvar_names
-    params = ptable.names
+    ring = M.zvar_names + ptable.names
+    if any(p.table.names != ring for p in targets):
+        raise PolyError(f"targets must lie over {ring}")
     table = targets[0].table
-    if table.names != zvars + params:
-        table = VarTable.make(zvars, params=params, conjugates=False)
-        targets = [p.transport(table) for p in targets]
     if w != SYMBOLIC:
         w = M.point(w)
     Qw = Ideal.make(_segre_gens(M, w, table), table=table)
@@ -245,7 +239,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
         # conjugate of the previous Segre set in the u-block, and the polar
         # constraint rho(z, u)
         gens = [Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
-                .transport(joint, rename_u) for g in ideals[-1].generators]
+                .substitute(rename_u, joint) for g in ideals[-1].generators]
         nxt = eliminate(Ideal.make(gens + polar, table=joint), ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))

@@ -21,6 +21,8 @@ from segrekit.manifold import CRManifold, polar_gens
 from segrekit.poly import WB, ZB, Poly, PolyError, VarTable
 from segrekit.segre import SYMBOLIC, _segre_gens, containment_ideal
 
+from reference_layout import transport
+
 CATALOG = load_catalog()
 
 
@@ -76,7 +78,7 @@ def containment_reference(M, w, targets, ptable):
     table = targets[0].table
     if table.names != zvars + params:
         table = VarTable.make(zvars, params=params, conjugates=False)
-        targets = [p.transport(table) for p in targets]
+        targets = [transport(p, table) for p in targets]
     if w != SYMBOLIC:
         w = M.point(w)
     Qw = Ideal.make(_segre_gens(M, w, table), table=table)
@@ -89,8 +91,8 @@ def containment_reference(M, w, targets, ptable):
                 excluded.append(e)
         coeffs = coefficients_reference(rem, z_idx)
         gens.extend(coeffs[m] for m in sorted(coeffs, key=Qw.order.key))
-    return ([g.transport(ptable) for g in gens if not g.is_zero()],
-            tuple(e.transport(ptable) for e in excluded))
+    return ([transport(g, ptable) for g in gens if not g.is_zero()],
+            tuple(transport(e, ptable) for e in excluded))
 
 
 def assert_same_containment(M, w, targets, ptable):
@@ -115,7 +117,7 @@ def assert_same_graph(M, Mp, f):
     """The containment that ``build_correspondence`` asks for, before the
     graph is saturated."""
     ptable, _, _ = _param_table(M, Mp)
-    return assert_same_containment(M, SYMBOLIC, graph_targets(M, Mp, f), ptable)
+    return assert_same_containment(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
@@ -244,7 +246,7 @@ def test_random_parametric_systems():
         table, I, p = random_parametric_system(rng)
         coeffs, excluded = parametric_normal_form(p, I, ptable)
         rem, ref_excluded = pnf_reference(p, I, ["a", "b"])
-        assert excluded == [e.transport(ptable) for e in ref_excluded]
+        assert excluded == [transport(e, ptable) for e in ref_excluded]
         assert all(c.table is ptable and not c.is_zero() for c in coeffs.values())
         keys = list(coeffs)
         assert keys == sorted(keys, key=I.order.key)

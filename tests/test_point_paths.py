@@ -1,7 +1,8 @@
 """The point paths against the designs they replace, kept here as references:
 the walk that rebuilt each live ``Poly`` per bound value, the fiber that
 read a grevlex basis beside the lex one, substitute-then-transport, and the
-Rabinowitsch ideal laid out by ``Poly.transport``.
+Rabinowitsch ideal laid out by the old ``Poly.transport`` (the copy in
+``reference_layout``).
 
 Each reference must agree exactly with the code: the same leaves in the
 same order, the same multiplicities and random draws, the same fiber
@@ -24,8 +25,10 @@ from segrekit.manifold import CRManifold
 from segrekit.orders import lex
 from segrekit.parsing import parse_poly
 from segrekit.poly import Poly, PolyError, VarTable
-from segrekit.segre import real_segre_variety
+from segrekit.segre import segre_variety
 from segrekit.solve import _univariate_roots, back_substitute
+
+from reference_layout import transport
 
 
 # -- references -----------------------------------------------------------------------
@@ -88,12 +91,12 @@ def two_basis_fiber(C, w, reverse=False):
     w = (C.target if reverse else C.source).point(w)
     binding = {n: x.conjugate() for n, x in zip(fixed_names, w)}
     ftable = VarTable.make(list(free_names), conjugates=False)
-    ledger = [(e, e.substitute(binding).transport(ftable)) for e in C.excluded]
+    ledger = [(e, transport(e.substitute(binding), ftable)) for e in C.excluded]
     for e, at_w in ledger:
         if at_w.is_zero():
             raise ExcludedLocusError(f"point lies on the excluded locus {e}")
     gens = [g.substitute(binding) for g in C.graph.generators]
-    gens = [g.transport(ftable) for g in gens if not g.is_zero()]
+    gens = [transport(g, ftable) for g in gens if not g.is_zero()]
     if not gens:
         raise CorrespondenceError("fiber is the whole space (empty specialized ideal)")
     I = Ideal.make(gens, table=ftable)
@@ -118,8 +121,8 @@ def two_basis_fiber(C, w, reverse=False):
 def transported_rabinowitsch(I, p, stem):
     aux = I.table.fresh(stem)
     ext = I.table.extend_params([aux])
-    gens = [g.transport(ext) for g in I.generators]
-    gens.append(Poly.const(ext, 1) - Poly.var(ext, aux) * p.transport(ext))
+    gens = [transport(g, ext) for g in I.generators]
+    gens.append(Poly.const(ext, 1) - Poly.var(ext, aux) * transport(p, ext))
     return Ideal.make(gens, table=ext)
 
 
@@ -221,7 +224,7 @@ SEGRE_SYSTEMS = list(_segre_systems())
 
 @pytest.mark.parametrize("label, M, p", SEGRE_SYSTEMS, ids=[s[0] for s in SEGRE_SYSTEMS])
 def test_sampler_matches_the_poly_walk_on_segre_varieties(label, M, p):
-    Q = real_segre_variety(M, p).ideal
+    Q = segre_variety(M, p).ideal
     for seed in range(8):
         (new, new_state), (old, old_state) = _walk_pair(Q.generators, Q.table, seed, False)
         assert _leaves(new) == _leaves(old)
@@ -428,7 +431,7 @@ def test_one_pass_specialization_equals_substitute_then_transport(seed):
     extra = ["s"] if rng.random() < 0.5 else []
     target = VarTable.make(rest + extra, conjugates=False)
     got = p.substitute(bindings, target)
-    want = p.substitute(bindings).transport(target)
+    want = transport(p.substitute(bindings), target)
     assert got == want
     assert list(got.terms.items()) == list(want.terms.items())
 
@@ -439,7 +442,7 @@ def test_one_pass_specialization_refuses_a_variable_the_table_lacks():
     with pytest.raises(PolyError, match="unknown variable 't1'"):
         p.substitute({"z2": 1}, target)
     with pytest.raises(PolyError, match="unknown variable 't1'"):
-        p.substitute({"z2": 1}).transport(target)
+        transport(p.substitute({"z2": 1}), target)
     assert p.substitute({"t1": 2}, target) == Poly.var(target, "z1") * 2
 
 

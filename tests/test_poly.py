@@ -114,11 +114,11 @@ def test_binding_every_variable_to_a_number_is_eval(p, a, b, ca, cb):
     assert p.substitute(binding) == Poly.const(TABLE, p.eval(binding))
 
 
-def test_transport_renames():
+def test_substitute_renames():
     other = VarTable.make(["w1", "w2"], conjugates=False)
     p = parse_poly("z1*z2 + 2", TABLE).substitute(
         {"~z1": Poly.const(TABLE, QI_ZERO)})
-    moved = p.transport(other, {"z1": "w1", "z2": "w2"})
+    moved = p.substitute({"z1": "w1", "z2": "w2"}, other)
     assert str(moved) == "w1*w2+2"
 
 

@@ -11,11 +11,13 @@ from fractions import Fraction
 import pytest
 
 from segrekit.catalog import load_catalog
-from segrekit.correspond import (AlgebraicMap, ExcludedLocusError,
+from segrekit.correspond import (AlgebraicMap, ExcludedLocusError, _param_table,
                                  build_correspondence, fiber, graph_targets)
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.manifold import CRManifold
 from segrekit.poly import CONJ_VAR, PARAM_VAR, Z_VAR, Poly, PolyError, VarTable
+
+from reference_layout import transport
 
 CATALOG = load_catalog()
 
@@ -23,8 +25,8 @@ CATALOG = load_catalog()
 def targets_reference(M, Mp, f):
     wpb = tuple("wpb_" + n for n in Mp.zvar_names)
     ttable = VarTable.make(list(M.zvar_names), params=list(wpb), conjugates=False)
-    nums = [num.transport(ttable) for num, _ in f.components]
-    dens = [den.transport(ttable) for _, den in f.components]
+    nums = [transport(num, ttable) for num, _ in f.components]
+    dens = [transport(den, ttable) for _, den in f.components]
     targets = []
     for rp in Mp.rho:
         degs = [rp.degree_in([rp.table.index(n)]) for n in Mp.zvar_names]
@@ -84,7 +86,13 @@ def target_cases():
 
 @pytest.mark.parametrize("label,M,Mp,f", target_cases(), ids=[c[0] for c in target_cases()])
 def test_graph_targets_equal_the_per_term_loop(label, M, Mp, f):
-    assert graph_targets(M, Mp, f) == targets_reference(M, Mp, f)
+    """The targets come laid out over the containment ring: M's z-variables,
+    then the graph's (wb, wpb) parameter table."""
+    ptable, _, _ = _param_table(M, Mp)
+    ring = VarTable.make(M.zvar_names, params=ptable.names, conjugates=False)
+    got = graph_targets(M, Mp, f, ptable)
+    assert all(t.table == ring for t in got)
+    assert got == [transport(t, ring) for t in targets_reference(M, Mp, f)]
 
 
 TABLE = VarTable.make(["z1", "z2"], params=["t"])
