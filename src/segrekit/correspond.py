@@ -15,7 +15,8 @@ from .manifold import (CRManifold, ManifoldError, check_point, require_real,
 from .orders import lex
 from .parsing import parse_map_text, parse_poly
 from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
-from .segre import SYMBOLIC, containment_ideal, segre_variety
+from .segre import (SYMBOLIC, containment_ideal, segre_map_locally_injective,
+                    segre_variety)
 from .solve import back_substitute, solve_zero_dim
 
 
@@ -392,18 +393,11 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
 def splits_at(C: Correspondence, q) -> bool:
     """Splitting criterion: every fiber solution is simple and the target
     Segre map is injective there (target inversion degree 1)."""
-    from .segre import essential_finiteness
-
     fr = fiber(C, q)
     if fr.solutions is None:
         raise CorrespondenceError("fiber solutions are not triangular; cannot decide")
-    if any(mult != 1 for _, mult in fr.solutions):
-        return False
-    for wp, _ in fr.solutions:
-        finite, deg = essential_finiteness(C.target, wp)
-        if not finite or deg != 1:
-            return False
-    return True
+    return (all(mult == 1 for _, mult in fr.solutions)
+            and all(segre_map_locally_injective(C.target, wp) for wp, _ in fr.solutions))
 
 
 def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
@@ -419,13 +413,7 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     graph = eliminate(Ideal.make(g1 + g2, table=joint), ptable)
     # ledgers involving the eliminated middle block cannot be expressed in
     # the composed ring and are dropped; the rest carry over
-    exc = []
-    for e in C1.excluded:
-        used = {C1.graph.table.names[i] for i in e.variables()}
-        if used <= set(C1.wb_names):
-            exc.append(e.substitute({}, ptable))
-    for e in C2.excluded:
-        used = {C2.graph.table.names[i] for i in e.variables()}
-        if used <= set(C2.wpb_names):
-            exc.append(e.substitute({}, ptable))
-    return Correspondence(graph, C1.source, C2.target, wb, wpb, tuple(exc))
+    exc = tuple(e.substitute({}, ptable)
+                for C, outer in ((C1, C1.wb_names), (C2, C2.wpb_names)) for e in C.excluded
+                if {C.graph.table.names[i] for i in e.variables()} <= set(outer))
+    return Correspondence(graph, C1.source, C2.target, wb, wpb, exc)

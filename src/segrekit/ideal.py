@@ -442,7 +442,13 @@ def groebner_basis(I: Ideal) -> Ideal:
     return Ideal(gb, I.order, I.table, _gb=gb)
 
 
+def _require_table(p: Poly, I: Ideal) -> None:
+    if p.table != I.table:
+        raise PolyError("polynomial and ideal over different variable tables")
+
+
 def normal_form(p: Poly, I: Ideal) -> Poly:
+    _require_table(p, I)
     return reduce_poly(p, I.groebner(), I.order)
 
 
@@ -454,8 +460,7 @@ def _rabinowitsch(I: Ideal, p: Poly, stem: str) -> Ideal:
     """I + <1 - t*p>, 1 - t*p first, over the table of I extended by a
     fresh variable t, named ``stem`` or ``stem`` with the first number that
     makes it fresh; p is over I's table."""
-    if p.table != I.table:
-        raise PolyError("polynomial and ideal over different variable tables")
+    _require_table(p, I)
     ext = I.table.extend_params([I.table.fresh(stem)])
     # t is the last variable: each exponent gains one trailing entry
     rab = {(0,) * len(ext): QI_ONE}
@@ -574,11 +579,13 @@ def saturate(I: Ideal, e: Poly) -> Ideal:
     return eliminate(_rabinowitsch(I, e, "_s"), I.table).with_order(I.order)
 
 
-def exact_div(p: Poly, d: Poly, order: Optional[MonomialOrder] = None):
-    """Quotient p/d when the division is exact, else None."""
+def exact_div(p: Poly, d: Poly):
+    """Quotient p/d when the division is exact, else None; p and d lie over
+    one table."""
+    p._check(d)
     if d.is_zero():
         return None
-    codec = (order or p.table.grevlex).codec
+    codec = p.table.grevlex.codec
     quot = {}
     rem = _divide(_pack(p.terms, codec), [_divisor(_pack(d.terms, codec))], codec,
                   _field_step, [quot])
@@ -608,6 +615,7 @@ def parametric_normal_form(p: Poly, I: Ideal, ptable: VarTable) -> Tuple[dict, L
     {monomial of I's table in the main block: coefficient}, ascending in the
     table's grevlex order, and the parameter polynomials in order of first
     use.  The reduction is valid wherever none of ``excluded`` vanish."""
+    _require_table(p, I)
     table = I.table
     n = len(table) - len(ptable)
     if table.names[n:] != ptable.names:

@@ -76,28 +76,24 @@ class CRManifold(_ManifoldFields):
         function that takes a point checks it here."""
         return check_point(p, self.n)
 
-    def _slots(self, p: Point, conj: bool) -> list:
-        zs = self.table.indices(Z_VAR)
-        if conj:
-            pairs = self.table.pairs
-            return [(pairs[j], x.conjugate()) for j, x in zip(zs, p)]
-        return list(zip(zs, p))
-
     def half(self, p: Point, conj: bool = False) -> PointPowers:
         """The checked point p prepared as half of a table over M's
         variables: p bound to the z-variables or, with conj, conj(p) bound to
         the conjugate variables, over p's own denominator.  ``PointPowers.join``
         of a z-half and a conjugate half is a whole table."""
-        return PointPowers(self._slots(p, conj))
+        zs = self.table.indices(Z_VAR)
+        if conj:
+            pairs = self.table.pairs
+            return PointPowers([(pairs[j], x.conjugate()) for j, x in zip(zs, p)])
+        return PointPowers(zip(zs, p))
 
     def point_bindings(self, z: Point, w: Optional[Point] = None) -> PointPowers:
-        """The z-variables bound to z and the conjugate variables to conj(w),
-        where w defaults to z: one table that every polynomial over M's
-        variables evaluated there shares."""
+        """The z-half of z joined with the conjugate half of w, where w
+        defaults to z: one table that every polynomial over M's variables
+        evaluated there shares."""
         z = self.point(z)
-        if w is None:
-            return PointPowers(self._slots(z, False) + self._slots(z, True))
-        return PointPowers.join(self.half(z), self.half(self.point(w), conj=True))
+        w = z if w is None else self.point(w)
+        return PointPowers.join(self.half(z), self.half(w, conj=True))
 
     def contains(self, p: Point) -> bool:
         return vanish(self.rho, self.point_bindings(p))

@@ -31,30 +31,21 @@ class ParseError(ValueError):
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9']*"
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|(.))")
+_TOKEN = re.compile(rf"(\d+)|({_NAME})|(\S)")
 
 
 def _tokenize(src: str) -> List[Tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(src):
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == m.start():
-            break
-        start = m.start(m.lastindex)
-        if m.group(1):
-            tokens.append(("num", m.group(1), start))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), start))
+    for m in _TOKEN.finditer(src):
+        num, name, ch = m.groups()
+        if num:
+            tokens.append(("num", num, m.start()))
+        elif name:
+            tokens.append(("name", name, m.start()))
+        elif ch in "+-*/^()~":
+            tokens.append((ch, ch, m.start()))
         else:
-            ch = m.group(3)
-            if ch not in "+-*/^()~":
-                raise ParseError(f"unexpected character {ch!r}", pos=start)
-            tokens.append((ch, ch, start))
-        pos = m.end()
+            raise ParseError(f"unexpected character {ch!r}", pos=m.start())
     return tokens
 
 

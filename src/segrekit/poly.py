@@ -279,39 +279,20 @@ class Poly:
     # -- conjugation -----------------------------------------------------------
 
     def conjugate(self) -> "Poly":
-        """Conjugate coefficients and swap paired z/conjugate exponents."""
-        pairs = self.table.pairs
-        terms = {}
-        for m, c in self.terms.items():
-            swapped = list(m)
-            for i, e in enumerate(m):
-                if e and self.table.kinds[i] in (Z_VAR, CONJ_VAR) and pairs[i] is None:
-                    raise PolyError(
-                        f"variable {self.table.names[i]!r} has no conjugate partner"
-                    )
-            for i, j in enumerate(pairs):
-                if j is not None:
-                    swapped[i] = m[j]
-            key = tuple(swapped)
-            terms[key] = terms.get(key, QI_ZERO) + c.conjugate()
-        return Poly(self.table, terms)
-
-    def is_real(self) -> bool:
-        """True when the polynomial equals its conjugate: each term's
-        coefficient is the conjugate of its partner term's, the term with
-        paired z/conjugate exponents swapped.  No conjugate is built."""
+        """Conjugate coefficients and swap paired z/conjugate exponents.  The
+        swap is an involution, so no two terms meet."""
         table = self.table
         pairs = table.pairs
         for i, (kind, j) in enumerate(zip(table.kinds, pairs)):
             if j is None and kind in (Z_VAR, CONJ_VAR) and any(m[i] for m in self.terms):
                 raise PolyError(f"variable {table.names[i]!r} has no conjugate partner")
         swap = [i if j is None else j for i, j in enumerate(pairs)]
-        terms = self.terms
-        for m, c in terms.items():
-            partner = terms.get(tuple([m[j] for j in swap]))
-            if partner is None or partner != c.conjugate():
-                return False
-        return True
+        return Poly._raw(table, {tuple([m[j] for j in swap]): c.conjugate()
+                                 for m, c in self.terms.items()})
+
+    def is_real(self) -> bool:
+        """True when the polynomial equals its conjugate."""
+        return self.conjugate() == self
 
     # -- substitution and evaluation ------------------------------------------
 

@@ -222,7 +222,8 @@ class SegreSetChain(NamedTuple):
 
 
 def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
-    """Iterated Segre sets Q^j_p as elimination ideals, with dimensions."""
+    """Iterated Segre sets Q^j_p as elimination ideals, with dimensions,
+    up to the first of full dimension or a repeat, at most j_max steps."""
     p = M.point(p)
     if not M.contains(p):
         raise ManifoldError("base point does not lie on the manifold")
@@ -235,7 +236,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     joint = VarTable.make(M.zvar_names + uvars, conjugates=False)
     rename_u = dict(zip(M.zvar_names, uvars))
     polar = polar_gens(M, joint, uvars)
-    for _ in range(1, j_max):
+    while len(ideals) < j_max and dims[-1] < n:
         # conjugate of the previous Segre set in the u-block, and the polar
         # constraint rho(z, u)
         gens = [Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
@@ -243,25 +244,24 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
         nxt = eliminate(Ideal.make(gens + polar, table=joint), ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))
-        if dims[-1] == n or nxt == ideals[-2]:
+        if nxt == ideals[-2]:
             break
     return SegreSetChain(p, tuple(ideals), tuple(dims))
 
 
 def minimality(M: CRManifold, p, j_max: Optional[int] = None) -> Tuple[bool, int]:
     """(True, j0) when the Segre sets reach full dimension at step j0;
-    (False, j) when the chain stabilizes below dimension n."""
+    (False, j) when the chain stabilizes below dimension n.  The chain
+    stops at the first of the two, so its last step decides."""
     if j_max is None:
         j_max = M.n + 2
     elif j_max < 1:
         raise ValueError(f"j_max must be at least 1, got {j_max}")
     chain = segre_sets(M, p, j_max)
-    n = M.n
-    for j, d in enumerate(chain.dims, start=1):
-        if d == n:
-            return True, j
-    for j in range(1, len(chain.ideals)):
-        if chain.ideals[j] == chain.ideals[j - 1]:
-            return False, j
+    j = len(chain.dims)
+    if chain.dims[-1] == M.n:
+        return True, j
+    if j > 1 and chain.ideals[-1] == chain.ideals[-2]:
+        return False, j - 1
     raise InconclusiveError(
         f"Segre set chain did not stabilize within j_max={j_max} steps")

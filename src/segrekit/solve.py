@@ -23,13 +23,9 @@ Leaves = List[Tuple[dict, int]]
 
 
 def _univariate_roots(p: Poly, var_index: int) -> Optional[Roots]:
-    """Roots (value, multiplicity) of a univariate polynomial over Q(i)."""
-    coeffs: Dict[int, GaussianRational] = {}
-    for m, c in p.terms.items():
-        for i, e in enumerate(m):
-            if e and i != var_index:
-                return None
-        coeffs[m[var_index]] = coeffs.get(m[var_index], QI_ZERO) + c
+    """Roots (value, multiplicity) of p over Q(i), a polynomial in the one
+    variable var_index."""
+    coeffs: Dict[int, GaussianRational] = {m[var_index]: c for m, c in p.terms.items()}
     deg = max(coeffs, default=0)
     if deg == 0:
         return None if coeffs else []

@@ -265,3 +265,12 @@ def test_parameters_must_be_the_tail_of_the_table(params):
     with pytest.raises(PolyError, match=r"\('x', 'y', 'a', 'b'\)"):
         parametric_normal_form(Poly.var(table, "y"), I,
                                VarTable.make(params, conjugates=False))
+
+
+def test_parametric_normal_form_refuses_a_target_over_another_table():
+    """p = u over (u, v, a) is not read as x over (x, y, a)."""
+    table = VarTable.make(["x", "y"], params=["a"], conjugates=False)
+    other = VarTable.make(["u", "v"], params=["a"], conjugates=False)
+    I = Ideal.make([Poly.var(table, "x") - Poly.var(table, "a")], table=table)
+    with pytest.raises(PolyError, match="different variable tables"):
+        parametric_normal_form(Poly.var(other, "u"), I, VarTable.make(["a"], conjugates=False))

@@ -240,6 +240,9 @@ def test_splits_true_and_false():
     C2 = power_correspondence(HQ2, POWER, 1, 2)
     # w = (0, 1): the square root branches, the fiber has a double point
     assert not splits_at(C2, pt(0, 1))
+    # w = (4, 9): four simple points (+-2, +-3), but the target's Segre map
+    # has inversion degree 4 there, so it is not injective
+    assert not splits_at(C2, pt(4, 9))
 
 
 def test_compose_rotations():

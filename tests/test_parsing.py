@@ -121,6 +121,12 @@ def test_bad_rho_reports_its_line_and_column():
     exc = _parse_error(parse_manifold_text, text)
     assert exc.line == 3 and "unknown variable 'w2'" in str(exc)
     assert exc.pos == text.splitlines()[2].index("w2")
+    tabbed = "vars z1 z2\nrho:\tz1*~z1\t+ w2\n"
+    exc = _parse_error(parse_manifold_text, tabbed)
+    assert exc.line == 2 and exc.pos == tabbed.splitlines()[1].index("w2") == 14
+    src = "z1*~z1 +\n\t w2"
+    exc = _parse_error(lambda text: parse_poly(text, TABLE), src)
+    assert exc.line is None and exc.pos == src.index("w2") == 11
 
 
 @pytest.mark.parametrize("parse, text, line", [

@@ -122,6 +122,8 @@ def test_minimality():
     assert minimality(HYPERQUADRIC3, pt(1, 0, 0)) == (True, 2)
     mini, j = minimality(TUBE, pt(1, 0))
     assert not mini
+    # rho(z, 0) vanishes identically, so Q_0 is all of C^2 at the first step
+    assert minimality(CRManifold.from_text("vars z1 z2\nrho: z1*~z1\n"), pt(0, 0)) == (True, 1)
 
 
 def test_minimality_rejects_a_chain_bound_below_one():
