@@ -2,7 +2,13 @@
 degree of zero-dimensional ideals, and parametric pseudo-reduction.
 
 Buchberger runs with the sugar selection strategy and the Gebauer-Moeller
-pair update (the B, M and F criteria and coprime leading terms).  Resource
+pair update (the B, M and F criteria and coprime leading terms).  Before
+any pair is formed, the leading variable x of each generator that is linear
+with at most two terms (a*x + b*y, a*x + c, a*x) is bound and substituted
+into the other generators; the bindings rejoin the basis at interreduction.
+The two-term gate keeps the substitution a monomial map, so no term count
+or degree grows; a dense linear generator (Katsura-n's) stays in the loop,
+where substituting it would multiply out into larger generators.  Resource
 caps are explicit and raise ResourceLimitError with partial statistics.
 
 Inside the engine a polynomial is a map {packed monomial: coefficient},
@@ -19,7 +25,7 @@ from heapq import heappop, heappush, heapify
 from operator import itemgetter, le
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import QI_ONE
+from .gaussian import QI_ONE, QI_ZERO
 from .orders import MonomialOrder, ResourceLimitError, block_elim
 from .poly import Poly, PolyError, VarTable
 
@@ -288,14 +294,82 @@ def _gm_update(lms: Sequence[tuple], sugar: Sequence[int], live: List[int],
     return new
 
 
+def _substitute(terms: dict, x: int, y: int, c, codec) -> dict:
+    """Packed terms with the variable x := c*y, y a packed variable or the
+    packed 1: a monomial map, so no term count or degree grows.  The same
+    map when x does not occur."""
+    guard = codec.guard
+    if all((m - x) & guard for m in terms):
+        return terms
+    step = y - x   # m * y / x, packed, when x divides m
+    out = {}
+    for m, v in terms.items():
+        if not (m - x) & guard:
+            f = c
+            m += step
+            while not (m - x) & guard:
+                f *= c
+                m += step
+            if m & guard:
+                raise codec.overflow(codec.dec(m))
+            v = v * f
+        out[m] = out[m] + v if m in out else v
+    return {m: v for m, v in out.items() if not v.is_zero()}
+
+
+def _bind_linear(gens: List[dict], codec):
+    """While one of ``gens`` (packed terms of nonzero polynomials) is linear
+    with at most two terms, a*x + b*y, a*x + c or a*x, it leaves the list
+    and its leading variable x := -(b/a)*y, -c/a or 0 is put into the
+    others; those that become zero are dropped.
+
+    Returns (rest, bound), bound {x: (y, c)} meaning x = c*y, y a variable
+    smaller than x or the packed 1; no bound variable occurs in rest, but
+    an earlier binding's y may be bound later.  Returns None when a nonzero
+    constant shows up: the ideal is then the unit ideal."""
+    linear, one = codec.linear, codec.one
+    rest, bound = gens, {}
+    while True:
+        pick = next((k for k, t in enumerate(rest)
+                     if len(t) <= 2 and linear.issuperset(t)), None)
+        if pick is None:
+            return rest, bound
+        t = rest[pick]
+        x = min(t)
+        if x == one:
+            return None
+        y, c = one, QI_ZERO
+        for m, v in t.items():
+            if m != x:
+                y, c = m, -v / t[x]
+        rest = [s for s in (_substitute(s, x, y, c, codec)
+                            for s in rest[:pick] + rest[pick + 1:]) if s]
+        bound[x] = (y, c)
+
+
 def buchberger(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     """Reduced Groebner basis of the given generators, under the caps in
     force (``current_limits``).
+
+    The variables of two-term linear generators are bound first
+    (``_bind_linear``) and the loop runs on the generators left.  Their
+    basis involves no bound variable, so the leading monomial x of each
+    binding x - c*y is prime to every other and the bindings join the basis
+    as they are; interreduction puts their right-hand sides into normal
+    form.
 
     Pairs are kept by the Gebauer-Moeller update (``_gm_update``) and taken
     in order of (sugar, lcm of the leading monomials)."""
     limits = current_limits()
     codec = order.codec
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    table = gens[0].table
+    bound = _bind_linear([_pack(g.terms, codec) for g in gens], codec)
+    if bound is None:
+        return [Poly.const(table, 1)]
+    rest, bound = bound
     # the packed basis, and beside it each element's leading monomial (as
     # an exponent tuple), packed divisor record and sugar
     G, lms, divs, sugar = [], [], [], []
@@ -316,11 +390,8 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
         for i, l in _gm_update(lms, sugar, live, pairs, t):
             heappush(heap, (_pair_sugar(lms, sugar, i, t, l), -codec.enc(l), i, t))
 
-    table = None
-    for g in gens:
-        if not g.is_zero():
-            table = g.table
-            add(_pack(g.terms, codec), g.total_degree())
+    for t in rest:
+        add(t, max(map(sum, map(codec.dec, t))))
     reductions = 0
     while heap:
         s, l, i, j = heappop(heap)
@@ -345,7 +416,12 @@ def buchberger(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
                  "max_basis": limits.max_basis},
             )
 
-    reduced = _interreduce([G[i] for i in live], order, [divs[i] for i in live])
+    basis, basis_divs = [G[i] for i in live], [divs[i] for i in live]
+    for x, (y, c) in bound.items():
+        terms = {x: QI_ONE, y: -c} if not c.is_zero() else {x: QI_ONE}
+        basis.append(_Packed(terms))
+        basis_divs.append(_divisor(terms, x))
+    reduced = _interreduce(basis, order, basis_divs)
     return [_unpack(table, g.terms, codec) for g in reduced]
 
 
@@ -480,11 +556,13 @@ def eliminate(I: Ideal, keep: VarTable) -> Ideal:
     I's variables in any order: the elements of a basis under a block order
     eliminating the other variables that involve none of them, written
     over ``keep``."""
-    keep_idx = {I.table.index(n) for n in keep.names}
-    elim_idx = [i for i in range(len(I.table)) if i not in keep_idx]
+    pos = [I.table.index(n) for n in keep.names]
+    elim_idx = [i for i in range(len(I.table)) if i not in pos]
     gb = buchberger(I.generators, block_elim(len(I.table), elim_idx))
-    return Ideal.make([g.substitute({}, keep) for g in gb if g.variables() <= keep_idx],
-                      table=keep)
+    kept = [g.terms for g in gb if not any(m[i] for m in g.terms for i in elim_idx)]
+    # a kept element's exponents, read at the kept variables' positions
+    return Ideal.make([Poly._raw(keep, {tuple([m[i] for i in pos]): c for m, c in t.items()})
+                       for t in kept], table=keep)
 
 
 def _min_cover(supports: List[frozenset], bound: int) -> int:

@@ -79,6 +79,8 @@ class MonomialCodec:
             shift += (len(form) * field).bit_length()
         self._unit = unit
         self._exp_shift = exp_shift
+        # the packed monomials of degree at most one: 1 and each variable
+        self.linear = frozenset([self.one] + [self.one + u for u in unit])
 
     def enc(self, exps) -> int:
         """The packed form of an exponent tuple."""

@@ -239,7 +239,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     while len(ideals) < j_max and dims[-1] < n:
         # conjugate of the previous Segre set in the u-block, and the polar
         # constraint rho(z, u)
-        gens = [Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()})
+        gens = [Poly._raw(g.table, {m: c.conjugate() for m, c in g.terms.items()})
                 .substitute(rename_u, joint) for g in ideals[-1].generators]
         nxt = eliminate(Ideal.make(gens + polar, table=joint), ztab)
         ideals.append(nxt)

@@ -196,15 +196,16 @@ def test_exit_code_unknown_entry():
 def test_exit_code_resource_limit(monkeypatch):
     monkeypatch.delenv("SEGREKIT_MAX_DEGREE", raising=False)
     monkeypatch.delenv("SEGREKIT_MAX_BASIS", raising=False)
-    code, out, _ = run_cli("--max-degree", "1", "minimal",
-                           data_path("sphere_C2.mfd"), "--point", "1,0")
+    code, out, _ = run_cli("--max-degree", "1", "essfin",
+                           data_path("power_r2_n2.mfd"), "--point", "1,1")
     assert code == 3
     doc = json.loads(out)
     assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"]["max_degree"] == 1
     # the caps hold for that one call only: a following call in the same
     # process runs under the defaults again
-    code, out, _ = run_cli("minimal", data_path("sphere_C2.mfd"),
-                           "--point", "1,0")
+    code, out, _ = run_cli("essfin", data_path("power_r2_n2.mfd"),
+                           "--point", "1,1")
     assert code == 0
     doc = json.loads(out)
     assert doc["limits"] == {"max_basis": 400, "max_degree": 80}

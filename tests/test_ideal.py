@@ -511,3 +511,120 @@ def test_eliminate_writes_onto_the_callers_table():
     assert E.table is in_order and F.table is shuffled
     assert Ideal.make([transport(g, in_order) for g in F.generators], table=in_order) == E
     assert member(P("y^3 - z^2", shuffled), F)
+
+
+# -- binding the variables of two-term linear generators -----------------------
+
+BIND_TABLE = VarTable.make(["w", "x", "y", "z"], conjugates=False)
+BIND_ORDERS = [grevlex(4), lex(4), block_elim(4, [0, 1])]
+
+
+def counted_buchberger(gens, order, bind=True):
+    """(reduced basis, S-polynomials made); with ``bind`` False the
+    Buchberger loop alone, on every generator."""
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        real_s_poly = ideal._s_poly
+
+        def s_poly(*args, **kwargs):
+            made.append(None)
+            return real_s_poly(*args, **kwargs)
+
+        mp.setattr(ideal, "_s_poly", s_poly)
+        if not bind:
+            mp.setattr(ideal, "_bind_linear", lambda gens, codec: (gens, {}))
+        return buchberger(gens, order), len(made)
+
+
+def random_binomial(rng, table=BIND_TABLE):
+    """x - c*y, x - c or x in random variables, c in Q(i)."""
+    x, y = rng.sample(range(len(table)), 2)
+    c = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+    unit = [tuple(int(i == v) for i in range(len(table))) for v in (x, y)]
+    kind = rng.randrange(3)
+    terms = {unit[0]: QI_ONE}
+    if kind == 0:
+        terms[unit[1]] = -c
+    elif kind == 1:
+        terms[(0,) * len(table)] = -c
+    return Poly(table, terms)
+
+
+@pytest.mark.parametrize("order", BIND_ORDERS, ids=["grevlex", "lex", "block"])
+def test_binding_gives_the_basis_of_the_loop_alone(order):
+    """Seeded random Q(i) systems mixing x - c*y, x - c and x with denser
+    generators: the basis with the bindings is the loop's alone, made
+    with no more S-polynomials."""
+    rng = random.Random(5)
+    fewer = 0
+    for _ in range(12):
+        gens = ([random_binomial(rng) for _ in range(rng.randint(1, 3))]
+                + [random_poly(rng, 3, 2, BIND_TABLE) for _ in range(2)])
+        rng.shuffle(gens)
+        G, made = counted_buchberger(gens, order)
+        want, made_alone = counted_buchberger(gens, order, bind=False)
+        assert G == want
+        assert made <= made_alone
+        fewer += made < made_alone
+    assert fewer
+
+
+@pytest.mark.parametrize("order", BIND_ORDERS, ids=["grevlex", "lex", "block"])
+def test_a_chain_of_bindings(order):
+    """x - w, w - y, y - 5 bind three variables in turn, and
+    interreduction carries each right-hand side down the chain to 5; the
+    one generator left makes no S-pair."""
+    gens = [P(s, BIND_TABLE) for s in ["x - w", "w - y", "y - 5", "z^2 - x*z"]]
+    G, made = counted_buchberger(gens, order)
+    assert G == counted_buchberger(gens, order, bind=False)[0]
+    assert {str(g) for g in G} == {"w-5", "x-5", "y-5", "z^2-5*z"}
+    assert made == 0
+
+
+@pytest.mark.parametrize("order", BIND_ORDERS, ids=["grevlex", "lex", "block"])
+def test_an_inconsistent_chain_gives_the_unit_ideal(order):
+    gens = [P(s, BIND_TABLE) for s in ["x - w", "w - y", "y - 5", "x - 4", "z^3 - w"]]
+    G, made = counted_buchberger(gens, order)
+    assert [str(g) for g in G] == ["1"] and made == 0
+    assert G == counted_buchberger(gens, order, bind=False)[0]
+
+
+@pytest.mark.parametrize("order", BIND_ORDERS, ids=["grevlex", "lex", "block"])
+def test_an_all_linear_binomial_system_makes_no_s_pairs(order):
+    """2w - i*x, x + 3y, z - 1/2 and 4y: every variable is bound, and
+    repeated or dependent binomials vanish under the bindings."""
+    gens = [P(s, BIND_TABLE)
+            for s in ["2*w - i*x", "x + 3*y", "z - 1/2", "4*y", "x + 3*y", "w + i*y"]]
+    G, made = counted_buchberger(gens, order)
+    assert made == 0
+    assert {str(g) for g in G} == {"w", "x", "y", "z-1/2"}
+    assert G == counted_buchberger(gens, order, bind=False)[0]
+
+
+def test_a_binding_inside_the_eliminated_block():
+    """In the twisted cubic x - t, y - t^2, z - t^3, the block order that
+    eliminates t binds t := x; the elimination ideal is the loop's alone."""
+    table = VarTable.make(["t", "x", "y", "z"], conjugates=False)
+    I = Ideal.make([P("x - t", table), P("y - t^2", table), P("z - t^3", table)],
+                   table=table)
+    keep = VarTable.make(["x", "y", "z"], conjugates=False)
+    codec = block_elim(4, [0]).codec
+    bound = ideal._bind_linear([ideal._pack(g.terms, codec) for g in I.generators], codec)[1]
+    assert {codec.dec(x): (codec.dec(y), c) for x, (y, c) in bound.items()} == {
+        (1, 0, 0, 0): ((0, 1, 0, 0), QI_ONE)}
+    E = eliminate(I, keep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideal, "_bind_linear", lambda gens, codec: (gens, {}))
+        assert eliminate(I, keep).generators == E.generators
+    assert {str(g) for g in E.generators} == {"x^2-y", "x*y-z", "y^2-x*z"}
+
+
+def test_a_dense_linear_generator_is_left_alone():
+    """Katsura-3's linear generator has five terms: nothing is bound, and
+    the loop makes the S-polynomials it makes alone."""
+    I = make_ideal(KATSURA3, ["u0", "u1", "u2", "u3"])
+    codec = I.order.codec
+    gens = [ideal._pack(g.terms, codec) for g in I.generators]
+    assert ideal._bind_linear(gens, codec) == (gens, {})
+    G, made = counted_buchberger(I.generators, I.order)
+    assert (G, made) == counted_buchberger(I.generators, I.order, bind=False)
