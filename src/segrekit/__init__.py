@@ -17,19 +17,18 @@ _HOME = {name: module for module, names in [
     ("ideal", ["Ideal", "Limits", "ResourceLimitError", "degree_zero_dim",
                "dimension", "eliminate", "groebner_basis", "member", "normal_form",
                "parametric_normal_form", "radical_member", "saturate"]),
-    ("manifold", ["CRManifold", "LeviReport", "ManifoldError", "check_reality",
-                  "dehomogenize", "genericity_rank", "homogenize",
-                  "levi_signature", "polar", "pseudoconcavity_probe"]),
+    ("manifold", ["CRManifold", "LeviReport", "ManifoldError", "dehomogenize",
+                  "genericity_rank", "homogenize", "levi_signature",
+                  "pseudoconcavity_probe"]),
     ("segre", ["InconclusiveError", "SegreVariety", "check_symmetry",
                "essential_finiteness", "graph_form", "in_segre_variety",
                "inversion_set", "minimality", "segre_map_locally_injective",
                "segre_sets", "segre_variety"]),
     ("correspond", ["AlgebraicMap", "Correspondence", "CorrespondenceError",
                     "ExcludedLocusError", "build_correspondence", "compose",
-                    "fiber", "max_rank_check", "power_correspondence",
+                    "fiber", "power_correspondence",
                     "splits_at", "verify_invariance"]),
     ("catalog", ["load_catalog", "run_suite", "sample_points"]),
-    ("oracle", ["numeric_oracle"]),
 ] for name in names}
 
 __all__ = list(_HOME)

@@ -7,11 +7,9 @@ from __future__ import annotations
 import random
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
+from .gaussian import QI, GaussianRational, PointPowers
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
-from .linalg import rank
-from .manifold import (CRManifold, ManifoldError, check_point, require_real,
-                       tangent_basis)
+from .manifold import CRManifold, ManifoldError, check_point, require_real
 from .orders import lex
 from .parsing import parse_map_text, parse_poly
 from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
@@ -70,10 +68,6 @@ class AlgebraicMap(NamedTuple):
         zs = self.table.indices(Z_VAR)
         return PointPowers(list(zip(zs, check_point(p, len(zs)))))
 
-    def defined_at(self, p: Sequence[GaussianRational]) -> bool:
-        """True when no denominator vanishes at p."""
-        return self.image(p) is not None
-
     def image(self, p: Sequence[GaussianRational]) -> Optional[Tuple[GaussianRational, ...]]:
         """f(p), or None when p lies on a pole: some denominator vanishes."""
         pt = self._point(p)
@@ -92,18 +86,6 @@ class AlgebraicMap(NamedTuple):
             raise ZeroDivisionError("point lies on a denominator zero set")
         return out
 
-    def jacobian_at(self, p: Sequence[GaussianRational]) -> List[List[GaussianRational]]:
-        pt = self._point(p)
-        names = self.table.zvars()
-        J = []
-        for num, den in self.components:
-            dv, dgrad, _ = den.jet(pt, names)
-            if dv.is_zero():
-                raise ZeroDivisionError("point lies on a denominator zero set")
-            nv, ngrad, _ = num.jet(pt, names)
-            J.append([(a * dv - nv * b) / (dv * dv) for a, b in zip(ngrad, dgrad)])
-        return J
-
 
 def _require_fit(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> None:
     """Both manifolds real, and one component of f per coordinate of Mp."""
@@ -111,29 +93,6 @@ def _require_fit(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> None:
     if len(f.components) != Mp.n:
         raise CorrespondenceError(f"map has {len(f.components)} components "
                                   f"but the target has dimension {Mp.n}")
-
-
-class RankReport(NamedTuple):
-    full_rank: bool
-    rank: int
-    expected: int
-    tangent_rank: Optional[int] = None
-
-
-def max_rank_check(f: AlgebraicMap, p, M: Optional[CRManifold] = None) -> RankReport:
-    """Jacobian rank at p against min(n, N); optionally also the rank of
-    df restricted to the holomorphic tangent space of M at p."""
-    J = f.jacobian_at(p)
-    n = len(f.table.zvars())
-    expected = min(n, len(f.components))
-    r = rank(J)
-    trank = None
-    if M is not None:
-        V = tangent_basis(M, p)
-        JV = [[sum((J[i][k] * v[k] for k in range(n)), QI_ZERO) for v in V]
-              for i in range(len(J))]
-        trank = rank(JV)
-    return RankReport(r == expected, r, expected, trank)
 
 
 # -- rational point sampling -----------------------------------------------------
@@ -171,12 +130,6 @@ def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Ran
             f"found {len(points)}/{count} rational points after {tried} attempts "
             f"(randomized back-substitution on {[str(g) for g in gens]})")
     return points
-
-
-def sample_segre_points(M: CRManifold, w, rng: random.Random, count: int) -> List[tuple]:
-    """Rational points on Q_w."""
-    Q = segre_variety(M, w)
-    return sample_variety_points(Q.ideal.generators, Q.ideal.table, rng, count)
 
 
 class InvarianceReport(NamedTuple):

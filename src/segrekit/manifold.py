@@ -7,10 +7,9 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
-from .ideal import Ideal
 from .linalg import hermitian_signature, nullspace, rank
 from .parsing import parse_manifold_text
-from .poly import CONJ_VAR, Z_VAR, ZETA, Poly, VarTable
+from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
 
 Point = Tuple[GaussianRational, ...]
 
@@ -111,12 +110,6 @@ def vanish(polys: Sequence[Poly], table: PointPowers) -> bool:
     return all(r.eval(table).is_zero() for r in polys)
 
 
-def check_reality(M: CRManifold) -> bool:
-    """True iff every defining polynomial equals its conjugate, as recorded
-    when M was built."""
-    return M.real
-
-
 def require_real(*manifolds: CRManifold) -> None:
     """Refuse non-real defining data, which has no Segre geometry."""
     if not all(M.real for M in manifolds):
@@ -146,28 +139,12 @@ def genericity_rank(M: CRManifold, p: Point) -> int:
     return _generic_rank(M, _jets(M, p))
 
 
-class PolarVariety(NamedTuple):
-    """The complexification {(z, zeta): rho_j(z, zeta) = 0} with zeta an
-    independent variable block replacing ~z."""
-
-    ideal: Ideal
-    zeta_names: tuple
-
-
 def polar_gens(M: CRManifold, table: VarTable, conj_names: Sequence[str]) -> List[Poly]:
     """The defining polynomials laid out over `table` by ``Poly.substitute``,
     each ~z renamed to its entry of `conj_names` (the z-variables keep
     their names)."""
     rename = {"~" + name: c for name, c in zip(M.zvar_names, conj_names)}
     return [r.substitute(rename, table) for r in M.rho]
-
-
-def polar(M: CRManifold) -> PolarVariety:
-    require_real(M)
-    zeta = M.block(ZETA)
-    table = VarTable.make(M.zvar_names + zeta, conjugates=False)
-    gens = polar_gens(M, table, zeta)
-    return PolarVariety(Ideal.make(gens, table=table), zeta)
 
 
 def _bidegrees(p: Poly) -> Tuple[int, int]:
@@ -231,13 +208,9 @@ class LeviReport(NamedTuple):
 
 
 def _tangent_basis(M: CRManifold, jets: list) -> List[List[GaussianRational]]:
+    """Basis of the holomorphic tangent space H_pM: the kernel of the
+    holomorphic gradients in ``jets``."""
     return nullspace([grad[:M.n] for _, grad, _ in jets], M.n)
-
-
-def tangent_basis(M: CRManifold, p: Point) -> List[List[GaussianRational]]:
-    """Basis of the holomorphic tangent space H_pM (kernel of the
-    holomorphic gradients)."""
-    return _tangent_basis(M, _jets(M, p))
 
 
 def _dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:

@@ -148,11 +148,6 @@ class MonomialOrder:
             self._codec = MonomialCodec(self.nvars, self._forms)
         return self._codec
 
-    def describe(self) -> str:
-        if self.kind == "block":
-            return f"block(elim={sorted(self.block)})"
-        return self.kind
-
 
 def grevlex(nvars: int) -> MonomialOrder:
     return MonomialOrder("grevlex", nvars)

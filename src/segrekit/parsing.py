@@ -237,8 +237,16 @@ def _chart(body: str, table) -> object:
     return "affine" if m.group(1) is None else int(m.group(1))
 
 
+def _rho(body: str, table: VarTable) -> Poly:
+    """A defining polynomial; a constant cuts out no submanifold."""
+    r = parse_poly(body, table)
+    if r.is_constant():
+        raise ParseError("a defining polynomial must not be constant")
+    return r
+
+
 def parse_manifold_text(text: str) -> ManifoldSpec:
-    table, items = _parse_lines(text, True, {"rho:": parse_poly, "chart:": _chart})
+    table, items = _parse_lines(text, True, {"rho:": _rho, "chart:": _chart})
     rho = tuple(v for key, v in items if key == "rho:")
     if not rho:
         raise ParseError("no `rho:` lines", line=1)

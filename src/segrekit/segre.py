@@ -136,23 +136,6 @@ class InversionSet(NamedTuple):
 
     ideal: Ideal
     excluded: tuple
-    param_names: tuple
-
-    def solutions_in_z(self):
-        """Exact solutions mapped back to z-coordinates (conjugated)."""
-        from .solve import solve_zero_dim
-
-        sols = solve_zero_dim(self.ideal)
-        if sols is None:
-            return None
-        out = []
-        for pt, mult in sols:
-            z = tuple(pt[ZB + n].conjugate() for n in self.base_names())
-            out.append((z, mult))
-        return out
-
-    def base_names(self):
-        return tuple(n[len(ZB):] for n in self.param_names)
 
     def finiteness(self) -> Tuple[bool, Optional[int]]:
         """(True, degree R) when the inversion set is zero-dimensional."""
@@ -201,7 +184,7 @@ def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
     ptable = VarTable.make(params, conjugates=False)
     ttable = VarTable.make(M.zvar_names, params=params, conjugates=False)
     gens, excluded = containment_ideal(M, w, polar_gens(M, ttable, zb), ptable)
-    return InversionSet(Ideal.make(gens, table=ptable), excluded, zb)
+    return InversionSet(Ideal.make(gens, table=ptable), excluded)
 
 
 def essential_finiteness(M: CRManifold, w) -> Tuple[bool, Optional[int]]:

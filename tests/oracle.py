@@ -10,7 +10,7 @@ import math
 import random
 from typing import List, NamedTuple, Optional, Sequence
 
-from .poly import Poly
+from segrekit.poly import Poly
 
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-6

@@ -19,12 +19,13 @@ from segrekit.ideal import (Ideal, degree_zero_dim, dimension, eliminate,
                             reduce_poly)
 from segrekit.ideal import _s_poly
 from segrekit.manifold import levi_signature, pseudoconcavity_probe
-from segrekit.oracle import numeric_oracle
 from segrekit.orders import grevlex
 from segrekit.parsing import parse_poly
 from segrekit.poly import VarTable
 from segrekit.segre import (SYMBOLIC, check_symmetry, essential_finiteness,
                             in_segre_variety, minimality, segre_variety)
+
+from oracle import numeric_oracle
 
 SPHERE = load_manifold("sphere_C2.mfd")
 HQ3 = load_manifold("hyperquadric_k1_n3.mfd")

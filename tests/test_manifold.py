@@ -1,13 +1,13 @@
-"""Manifold layer: reality, genericity, polar, chart changes, Levi data."""
+"""Manifold layer: reality, genericity, chart changes, Levi data."""
 
 from fractions import Fraction
 
 import pytest
 
 from segrekit.gaussian import GaussianRational as QI, QI_ZERO
-from segrekit.manifold import (CRManifold, ManifoldError, check_reality,
-                               dehomogenize, genericity_rank, homogenize,
-                               levi_signature, polar, pseudoconcavity_probe)
+from segrekit.manifold import (CRManifold, ManifoldError, dehomogenize,
+                               genericity_rank, homogenize, levi_signature,
+                               pseudoconcavity_probe)
 
 SPHERE = CRManifold.from_text("""
 vars z1 z2
@@ -35,9 +35,9 @@ def test_type_counts():
 
 
 def test_reality():
-    assert check_reality(SPHERE)
+    assert SPHERE.real
     bad = CRManifold.from_text("vars z1\nrho: z1 - 1\n")
-    assert not check_reality(bad)
+    assert not bad.real
 
 
 def test_contains():
@@ -52,13 +52,6 @@ def test_genericity():
         genericity_rank(SPHERE, pt(0, 2))  # not on the manifold
 
 
-def test_polar_doubles_variables():
-    P = polar(SPHERE)
-    assert len(P.ideal.generators) == 1
-    names = set(P.ideal.table.names)
-    assert {"z1", "z2", "zeta_z1", "zeta_z2"} <= names
-
-
 def test_homogenize_dehomogenize_roundtrip():
     H = homogenize(POWER)
     assert "z0" in H.table.names
@@ -67,7 +60,7 @@ def test_homogenize_dehomogenize_roundtrip():
 
 
 def test_homogenized_is_real():
-    assert check_reality(homogenize(POWER))
+    assert homogenize(POWER).real
 
 
 def test_homogenize_picks_a_fresh_chart_variable():
@@ -75,7 +68,7 @@ def test_homogenize_picks_a_fresh_chart_variable():
     M = CRManifold.from_text("vars z0 z1\nrho: z0*~z0 + z1*~z1 - 1\n")
     H = homogenize(M)
     assert H.zvar_names == ("z01", "z0", "z1")
-    assert check_reality(H)
+    assert H.real
     assert [str(r) for r in dehomogenize(H, 0).rho] == [str(r) for r in M.rho]
 
 

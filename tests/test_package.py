@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
+
+import pytest
 
 import segrekit
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(segrekit.__file__)))
-GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(TESTS, "cli_golden.json")
 
 # runs through cli.main those command lines of cli_golden.json whose command
 # is in WANTED, then prints their exit codes and stdout and the segrekit
@@ -62,7 +66,7 @@ def test_quick_commands_load_only_their_modules():
     assert len(got["commands"]) == 5
     assert all(run["exit"] == 0 for run in got["commands"].values())
     assert "segrekit.segre" in got["modules"]
-    for module in ("correspond", "solve", "catalog", "oracle"):
+    for module in ("correspond", "solve", "catalog"):
         assert "segrekit." + module not in got["modules"]
 
 
@@ -75,11 +79,21 @@ def test_the_cli_runs_without_dataclasses():
 
 def test_the_oracle_runs_without_numpy():
     out = run_python(
-        "import sys; sys.modules['numpy'] = None; import segrekit; "
+        f"import sys; sys.modules['numpy'] = None; sys.path.insert(0, {TESTS!r}); "
+        "from oracle import numeric_oracle; import segrekit; "
         "from segrekit.parsing import parse_poly; "
         "table = segrekit.VarTable.make(['x'], conjugates=False); "
-        "print(segrekit.numeric_oracle([parse_poly('x^4 - 1', table)], ['x'], seed=4).count)")
+        "print(numeric_oracle([parse_poly('x^4 - 1', table)], ['x'], seed=4).count)")
     assert out.split() == ["4"]
+
+
+def test_the_package_holds_no_test_only_names():
+    """The numeric oracle is a test helper in tests/oracle.py, and names
+    that only tests called are not exported."""
+    with pytest.raises(ImportError):
+        import_module("segrekit.oracle")
+    gone = {"check_reality", "polar", "max_rank_check", "numeric_oracle"}
+    assert not gone & set(segrekit.__all__)
 
 
 def test_every_public_name_resolves():

@@ -134,7 +134,11 @@ def test_bad_rho_reports_its_line_and_column():
     (parse_map_text, "varsz1\ncomponent: z1\n", 1),
     (parse_map_text, "vars\ncomponent: z1\n", 1),
     (parse_manifold_text, "vars z1\nrho: z1*~z1 - 1\nchart: projective x\n", 3),
-], ids=["keyword-prefix", "map-keyword-prefix", "empty-map-vars", "chart-index"])
+    (parse_manifold_text, "vars z1 z2\nrho: 0\n", 2),
+    (parse_manifold_text, "vars z1 z2\nrho: 1\n", 2),
+    (parse_manifold_text, "vars z1 z2\nrho: z1*~z1 + z2*~z2 - 1\nrho: z1 - z1\n", 3),
+], ids=["keyword-prefix", "map-keyword-prefix", "empty-map-vars", "chart-index",
+        "constant-rho-0", "constant-rho-1", "constant-rho-cancelled"])
 def test_malformed_lines_name_their_line(parse, text, line):
     exc = _parse_error(parse, text)
     assert exc.line == line and "invalid literal" not in str(exc)
