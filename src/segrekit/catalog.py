@@ -178,7 +178,6 @@ class CheckResult(NamedTuple):
 
 
 class SuiteReport(NamedTuple):
-    entry: str
     checks: List[CheckResult]   # appended to by ``add``
 
     @property
@@ -202,7 +201,7 @@ def _once(f: Callable) -> Callable:
 
 
 def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
-    rep = SuiteReport(entry.name, [])
+    rep = SuiteReport([])
     M = entry.manifold
     exp = entry.expected
     rep.add("reality", M.real, "defining functions are real valued")
@@ -271,7 +270,7 @@ def _build_entry_correspondence(entry: CatalogEntry) -> Correspondence:
 
 
 def _suite_correspondence(entry: CatalogEntry, seed: int) -> SuiteReport:
-    rep = SuiteReport(entry.name, [])
+    rep = SuiteReport([])
     exp = entry.expected
     C = _build_entry_correspondence(entry)
     generic = (QI(1), QI(4))

@@ -8,7 +8,7 @@ import random
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, GaussianRational, PointPowers
-from .ideal import Ideal, degree_zero_dim, dimension, eliminate, saturate
+from .ideal import Ideal, degree_zero_dim, dimension, eliminate, has_pure_powers, saturate
 from .manifold import CRManifold, ManifoldError, check_point, require_real
 from .orders import lex
 from .parsing import parse_map_text, parse_poly
@@ -99,14 +99,14 @@ def _require_fit(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> None:
 
 
 def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Random,
-                          count: int, attempts: int = 400,
+                          count: int,
                           keep: Callable[[tuple], bool] = lambda pt: True) -> List[tuple]:
     """Rational points on V(gens) by back-substitution through one random
     root at a time, binding a random variable to a random value where no
-    generator is univariate, and drawing the variables left free last.
-    ``keep`` is asked about each drawn point not yet kept, in the order
-    drawn, and the points it accepts are kept in that order; a point it
-    refuses is passed over, and its attempt counts."""
+    generator is univariate, and drawing the variables left free last, in
+    at most 400 attempts.  ``keep`` is asked about each drawn point not yet
+    kept, in the order drawn, and the points it accepts are kept in that
+    order; a point it refuses is passed over, and its attempt counts."""
     def draw() -> GaussianRational:
         return QI(rng.randint(-6, 6), rng.randint(-2, 2))
 
@@ -116,7 +116,7 @@ def sample_variety_points(gens: Sequence[Poly], table: VarTable, rng: random.Ran
 
     points = []
     tried = 0
-    while len(points) < count and tried < attempts:
+    while len(points) < count and tried < 400:
         tried += 1
         leaves = back_substitute(gens, table, lambda roots: [rng.choice(roots)], bind_one)
         if not leaves:
@@ -199,16 +199,20 @@ class Correspondence(NamedTuple):
     graph: Ideal
     source: CRManifold
     target: CRManifold
-    wb_names: tuple
-    wpb_names: tuple
     excluded: tuple = ()
 
+    @property
+    def wb_names(self) -> tuple:
+        return self.source.block(WB)
 
-def _param_table(M: CRManifold, Mp: CRManifold) -> Tuple[VarTable, tuple, tuple]:
-    """The graph's table, wb_* from M's names then wpb_* from Mp's, and
-    the two blocks."""
-    wb, wpb = M.block(WB), Mp.block(WPB)
-    return VarTable.make(wb + wpb, conjugates=False), wb, wpb
+    @property
+    def wpb_names(self) -> tuple:
+        return self.target.block(WPB)
+
+
+def _param_table(M: CRManifold, Mp: CRManifold) -> VarTable:
+    """The graph's table: wb_* from M's names, then wpb_* from Mp's."""
+    return VarTable.make(M.block(WB) + Mp.block(WPB), conjugates=False)
 
 
 def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
@@ -259,7 +263,7 @@ def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Corr
     ideal of the ``graph_targets`` on the symbolic Segre variety of M.  Both
     manifolds must be real, and f must fit Mp."""
     _require_fit(M, Mp, f)
-    ptable, wb, wpb = _param_table(M, Mp)
+    ptable = _param_table(M, Mp)
     gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
@@ -269,17 +273,17 @@ def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Corr
         graph = saturate(graph, e)
     if not graph.generators:
         raise CorrespondenceError("graph ideal collapsed under saturation")
-    return Correspondence(graph, M, Mp, wb, wpb, excluded)
+    return Correspondence(graph, M, Mp, excluded)
 
 
 def relation_correspondence(M: CRManifold, Mp: CRManifold,
                             relation_sources: Sequence[str]) -> Correspondence:
     """Correspondence from explicit graph relations in (wb_*, wpb_*), for
     multivalued maps that are not single holomorphic maps (e.g. w'^s = w^r)."""
-    ptable, wb, wpb = _param_table(M, Mp)
+    ptable = _param_table(M, Mp)
     gens = [parse_poly(src, ptable) for src in relation_sources]
     graph = Ideal.make(gens, table=ptable)
-    return Correspondence(graph, M, Mp, wb, wpb)
+    return Correspondence(graph, M, Mp)
 
 
 def power_correspondence(M: CRManifold, Mp: CRManifold, r: int, s: int) -> Correspondence:
@@ -288,9 +292,10 @@ def power_correspondence(M: CRManifold, Mp: CRManifold, r: int, s: int) -> Corre
     if M.n != Mp.n:
         raise CorrespondenceError(
             f"a power correspondence needs equal dimensions, got {M.n} and {Mp.n}")
-    ptable, wb, wpb = _param_table(M, Mp)
-    gens = [Poly.var(ptable, b) ** s - Poly.var(ptable, a) ** r for a, b in zip(wb, wpb)]
-    return Correspondence(Ideal.make(gens, table=ptable), M, Mp, wb, wpb)
+    ptable = _param_table(M, Mp)
+    gens = [Poly.var(ptable, b) ** s - Poly.var(ptable, a) ** r
+            for a, b in zip(M.block(WB), Mp.block(WPB))]
+    return Correspondence(Ideal.make(gens, table=ptable), M, Mp)
 
 
 class FiberResult(NamedTuple):
@@ -315,10 +320,11 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     if not gens:
         raise CorrespondenceError("fiber is the whole space (empty specialized ideal)")
     # one basis: dimension, the ledger check, degree and solutions all read
-    # it.  It is a lex basis unless fewer generators than variables leave
-    # the fiber empty or of positive dimension (Krull's principal ideal
-    # theorem), which a grevlex basis shows at a fraction of the cost
-    I = Ideal.make(gens, lex(len(ftable)) if len(gens) >= len(ftable) else None, ftable)
+    # it.  It is a lex basis when the generators' lex leading monomials
+    # certify a finite fiber; any other fiber is decided on a grevlex basis,
+    # at a fraction of the cost, since its lex basis can be far larger
+    finite = has_pure_powers((max(g.terms) for g in gens), len(ftable))
+    I = Ideal.make(gens, lex(len(ftable)) if finite else None, ftable)
     d = dimension(I)
     if d < 0:
         raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")
@@ -358,9 +364,9 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     eliminate it."""
     if C1.target.rho != C2.source.rho:
         raise CorrespondenceError("inner manifolds of the composition differ")
-    ptable, wb, wpb = _param_table(C1.source, C2.target)
+    ptable = _param_table(C1.source, C2.target)
     mid = C1.target.block(MB)
-    joint = VarTable.make(wb + mid + wpb, conjugates=False)
+    joint = VarTable.make(C1.wb_names + mid + C2.wpb_names, conjugates=False)
     g1 = [g.substitute(dict(zip(C1.wpb_names, mid)), joint) for g in C1.graph.generators]
     g2 = [g.substitute(dict(zip(C2.wb_names, mid)), joint) for g in C2.graph.generators]
     graph = eliminate(Ideal.make(g1 + g2, table=joint), ptable)
@@ -369,4 +375,4 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
     exc = tuple(e.substitute({}, ptable)
                 for C, outer in ((C1, C1.wb_names), (C2, C2.wpb_names)) for e in C.excluded
                 if {C.graph.table.names[i] for i in e.variables()} <= set(outer))
-    return Correspondence(graph, C1.source, C2.target, wb, wpb, exc)
+    return Correspondence(graph, C1.source, C2.target, exc)

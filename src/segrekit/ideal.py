@@ -607,8 +607,9 @@ def _count_below(stairs: List[tuple], n: int, seen: dict) -> int:
     return seen[key]
 
 
-def standard_monomials(I: Ideal, cap: int = STANDARD_CAP) -> List[tuple]:
-    """Monomials outside the leading-term ideal; requires dimension 0."""
+def standard_monomials(I: Ideal) -> List[tuple]:
+    """Monomials outside the leading-term ideal; requires dimension 0.  More
+    than STANDARD_CAP of them raise ResourceLimitError."""
     lms = I.staircase()
     n = len(I.table)
     seen = {(0,) * n}
@@ -619,10 +620,10 @@ def standard_monomials(I: Ideal, cap: int = STANDARD_CAP) -> List[tuple]:
         if any(_divides(l, m) for l in lms):
             continue
         out.append(m)
-        if len(out) > cap:
+        if len(out) > STANDARD_CAP:
             raise ResourceLimitError(
                 "standard monomial enumeration exceeded cap",
-                {"count": len(out), "cap": cap},
+                {"count": len(out), "cap": STANDARD_CAP},
             )
         for i in range(n):
             nxt = list(m)
@@ -634,14 +635,20 @@ def standard_monomials(I: Ideal, cap: int = STANDARD_CAP) -> List[tuple]:
     return out
 
 
+def has_pure_powers(monomials: Iterable[tuple], n: int) -> bool:
+    """True when ``monomials`` hold a pure power of each of the n variables:
+    as leading monomials of an ideal's elements, a proof that the ideal is
+    zero-dimensional or the unit ideal (Cox, Little & O'Shea, ch. 5 sec. 3)."""
+    return len({i for m in monomials for i, e in enumerate(m) if e and sum(m) == e}) == n
+
+
 def degree_zero_dim(I: Ideal) -> int:
     """Vector-space dimension of the quotient, the solution count with
     multiplicity: the standard monomials, counted from the staircase without
     listing them.  A count above STANDARD_CAP raises ResourceLimitError."""
     stairs = I.staircase()
     n = len(I.table)
-    pure = {i for m in stairs for i, e in enumerate(m) if e and sum(m) == e}
-    if len(pure) < n:
+    if not has_pure_powers(stairs, n):
         raise PolyError(f"degree requested on an ideal of dimension {dimension(I)}")
     count = _count_below(stairs, n, {})
     if count > STANDARD_CAP:

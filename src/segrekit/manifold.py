@@ -139,20 +139,12 @@ def genericity_rank(M: CRManifold, p: Point) -> int:
     return _generic_rank(M, _jets(M, p))
 
 
-def polar_gens(M: CRManifold, table: VarTable, conj_names: Sequence[str]) -> List[Poly]:
+def polar_gens(M: CRManifold, table: VarTable, conj: Sequence) -> List[Poly]:
     """The defining polynomials laid out over `table` by ``Poly.substitute``,
-    each ~z renamed to its entry of `conj_names` (the z-variables keep
-    their names)."""
-    rename = {"~" + name: c for name, c in zip(M.zvar_names, conj_names)}
-    return [r.substitute(rename, table) for r in M.rho]
-
-
-def _bidegrees(p: Poly) -> Tuple[int, int]:
-    zi = p.table.indices(Z_VAR)
-    ci = p.table.indices(CONJ_VAR)
-    dz = max((sum(m[i] for i in zi) for m in p.terms), default=0)
-    dc = max((sum(m[i] for i in ci) for m in p.terms), default=0)
-    return dz, dc
+    with each ~z given its entry of `conj`: a name entry renames ~z, a
+    number entry binds it (the z-variables keep their names)."""
+    bindings = {"~" + name: c for name, c in zip(M.zvar_names, conj)}
+    return [r.substitute(bindings, table) for r in M.rho]
 
 
 def homogenize(M: CRManifold, hom_var: Optional[str] = None) -> CRManifold:
@@ -174,7 +166,7 @@ def homogenize(M: CRManifold, hom_var: Optional[str] = None) -> CRManifold:
     for r in M.rho:
         # laid out over the new table, where the chart variable's slots are 0
         r = r.substitute({}, table)
-        dz, dc = _bidegrees(r)
+        dz, dc = r.degree_in(zi), r.degree_in(ci)
         terms = {}
         for m, c in r.terms.items():
             new = list(m)
@@ -198,7 +190,6 @@ def dehomogenize(M: CRManifold, chart_index: int) -> CRManifold:
 
 
 class LeviReport(NamedTuple):
-    point: tuple
     conormal: tuple
     signature: Tuple[int, int, int]  # (positives, negatives, zeros)
 
@@ -257,7 +248,7 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     HV = [[_dot(row, v) for row in H] for v in V]
     B = [[_dot([x.conjugate() for x in u], hv) for hv in HV] for u in V]
     sig = hermitian_signature(B)
-    return LeviReport(tuple(p), tuple(c), sig)
+    return LeviReport(tuple(c), sig)
 
 
 def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point],

@@ -22,21 +22,16 @@ class InconclusiveError(RuntimeError):
 
 def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
     """rho(z, w-bar) over `table`: ~z renamed to the wb_* block when w is
-    symbolic, else substituted by conj(w) for the checked point w."""
-    if w == SYMBOLIC:
-        return polar_gens(M, table, M.block(WB))
-    wbar = {"~" + name: v.conjugate() for name, v in zip(M.zvar_names, w)}
-    return [r.substitute(wbar, table) for r in M.rho]
+    symbolic, else bound to conj(w) for the checked point w."""
+    return polar_gens(M, table, M.block(WB) if w == SYMBOLIC else [v.conjugate() for v in w])
 
 
 class SegreVariety(NamedTuple):
     """Q_w: the z-variety cut out by the defining polynomials with the
-    conjugate slot frozen at w-bar (or at a symbolic parameter block)."""
+    conjugate slot frozen at w-bar (or at the wb_* block ``param_names``)."""
 
-    base: CRManifold
-    parameter: object          # tuple of coordinates, or SYMBOLIC
     ideal: Ideal
-    param_names: tuple = ()
+    param_names: tuple
 
 
 def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
@@ -46,7 +41,7 @@ def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     params = M.block(WB) if w == SYMBOLIC else ()
     table = VarTable.make(M.zvar_names + params, conjugates=False)
     ideal = Ideal.make(_segre_gens(M, w, table), table=table)
-    return SegreVariety(M, w, ideal, params)
+    return SegreVariety(ideal, params)
 
 
 def in_segre_variety(M: CRManifold, z, w) -> bool:
@@ -199,7 +194,6 @@ def segre_map_locally_injective(M: CRManifold, q) -> bool:
 
 
 class SegreSetChain(NamedTuple):
-    base_point: tuple
     ideals: tuple   # ideal of the Zariski closure of Q^j, over the z-table
     dims: tuple
 
@@ -229,7 +223,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
         dims.append(dimension(nxt))
         if nxt == ideals[-2]:
             break
-    return SegreSetChain(p, tuple(ideals), tuple(dims))
+    return SegreSetChain(tuple(ideals), tuple(dims))
 
 
 def minimality(M: CRManifold, p, j_max: Optional[int] = None) -> Tuple[bool, int]:

@@ -8,9 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from segrekit.catalog import load_catalog, load_manifold, sample_points
+from segrekit.catalog import load_manifold, sample_points
 from segrekit.correspond import (AlgebraicMap, build_correspondence, fiber,
                                  power_correspondence, splits_at,
                                  verify_invariance)

@@ -2,14 +2,11 @@
 
 import hashlib
 import math
-import random
 
 import pytest
 
 from segrekit.catalog import (SAMPLERS, load_catalog, run_suite,
                               sample_points)
-from segrekit.ideal import Ideal
-from segrekit.orders import grevlex
 from segrekit.parsing import parse_poly
 from segrekit.poly import VarTable
 

@@ -3,7 +3,6 @@
 import io
 import json
 import os
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 

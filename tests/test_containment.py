@@ -116,7 +116,7 @@ def assert_same_inversion(M, w):
 def assert_same_graph(M, Mp, f):
     """The containment that ``build_correspondence`` asks for, before the
     graph is saturated."""
-    ptable, _, _ = _param_table(M, Mp)
+    ptable = _param_table(M, Mp)
     return assert_same_containment(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
 
 

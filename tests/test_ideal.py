@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from segrekit.gaussian import GaussianRational as QI, QI_ONE, QI_ZERO
+from segrekit.gaussian import GaussianRational as QI, QI_ONE
 from segrekit.ideal import (Ideal, Limits, ResourceLimitError,
                             buchberger, degree_zero_dim, dimension, eliminate,
                             exact_div, limits_scope, member, normal_form,

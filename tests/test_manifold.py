@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from segrekit.gaussian import GaussianRational as QI, QI_ZERO
+from segrekit.gaussian import GaussianRational as QI
 from segrekit.manifold import (CRManifold, ManifoldError, dehomogenize,
                                genericity_rank, homogenize, levi_signature,
                                pseudoconcavity_probe)

@@ -1,5 +1,7 @@
 """The package namespace: public names load their modules on first use."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -111,3 +113,28 @@ def test_every_public_name_resolves():
         assert "no_such_name" in str(exc)
     else:
         raise AssertionError("an unknown name resolved")
+
+
+def unused_imports(path):
+    """The names a module imports and never reads, as a name or as the base
+    of an attribute; ``__future__`` imports are exempt."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(imported) - read)
+
+
+def test_no_unused_imports():
+    paths = sorted(glob.glob(os.path.join(SRC, "segrekit", "*.py"))
+                   + glob.glob(os.path.join(TESTS, "*.py")))
+    assert len(paths) > 30
+    unused = {os.path.relpath(p, os.path.dirname(TESTS)): names
+              for p in paths if (names := unused_imports(p))}
+    assert unused == {}

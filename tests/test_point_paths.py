@@ -9,6 +9,7 @@ same order, the same multiplicities and random draws, the same fiber
 degrees, solutions and error classes, the same polynomials term for term."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -391,8 +392,32 @@ def test_underdetermined_fibers_build_no_lex_basis(monkeypatch, name, relations,
     assert orders and lex(n) not in orders
 
 
+def test_enough_generators_without_pure_powers_build_no_lex_basis(monkeypatch):
+    """Three generators in three variables, the third a combination of the
+    first UNDERDETERMINED pair: their lex leading monomials hold no pure
+    power of each variable, so the fiber is decided on its grevlex basis
+    (its lex basis did not finish in 20 s)."""
+    import segrekit.ideal as ideal_module
+
+    name, (r1, r2) = UNDERDETERMINED[0]
+    M = load_manifold(name)
+    C = relation_correspondence(M, M, [r1, r2, f"wpb_z3*({r1}) + {r2}"])
+    engine = ideal_module.buchberger
+
+    def grevlex_only(gens, order):
+        assert order != lex(order.nvars), "a lex basis was built"
+        return engine(gens, order)
+
+    monkeypatch.setattr(ideal_module, "buchberger", grevlex_only)
+    start = time.perf_counter()
+    with pytest.raises(CorrespondenceError, match="positive dimension 1"):
+        fiber(C, (QI(1), QI(2), QI(-1, 1)))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_a_positive_dimensional_fiber_with_enough_generators_still_raises():
-    """As many generators as variables: the lex basis shows the dimension."""
+    """As many generators as variables, but no pure power of wpb_z2 among
+    their leading monomials: the grevlex basis shows the dimension."""
     sphere = load_manifold("sphere_C2.mfd")
     C = relation_correspondence(sphere, sphere,
                                 ["wpb_z1 - wb_z1", "wpb_z1^2 - wb_z1^2"])

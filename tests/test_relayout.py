@@ -131,7 +131,7 @@ SPHERE = CATALOG["sphere_C2"].manifold
 def test_containment_refuses_targets_over_another_layout(M):
     """Graph targets over (z, wpb), the layout they had before they were
     built over the containment ring, are refused, not laid out again."""
-    ptable, _, wpb = _param_table(M, M)
+    ptable, wpb = _param_table(M, M), M.block("wpb_")
     f = AlgebraicMap.identity(M)
     targets = graph_targets(M, M, f, ptable)
     assert containment_ideal(M, SYMBOLIC, targets, ptable)[0]

@@ -88,7 +88,7 @@ def target_cases():
 def test_graph_targets_equal_the_per_term_loop(label, M, Mp, f):
     """The targets come laid out over the containment ring: M's z-variables,
     then the graph's (wb, wpb) parameter table."""
-    ptable, _, _ = _param_table(M, Mp)
+    ptable = _param_table(M, Mp)
     ring = VarTable.make(M.zvar_names, params=ptable.names, conjugates=False)
     got = graph_targets(M, Mp, f, ptable)
     assert all(t.table == ring for t in got)

@@ -10,7 +10,6 @@ from segrekit import ideal
 from segrekit.catalog import sample_points
 from segrekit.ideal import dimension, member
 from segrekit.manifold import CRManifold, ManifoldError
-from segrekit.parsing import parse_poly
 from segrekit.segre import (SYMBOLIC, check_symmetry, essential_finiteness,
                             graph_form, in_segre_variety, inversion_set,
                             minimality, segre_map_locally_injective,
