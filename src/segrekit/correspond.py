@@ -10,7 +10,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from .gaussian import QI, GaussianRational, PointPowers
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, has_pure_powers, saturate
 from .manifold import CRManifold, ManifoldError, check_point, require_real
-from .orders import lex
 from .parsing import parse_map_text, parse_poly
 from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
 from .segre import (SYMBOLIC, containment_ideal, segre_map_locally_injective,
@@ -212,7 +211,7 @@ class Correspondence(NamedTuple):
 
 def _param_table(M: CRManifold, Mp: CRManifold) -> VarTable:
     """The graph's table: wb_* from M's names, then wpb_* from Mp's."""
-    return VarTable.make(M.block(WB) + Mp.block(WPB), conjugates=False)
+    return M.ring(M.block(WB) + Mp.block(WPB))
 
 
 def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
@@ -226,7 +225,7 @@ def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
     (k, a, deg_k - a, b), and a term multiplies only its factors that are
     not 1."""
     wpb = Mp.block(WPB)
-    ttable = VarTable.make(M.zvar_names, params=ptable.names, conjugates=False)
+    ttable = M.ring(M.zvar_names, ptable.names)
     nums = [num.substitute({}, ttable) for num, _ in f.components]
     dens = [den.substitute({}, ttable) for _, den in f.components]
     one = Poly.const(ttable, 1)
@@ -310,7 +309,7 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     free_names = C.wb_names if reverse else C.wpb_names
     w = (C.target if reverse else C.source).point(w)
     binding = {n: x.conjugate() for n, x in zip(fixed_names, w)}
-    ftable = VarTable.make(list(free_names), conjugates=False)
+    ftable = (C.source if reverse else C.target).ring(free_names)
     ledger = [(e, e.substitute(binding, ftable)) for e in C.excluded]
     for e, at_w in ledger:
         if at_w.is_zero():
@@ -324,7 +323,7 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
     # certify a finite fiber; any other fiber is decided on a grevlex basis,
     # at a fraction of the cost, since its lex basis can be far larger
     finite = has_pure_powers((max(g.terms) for g in gens), len(ftable))
-    I = Ideal.make(gens, lex(len(ftable)) if finite else None, ftable)
+    I = Ideal.make(gens, ftable.lex if finite else None, ftable)
     d = dimension(I)
     if d < 0:
         raise CorrespondenceError("fiber is empty (the specialized ideal is the unit ideal)")
@@ -366,7 +365,7 @@ def compose(C1: Correspondence, C2: Correspondence) -> Correspondence:
         raise CorrespondenceError("inner manifolds of the composition differ")
     ptable = _param_table(C1.source, C2.target)
     mid = C1.target.block(MB)
-    joint = VarTable.make(C1.wb_names + mid + C2.wpb_names, conjugates=False)
+    joint = C1.target.ring(C1.wb_names + mid + C2.wpb_names)
     g1 = [g.substitute(dict(zip(C1.wpb_names, mid)), joint) for g in C1.graph.generators]
     g2 = [g.substitute(dict(zip(C2.wb_names, mid)), joint) for g in C2.graph.generators]
     graph = eliminate(Ideal.make(g1 + g2, table=joint), ptable)

@@ -26,7 +26,7 @@ from operator import itemgetter, le
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI_ONE, QI_ZERO
-from .orders import MonomialOrder, ResourceLimitError, block_elim
+from .orders import MonomialOrder, ResourceLimitError
 from .poly import Poly, PolyError, VarTable
 
 
@@ -41,6 +41,8 @@ class Limits(NamedTuple):
 DEFAULT_LIMITS = Limits()
 # the most standard monomials a zero-dimensional ideal may have
 STANDARD_CAP = 100000
+# the most terms a product or power in a parsed expression may expand to
+PARSE_TERM_CAP = 10000
 _SCOPED_LIMITS: ContextVar[Limits] = ContextVar("segrekit_limits",
                                                 default=DEFAULT_LIMITS)
 
@@ -327,11 +329,11 @@ def _bind_linear(gens: List[dict], codec):
     smaller than x or the packed 1; no bound variable occurs in rest, but
     an earlier binding's y may be bound later.  Returns None when a nonzero
     constant shows up: the ideal is then the unit ideal."""
-    linear, one = codec.linear, codec.one
+    linear, one = codec.is_linear, codec.one
     rest, bound = gens, {}
     while True:
         pick = next((k for k, t in enumerate(rest)
-                     if len(t) <= 2 and linear.issuperset(t)), None)
+                     if len(t) <= 2 and all(map(linear, t))), None)
         if pick is None:
             return rest, bound
         t = rest[pick]
@@ -557,8 +559,8 @@ def eliminate(I: Ideal, keep: VarTable) -> Ideal:
     eliminating the other variables that involve none of them, written
     over ``keep``."""
     pos = [I.table.index(n) for n in keep.names]
-    elim_idx = [i for i in range(len(I.table)) if i not in pos]
-    gb = buchberger(I.generators, block_elim(len(I.table), elim_idx))
+    elim_idx = tuple(i for i in range(len(I.table)) if i not in pos)
+    gb = buchberger(I.generators, I.table.block_elim(elim_idx))
     kept = [g.terms for g in gb if not any(m[i] for m in g.terms for i in elim_idx)]
     # a kept element's exponents, read at the kept variables' positions
     return Ideal.make([Poly._raw(keep, {tuple([m[i] for i in pos]): c for m, c in t.items()})

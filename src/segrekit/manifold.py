@@ -30,12 +30,18 @@ class CRManifold(_ManifoldFields):
     cut out by d real defining polynomials in (z, ~z).
 
     Built from (table, rho, chart); the reality verdict is made then, once,
-    and recorded in ``real``."""
-
-    __slots__ = ()
+    and recorded in ``real``.  What depends on M alone is made on first
+    use and kept in a store on the instance, outside the tuple, so that
+    equality, hashing and pickling ignore it: the blocks of names
+    (``block``), the tables made from them (``ring``) and rho renamed into
+    a block (``polar_gens``).  Every instance starts with an empty store,
+    ``_replace``'s included, so a relayout is always of the instance's own
+    rho."""
 
     def __new__(cls, table: VarTable, rho: tuple, chart: object = "affine"):
-        return super().__new__(cls, table, rho, chart, all(r.is_real() for r in rho))
+        self = super().__new__(cls, table, rho, chart, all(r.is_real() for r in rho))
+        self._kept = {}
+        return self
 
     @classmethod
     def _make(cls, fields) -> "CRManifold":
@@ -43,8 +49,8 @@ class CRManifold(_ManifoldFields):
         table, rho, chart, _ = fields
         return cls(table, rho, chart)
 
-    def __getnewargs__(self):
-        return self[:3]
+    def __reduce__(self):
+        return type(self), tuple(self[:3])
 
     @property
     def n(self) -> int:
@@ -62,9 +68,24 @@ class CRManifold(_ManifoldFields):
     def zvar_names(self) -> tuple:
         return self.table.zvars()
 
+    def _keep(self, key: tuple, make):
+        """``make()``, made the first time ``key`` is asked for and kept."""
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = make()
+        return value
+
     def block(self, prefix: str) -> tuple:
         """The z-variables' names behind ``prefix``, one of ``poly.BLOCKS``."""
-        return tuple(prefix + name for name in self.table.zvars())
+        return self._keep(("block", prefix),
+                          lambda: tuple(prefix + name for name in self.table.zvars()))
+
+    def ring(self, names: tuple, params: tuple = ()) -> VarTable:
+        """``VarTable.make(names, params, conjugates=False)``, kept per
+        (names, params): the rings laid out from M's names, and from those
+        of M and the other manifold of a correspondence."""
+        return self._keep(("ring", names, params),
+                          lambda: VarTable.make(names, params, conjugates=False))
 
     @staticmethod
     def from_text(text: str) -> "CRManifold":
@@ -139,12 +160,19 @@ def genericity_rank(M: CRManifold, p: Point) -> int:
     return _generic_rank(M, _jets(M, p))
 
 
-def polar_gens(M: CRManifold, table: VarTable, conj: Sequence) -> List[Poly]:
+def polar_gens(M: CRManifold, table: VarTable, conj: Sequence) -> Tuple[Poly, ...]:
     """The defining polynomials laid out over `table` by ``Poly.substitute``,
     with each ~z given its entry of `conj`: a name entry renames ~z, a
-    number entry binds it (the z-variables keep their names)."""
-    bindings = {"~" + name: c for name, c in zip(M.zvar_names, conj)}
-    return [r.substitute(bindings, table) for r in M.rho]
+    number entry binds it (the z-variables keep their names).  A renaming
+    depends on M alone, and M keeps it per (table, names)."""
+    def make() -> Tuple[Poly, ...]:
+        bindings = {"~" + name: c for name, c in zip(M.zvar_names, conj)}
+        return tuple(r.substitute(bindings, table) for r in M.rho)
+
+    conj = tuple(conj)
+    if all(isinstance(c, str) for c in conj):
+        return M._keep(("polar", table, conj), make)
+    return make()
 
 
 def homogenize(M: CRManifold, hom_var: Optional[str] = None) -> CRManifold:

@@ -52,6 +52,8 @@ class MonomialCodec:
     every key field is wide enough for it, so ``p & guard`` detects an
     overflow before any field carries into the next."""
 
+    __slots__ = ("max_exp", "guard", "one", "_unit", "_exp_shift")
+
     def __init__(self, nvars: int, forms):
         forms = [f for f in forms if f]
         lead = []   # variables whose exponent field doubles as a key field
@@ -79,8 +81,10 @@ class MonomialCodec:
             shift += (len(form) * field).bit_length()
         self._unit = unit
         self._exp_shift = exp_shift
-        # the packed monomials of degree at most one: 1 and each variable
-        self.linear = frozenset([self.one] + [self.one + u for u in unit])
+
+    def is_linear(self, m: int) -> bool:
+        """True when the packed monomial m is 1 or a variable."""
+        return m == self.one or m - self.one in self._unit
 
     def enc(self, exps) -> int:
         """The packed form of an exponent tuple."""
@@ -110,17 +114,21 @@ class MonomialOrder:
         self.kind = kind      # "grevlex" | "lex" | "block"
         self.nvars = nvars
         self.block = block    # eliminated variable indices, for "block"
-        # the key entries as linear forms, the one description of the order;
-        # ``key`` evaluates them, the codec (built on first use) packs them
-        if kind == "grevlex":
-            self._forms = _grevlex_forms(range(nvars))
-        elif kind == "lex":
-            self._forms = [[(i, 1)] for i in range(nvars)]
-        else:
-            blk = set(block)
-            self._forms = (_grevlex_forms([i for i in range(nvars) if i in blk])
-                           + _grevlex_forms([i for i in range(nvars) if i not in blk]))
-        self._codec = None
+        # ``key``'s forms and the codec are made on first use: a table keeps
+        # its orders, and most of them only ever pack
+        self._forms = self._codec = None
+
+    def _linear_forms(self) -> list:
+        """The key entries as linear forms, the one description of the
+        order: ``key`` evaluates them, the codec packs them."""
+        n = self.nvars
+        if self.kind == "grevlex":
+            return _grevlex_forms(range(n))
+        if self.kind == "lex":
+            return [[(i, 1)] for i in range(n)]
+        blk = set(self.block)
+        return (_grevlex_forms([i for i in range(n) if i in blk])
+                + _grevlex_forms([i for i in range(n) if i not in blk]))
 
     def _ident(self) -> tuple:
         return (self.kind, self.nvars, self.block)
@@ -139,13 +147,15 @@ class MonomialOrder:
     def key(self, exps) -> tuple:
         """The values of the order's linear forms at ``exps``: a flat tuple
         of ints, larger exactly when the monomial is."""
+        if self._forms is None:
+            self._forms = self._linear_forms()
         return tuple([sum([exps[i] * c for i, c in form]) for form in self._forms])
 
     @property
     def codec(self) -> MonomialCodec:
         """Packs this order's monomials for the Groebner engine."""
         if self._codec is None:
-            self._codec = MonomialCodec(self.nvars, self._forms)
+            self._codec = MonomialCodec(self.nvars, self._linear_forms())
         return self._codec
 
 

@@ -13,9 +13,11 @@ is holomorphic, so `~` is an error there).
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import List, NamedTuple, Optional, Tuple
 
 from .gaussian import QI
+from .ideal import PARSE_TERM_CAP, ResourceLimitError
 from .poly import BLOCKS, Poly, VarTable
 
 
@@ -28,6 +30,25 @@ class ParseError(ValueError):
         self.reason = message
         self.pos = pos
         self.line = line
+
+
+def _power_terms(p: Poly, k: int) -> int:
+    """A bound on the terms of p**k: the products of k of p's t terms,
+    C(t + k - 1, k), and the monomials of degree at most k*d in the v
+    variables of p, C(v + k*d, v), with d the degree of p."""
+    t = len(p.terms)
+    if t <= 1 or k == 0:
+        return 1
+    v = len(p.variables())
+    return min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
+
+
+def _check_expansion(bound: int) -> None:
+    """Refuse a product or power bound to have more than PARSE_TERM_CAP
+    terms before it is expanded."""
+    if bound > PARSE_TERM_CAP:
+        raise ResourceLimitError("expression expands to too many terms",
+                                 {"terms_bound": bound, "cap": PARSE_TERM_CAP})
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9']*"
@@ -100,7 +121,9 @@ class _Parser:
             tok = self.peek()
             if tok[0] == "*":
                 self.take()
-                p = p * self.factor()
+                q = self.factor()
+                _check_expansion(len(p.terms) * len(q.terms))
+                p = p * q
             elif tok[0] == "/":
                 self.take()
                 q = self.factor()
@@ -118,8 +141,9 @@ class _Parser:
         p = self.base()
         while self.peek()[0] == "^":
             self.take()
-            etok = self.expect("num")
-            p = p ** int(etok[1])
+            k = int(self.expect("num")[1])
+            _check_expansion(_power_terms(p, k))
+            p = p ** k
         return p
 
     def base(self) -> Poly:

@@ -13,7 +13,7 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, PointPowers, format_coeff
-from .orders import MonomialOrder, grevlex
+from .orders import MonomialOrder, block_elim, grevlex, lex
 
 Z_VAR = "z"
 CONJ_VAR = "conj"
@@ -34,10 +34,13 @@ class PolyError(ValueError):
 
 
 class VarTable:
-    """Ordered variable set with kinds and conjugate pairing, and the grevlex
-    order on it that ideals and reductions over the table share."""
+    """Ordered variable set with kinds and conjugate pairing, and the
+    monomial orders on it (codecs and all) that ideals and reductions over
+    the table share: each is made on first use and kept with the table, as
+    is the table ``extend_params`` makes."""
 
-    __slots__ = ("names", "kinds", "pairs", "_index", "_zvars", "_grevlex")
+    __slots__ = ("names", "kinds", "pairs", "_index", "_zvars", "_grevlex", "_lex",
+                 "_blocks", "_extended")
 
     def __init__(self, names: tuple, kinds: tuple, pairs: tuple):
         index = {name: i for i, name in enumerate(names)}
@@ -51,7 +54,9 @@ class VarTable:
         self.pairs = pairs  # index of conjugate partner, or None
         self._index = index
         self._zvars = tuple(n for n, k in zip(names, kinds) if k == Z_VAR)
-        self._grevlex = None
+        self._grevlex = self._lex = None
+        self._blocks = {}     # eliminated indices -> block order
+        self._extended = {}   # extra parameter names -> table
 
     def __eq__(self, other):
         if self is other:
@@ -101,11 +106,25 @@ class VarTable:
 
     @property
     def grevlex(self) -> MonomialOrder:
-        """The grevlex order on the table's variables, made on first use and
-        kept, codec and all."""
+        """The grevlex order on the table's variables."""
         if self._grevlex is None:
             self._grevlex = grevlex(len(self.names))
         return self._grevlex
+
+    @property
+    def lex(self) -> MonomialOrder:
+        """The lex order on the table's variables."""
+        if self._lex is None:
+            self._lex = lex(len(self.names))
+        return self._lex
+
+    def block_elim(self, elim: tuple) -> MonomialOrder:
+        """The block order eliminating the variables at the indices ``elim``,
+        ascending: one order per index set."""
+        order = self._blocks.get(elim)
+        if order is None:
+            order = self._blocks[elim] = block_elim(len(self.names), elim)
+        return order
 
     def fresh(self, stem: str) -> str:
         """``stem``, or ``stem`` with the first number that makes it a name
@@ -117,11 +136,17 @@ class VarTable:
         return name
 
     def extend_params(self, extra: Sequence[str]) -> "VarTable":
-        return VarTable(
-            self.names + tuple(extra),
-            self.kinds + (PARAM_VAR,) * len(extra),
-            self.pairs + (None,) * len(extra),
-        )
+        """The table with the parameters ``extra`` appended: one table per
+        tuple of names."""
+        extra = tuple(extra)
+        table = self._extended.get(extra)
+        if table is None:
+            table = self._extended[extra] = VarTable(
+                self.names + extra,
+                self.kinds + (PARAM_VAR,) * len(extra),
+                self.pairs + (None,) * len(extra),
+            )
+        return table
 
 
 class Poly:

@@ -20,7 +20,7 @@ class InconclusiveError(RuntimeError):
     pass
 
 
-def _segre_gens(M: CRManifold, w, table: VarTable) -> List[Poly]:
+def _segre_gens(M: CRManifold, w, table: VarTable) -> Tuple[Poly, ...]:
     """rho(z, w-bar) over `table`: ~z renamed to the wb_* block when w is
     symbolic, else bound to conj(w) for the checked point w."""
     return polar_gens(M, table, M.block(WB) if w == SYMBOLIC else [v.conjugate() for v in w])
@@ -39,7 +39,7 @@ def segre_variety(M: CRManifold, w=SYMBOLIC) -> SegreVariety:
     if w != SYMBOLIC:
         w = M.point(w)
     params = M.block(WB) if w == SYMBOLIC else ()
-    table = VarTable.make(M.zvar_names + params, conjugates=False)
+    table = M.ring(M.zvar_names + params)
     ideal = Ideal.make(_segre_gens(M, w, table), table=table)
     return SegreVariety(ideal, params)
 
@@ -176,8 +176,8 @@ def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
     require_real(M)
     zb = M.block(ZB)
     params = zb + M.block(WB) if w == SYMBOLIC else zb
-    ptable = VarTable.make(params, conjugates=False)
-    ttable = VarTable.make(M.zvar_names, params=params, conjugates=False)
+    ptable = M.ring(params)
+    ttable = M.ring(M.zvar_names, params)
     gens, excluded = containment_ideal(M, w, polar_gens(M, ttable, zb), ptable)
     return InversionSet(Ideal.make(gens, table=ptable), excluded)
 
@@ -210,7 +210,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     dims = [dimension(Q1)]
     n = M.n
     uvars = M.block(U)
-    joint = VarTable.make(M.zvar_names + uvars, conjugates=False)
+    joint = M.ring(M.zvar_names + uvars)
     rename_u = dict(zip(M.zvar_names, uvars))
     polar = polar_gens(M, joint, uvars)
     while len(ideals) < j_max and dims[-1] < n:
@@ -218,7 +218,7 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
         # constraint rho(z, u)
         gens = [Poly._raw(g.table, {m: c.conjugate() for m, c in g.terms.items()})
                 .substitute(rename_u, joint) for g in ideals[-1].generators]
-        nxt = eliminate(Ideal.make(gens + polar, table=joint), ztab)
+        nxt = eliminate(Ideal.make(gens + list(polar), table=joint), ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))
         if nxt == ideals[-2]:

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import QI_ZERO, GaussianRational, qi_sqrt
 from .ideal import Ideal, groebner_basis
-from .orders import lex
 from .poly import Poly, VarTable
 
 Roots = List[Tuple[GaussianRational, int]]
@@ -141,7 +140,7 @@ def solve_zero_dim(I: Ideal) -> Optional[Leaves]:
     """All solutions of a zero-dimensional ideal as (point, multiplicity),
     with points as {var name: GaussianRational}; None if not triangular.
     The lex basis is built from I's reduced basis, or is I's own."""
-    gb = groebner_basis(I).with_order(lex(len(I.table))).groebner()
+    gb = groebner_basis(I).with_order(I.table.lex).groebner()
     sols = back_substitute(gb, I.table, lambda roots: roots, lambda occurring: None)
     if sols is None or any(len(pt) != len(I.table) for pt, _ in sols):
         return None  # a root outside Q(i), or a variable left free

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -190,6 +191,19 @@ def test_exit_code_inconclusive():
 def test_exit_code_unknown_entry():
     code, _, _ = run_cli("suite", "unknown_entry")
     assert code == 2
+
+
+def test_an_expansion_over_the_term_cap_exits_3_at_once(tmp_path):
+    """Parsing refuses 0*(...)^60, C(64, 4) = 635376 terms, before expanding it."""
+    path = tmp_path / "big.mfd"
+    path.write_text("vars z1 z2\nrho: z1*~z1 + z2*~z2 - 1 + 0*(z1+z2+~z1+~z2+1)^60\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli("segre", str(path), "--point", "1,0")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"] == {"terms_bound": 635376, "cap": 10000}
 
 
 def test_exit_code_resource_limit(monkeypatch):

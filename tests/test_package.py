@@ -138,3 +138,86 @@ def test_no_unused_imports():
     unused = {os.path.relpath(p, os.path.dirname(TESTS)): names
               for p in paths if (names := unused_imports(p))}
     assert unused == {}
+
+
+# methods that change a list, dict or set in place
+MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear", "update",
+            "setdefault", "add", "discard", "sort", "reverse", "difference_update",
+            "intersection_update", "symmetric_difference_update"}
+
+
+def _root(node):
+    """The name an attribute or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state_mutations(path):
+    """Where a module keeps mutable state: a ``global`` statement, a
+    ``cache`` or ``lru_cache`` decorator, or a function that assigns to an
+    item or attribute of a module-level name, or calls a mutating method on
+    it, where the function does not bind that name itself."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    module = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            module.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module.update((a.asname or a.name).split(".")[0] for a in node.names)
+        else:
+            module.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for deco in getattr(fn, "decorator_list", ()):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) in ("cache", "lru_cache"):
+                found.append(f"{fn.lineno}: cache decorator on {fn.name}")
+        bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+        shared = module - bound
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append(f"{node.lineno}: global {', '.join(node.names)}")
+            elif (isinstance(node, (ast.Subscript, ast.Attribute))
+                  and isinstance(node.ctx, (ast.Store, ast.Del)) and _root(node) in shared):
+                found.append(f"{node.lineno}: assigns {ast.unparse(node)}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and _root(node.func.value) in shared):
+                found.append(f"{node.lineno}: calls {ast.unparse(node.func)}")
+    return sorted(set(found))
+
+
+def test_no_module_level_mutable_state():
+    """Caches live on the objects a caller holds (a table keeps its orders,
+    a manifold its rings and relayouts), never in a module."""
+    paths = sorted(glob.glob(os.path.join(SRC, "segrekit", "*.py")))
+    assert len(paths) > 10
+    found = {os.path.basename(p): f for p in paths if (f := module_state_mutations(p))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("code", [
+    "CACHE = {}\ndef f(k):\n    CACHE[k] = 1\n",
+    "SEEN = []\ndef f(k):\n    SEEN.append(k)\n",
+    "import sys\ndef f(p):\n    sys.path.insert(0, p)\n",
+    "COUNT = 0\ndef f():\n    global COUNT\n    COUNT += 1\n",
+    "import functools\n@functools.lru_cache(None)\ndef f(k):\n    return k\n",
+    "from functools import cache\n@cache\ndef f(k):\n    return k\n",
+    "class Box:\n    pass\ndef f(v):\n    Box.value = v\n",
+])
+def test_the_module_state_check_catches(code, tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(code)
+    assert module_state_mutations(str(path))
+
+
+def test_the_module_state_check_passes_locals(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("CACHE = {}\ndef f(k):\n    CACHE = {}\n    CACHE[k] = 1\n"
+                    "    out = []\n    out.append(CACHE.get(k))\n    return out\n")
+    assert module_state_mutations(str(path)) == []

@@ -3,8 +3,9 @@
 import pytest
 
 from segrekit.gaussian import GaussianRational as QI
-from segrekit.parsing import (ParseError, parse_manifold_text, parse_map_text,
-                              parse_poly)
+from segrekit.ideal import PARSE_TERM_CAP, ResourceLimitError
+from segrekit.parsing import (ParseError, _power_terms, parse_manifold_text,
+                              parse_map_text, parse_poly)
 from segrekit.poly import VarTable
 
 TABLE = VarTable.make(["z1", "z2"])
@@ -207,3 +208,31 @@ def test_components_with_slashes_that_parse(component, num, den):
     assert spec.components[0][0] == parse_poly(num, spec.table)
     got = spec.components[0][1]
     assert got is None if den is None else got == parse_poly(den, spec.table)
+
+
+# -- expansion bounds -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("src, bound", [
+    # C(t + k - 1, k) = C(v + k*d, v) = C(64, 4) for t = 5 terms, v = 4 variables
+    ("0*(z1+z2+~z1+~z2+1)^60", 635376),
+    # C(v + k*d, v) = 12001 is the smaller bound for z1^2 + z1 + 1
+    ("(z1^2 + z1 + 1)^6000", 12001),
+    # a product's bound is the factors' term counts multiplied: the first
+    # two give 70 * 70 = 4900 and expand to 495 terms, then 495 * 70 is over
+    ("(z1+z2+~z1+~z2+1)^4 * (z1+z2+~z1+~z2+1)^4 * (z1+z2+~z1+~z2+1)^4", 495 * 70),
+])
+def test_an_expansion_over_the_cap_is_refused_before_it_is_made(src, bound):
+    with pytest.raises(ResourceLimitError) as info:
+        parse_poly(src, TABLE)
+    assert info.value.stats == {"terms_bound": bound, "cap": PARSE_TERM_CAP}
+
+
+@pytest.mark.parametrize("src", ["(z1+z2+~z1+~z2+1)^10", "(z1 + ~z1)^40", "(z1^2 + z1 + 1)^7",
+                                 "(2*z1)^9", "(z1 - z1)^3", "(z1 + z2)^0"])
+def test_the_power_bound_holds(src):
+    base, k = src.rsplit("^", 1)
+    p = parse_poly(base, TABLE)
+    assert len(parse_poly(src, TABLE).terms) <= _power_terms(p, int(k))
+    # a power of a generic sum meets the bound
+    assert _power_terms(parse_poly("z1+z2+~z1+~z2+1", TABLE), 10) == 1001
