@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 # one of its names is first looked up (PEP 562), so that a user of the
 # engine alone loads gaussian, orders, poly and ideal
 _HOME = {name: module for module, names in [
-    ("gaussian", ["GaussianRational", "QI_I", "QI_ONE", "QI_ZERO", "qi_sqrt"]),
+    ("gaussian", ["GaussianRational", "QI_ONE", "QI_ZERO", "qi_sqrt"]),
     ("poly", ["Poly", "VarTable"]),
     ("orders", ["block_elim", "grevlex", "lex"]),
     ("parsing", ["ParseError", "parse_manifold_text", "parse_map_text", "parse_poly"]),

@@ -221,7 +221,7 @@ def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
         rep.add("levi_signature", all(s == want for s in sigs),
                 "signature %s at all samples" % (sigs[0],))
     if "pseudoconcave" in exp:
-        # pseudoconcavity_probe(M, pts), whose grid for d = 1 is {+1, -1}
+        # pseudoconcavity_probe(M, pts), whose grid is {+1, -1}
         got = all(levi(p, c).mixed for p in pts for c in ((1,), (-1,)))
         rep.add("pseudoconcave", got == exp["pseudoconcave"]["value"],
                 "mixed Levi signature at every probe: %s" % got)

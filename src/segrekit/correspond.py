@@ -5,6 +5,7 @@ invariance verification, fibers and branch counting, splitting, composition."""
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, GaussianRational, PointPowers
@@ -36,7 +37,7 @@ def _read(p: Poly, pt: PointPowers) -> GaussianRational:
 
 class AlgebraicMap(NamedTuple):
     """Rational map between charts: components as (numerator, denominator)
-    pairs over the source manifold's variable table."""
+    pairs over the table they were parsed on, the source's z-variables."""
 
     table: VarTable
     components: tuple  # of (Poly, Poly)
@@ -47,19 +48,15 @@ class AlgebraicMap(NamedTuple):
         if spec.table.names != source.zvar_names:
             raise CorrespondenceError(
                 f"map variables {spec.table.names} do not match source {source.zvar_names}")
-        one = Poly.const(source.table, 1)
-        return AlgebraicMap(source.table, tuple(
-            (num.substitute({}, source.table),
-             one if den is None else den.substitute({}, source.table))
-            for num, den in spec.components))
+        one = Poly.const(spec.table, 1)
+        return AlgebraicMap(spec.table, tuple(
+            (num, one if den is None else den) for num, den in spec.components))
 
     @staticmethod
     def identity(M: CRManifold) -> "AlgebraicMap":
-        one = Poly.const(M.table, 1)
-        return AlgebraicMap(
-            M.table,
-            tuple((Poly.var(M.table, n), one) for n in M.zvar_names),
-        )
+        table = M.ring(M.zvar_names)
+        one = Poly.const(table, 1)
+        return AlgebraicMap(table, tuple((Poly.var(table, n), one) for n in M.zvar_names))
 
     def _point(self, p: Sequence) -> PointPowers:
         """p checked as a point of the source chart, bound to the z-variables:
@@ -221,37 +218,23 @@ def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
     the containment ring: M's z-variables followed by ``ptable``'s names,
     which hold the wpb_* block.
 
-    Each factor num_k^a * den_k^(deg_k - a) * wpb_k^b is made once per
-    (k, a, deg_k - a, b), and a term multiplies only its factors that are
-    not 1."""
-    wpb = Mp.block(WPB)
+    A term multiplies only those of its factors num_k^a, den_k^(deg_k - a)
+    and wpb_k^b that are not 1."""
     ttable = M.ring(M.zvar_names, ptable.names)
-    nums = [num.substitute({}, ttable) for num, _ in f.components]
-    dens = [den.substitute({}, ttable) for _, den in f.components]
     one = Poly.const(ttable, 1)
-    factors = {}
-
-    def product(polys) -> Poly:
-        out = None
-        for p in polys:
-            if p != one:
-                out = p if out is None else out * p
-        return one if out is None else out
-
-    def factor(k: int, a: int, e: int, b: int) -> Poly:
-        key = (k, a, e, b)
-        if key not in factors:
-            factors[key] = product((nums[k] ** a, dens[k] ** e, Poly.var(ttable, wpb[k]) ** b))
-        return factors[key]
-
+    bases = [(num.substitute({}, ttable), den.substitute({}, ttable), Poly.var(ttable, w))
+             for (num, den), w in zip(f.components, Mp.block(WPB))]
     targets: List[Poly] = []
     for rp in Mp.rho:
         slots = [(rp.table.index(n), rp.table.index("~" + n)) for n in Mp.zvar_names]
         degs = [rp.degree_in([i]) for i, _ in slots]
         acc = Poly.zero(ttable)
         for mono, c in rp.terms.items():
-            piece = product(factor(k, mono[i], degs[k] - mono[i], mono[j])
-                            for k, (i, j) in enumerate(slots))
+            piece = one
+            for (i, j), deg, factors in zip(slots, degs, bases):
+                for p, e in zip(factors, (mono[i], deg - mono[i], mono[j])):
+                    if e and p != one:
+                        piece = p ** e if piece is one else piece * p ** e
             acc = acc + (piece if c.is_one() else piece * c)
         targets.append(acc)
     return targets
@@ -267,9 +250,10 @@ def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Corr
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
     graph = Ideal.make(gens, table=ptable)
-    # strip components supported on the excluded locus
-    for e in excluded:
-        graph = saturate(graph, e)
+    # strip components supported on the excluded locus: saturating by the
+    # product of the ledger equals saturating by each entry in turn
+    if excluded:
+        graph = saturate(graph, prod(excluded[1:], start=excluded[0]))
     if not graph.generators:
         raise CorrespondenceError("graph ideal collapsed under saturation")
     return Correspondence(graph, M, Mp, excluded)

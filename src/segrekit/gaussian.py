@@ -168,10 +168,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _triple(self._a, -self._b, self._d)
 
-    def norm(self) -> Fraction:
-        """|c|^2 as an exact rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     # -- comparison/hash -------------------------------------------------
 
     def __eq__(self, other):
@@ -203,7 +199,15 @@ class GaussianRational:
 QI = GaussianRational
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
-QI_I = QI(0, 1)
+
+
+def heights(coeffs) -> tuple:
+    """(N, D) for a collection of coefficients (a_c + b_c*i)/d_c: D their
+    least common denominator, N the sum of (|a_c| + |b_c|)*D/d_c.  No
+    integer of theirs is larger than max(N, D); as the coefficients of
+    polynomials p and q, N(pq) <= N(p)N(q) and D(pq) <= D(p)D(q)."""
+    den = lcm(*(c._d for c in coeffs))
+    return sum((abs(c._a) + abs(c._b)) * (den // c._d) for c in coeffs), den
 
 
 def _frac_str(f: Fraction) -> str:

@@ -279,16 +279,11 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     return LeviReport(tuple(c), sig)
 
 
-def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point],
-                          conormal_grid: Optional[Sequence[Sequence]] = None) -> List[LeviReport]:
-    """The Levi reports at sampled points and conormal directions; the
-    manifold looks pseudoconcave when every one is ``mixed``.
-
-    A probe over finitely many samples, not a proof.  For d = 1 the grid
-    defaults to {+1, -1}, which is exhaustive per point up to scaling."""
-    if conormal_grid is None:
-        if M.d == 1:
-            conormal_grid = [(1,), (-1,)]
-        else:
-            raise ManifoldError("conormal grid required when d > 1")
-    return [levi_signature(M, p, c) for p in points for c in conormal_grid]
+def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point]) -> List[LeviReport]:
+    """The Levi reports at sampled points and the conormals +1 and -1, which
+    are all of them up to scaling, as M must be a hypersurface (d = 1); the
+    manifold looks pseudoconcave when every one is ``mixed``.  A probe over
+    finitely many samples, not a proof."""
+    if M.d != 1:
+        raise ManifoldError(f"the pseudoconcavity probe needs codimension 1, got {M.d}")
+    return [levi_signature(M, p, c) for p in points for c in ((1,), (-1,))]

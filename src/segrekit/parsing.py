@@ -13,11 +13,11 @@ is holomorphic, so `~` is an error there).
 from __future__ import annotations
 
 import re
-from math import comb
+from math import comb, floor, log10
 from typing import List, NamedTuple, Optional, Tuple
 
-from .gaussian import QI
-from .ideal import PARSE_TERM_CAP, ResourceLimitError
+from .gaussian import QI, heights
+from .ideal import PARSE_DIGIT_CAP, PARSE_TERM_CAP, ResourceLimitError
 from .poly import BLOCKS, Poly, VarTable
 
 
@@ -39,16 +39,30 @@ def _power_terms(p: Poly, k: int) -> int:
     t = len(p.terms)
     if t <= 1 or k == 0:
         return 1
+    k = min(k, PARSE_TERM_CAP)  # both bounds are over the cap from there on
     v = len(p.variables())
     return min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
 
 
-def _check_expansion(bound: int) -> None:
-    """Refuse a product or power bound to have more than PARSE_TERM_CAP
-    terms before it is expanded."""
-    if bound > PARSE_TERM_CAP:
+_DIGIT_LIMIT = 10 ** PARSE_DIGIT_CAP  # made once: 10^4300 takes tens of microseconds
+
+
+def _log_heights(p: Poly) -> Tuple[float, float]:
+    """log10 of p's ``gaussian.heights``, each taken as at least 1."""
+    return tuple(log10(max(h, 1)) for h in heights(p.terms.values()))
+
+
+def _check_expansion(terms: int, log_digits: float) -> None:
+    """Refuse a product or power before it is expanded when it could have
+    more than PARSE_TERM_CAP terms, or log_digits, a bound on log10 of its
+    integers, is past PARSE_DIGIT_CAP (not at it: float log10 rounds
+    10^4300 - 1 up to it, and ``parse_poly`` checks exactly)."""
+    if terms > PARSE_TERM_CAP:
         raise ResourceLimitError("expression expands to too many terms",
-                                 {"terms_bound": bound, "cap": PARSE_TERM_CAP})
+                                 {"terms_bound": terms, "cap": PARSE_TERM_CAP})
+    if log_digits > PARSE_DIGIT_CAP:
+        raise ResourceLimitError("expression has numbers too long to print",
+                                 {"digits_bound": floor(log_digits) + 1, "cap": PARSE_DIGIT_CAP})
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9']*"
@@ -60,6 +74,9 @@ def _tokenize(src: str) -> List[Tuple[str, str, int]]:
     for m in _TOKEN.finditer(src):
         num, name, ch = m.groups()
         if num:
+            if len(num) > PARSE_DIGIT_CAP:
+                raise ParseError(f"number literal longer than {PARSE_DIGIT_CAP} digits",
+                                 pos=m.start())
             tokens.append(("num", num, m.start()))
         elif name:
             tokens.append(("name", name, m.start()))
@@ -119,19 +136,17 @@ class _Parser:
         p = self.factor()
         while True:
             tok = self.peek()
-            if tok[0] == "*":
-                self.take()
-                q = self.factor()
-                _check_expansion(len(p.terms) * len(q.terms))
-                p = p * q
-            elif tok[0] == "/":
-                self.take()
-                q = self.factor()
+            if tok[0] not in ("*", "/"):
+                return p
+            self.take()
+            q = self.factor()
+            if tok[0] == "/":
                 if not q.is_constant() or q.is_zero():
                     raise ParseError("division only by nonzero constants", pos=tok[2])
-                p = p * (QI(1) / q.constant_value())
-            else:
-                return p
+                q = Poly.const(self.table, QI(1) / q.constant_value())
+            (np, dp), (nq, dq) = _log_heights(p), _log_heights(q)
+            _check_expansion(len(p.terms) * len(q.terms), max(np + nq, dp + dq))
+            p = p * q
 
     def factor(self) -> Poly:
         tok = self.peek()
@@ -142,7 +157,8 @@ class _Parser:
         while self.peek()[0] == "^":
             self.take()
             k = int(self.expect("num")[1])
-            _check_expansion(_power_terms(p, k))
+            # past 10^6, k is over the digit cap unless p's integers are 0 or 1
+            _check_expansion(_power_terms(p, k), max(_log_heights(p)) * min(k, 10 ** 6))
             p = p ** k
         return p
 
@@ -180,8 +196,16 @@ class _Parser:
 
 
 def parse_poly(src: str, table: VarTable) -> Poly:
-    """Parse a polynomial expression over the given variable table."""
-    return _Parser(src, table).parse()
+    """Parse a polynomial expression over the given variable table.  Its
+    ``gaussian.heights``, which bound its integers, stay under
+    10^PARSE_DIGIT_CAP: products and powers are bounded before they are
+    expanded, and the whole expression is checked once it is summed."""
+    p = _Parser(src, table).parse()
+    top = max(heights(p.terms.values()))
+    if top >= _DIGIT_LIMIT:
+        # refused however log10 rounds: 10^4300 has a float log10 of 4300
+        _check_expansion(1, max(log10(top), PARSE_DIGIT_CAP + 0.5))
+    return p
 
 
 # -- manifold and map files ---------------------------------------------------

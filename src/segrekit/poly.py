@@ -448,12 +448,11 @@ class Poly:
 
     # -- printing ----------------------------------------------------------------
 
-    def to_str(self, order=None) -> str:
+    def __str__(self):
         if self.is_zero():
             return "0"
-        order = order or self.table.grevlex
         parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
+        for m in sorted(self.terms, key=self.table.grevlex.key, reverse=True):
             c = self.terms[m]
             mono = "*".join(
                 self.table.names[i] + (f"^{e}" if e > 1 else "")
@@ -477,8 +476,5 @@ class Poly:
                 parts.append(piece)
         return "".join(parts)
 
-    def __str__(self):
-        return self.to_str()
-
     def __repr__(self):
-        return f"Poly({self.to_str()})"
+        return f"Poly({self})"

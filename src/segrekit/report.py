@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 SCHEMA = 1
 
@@ -53,11 +53,8 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    def emit(self, elapsed: Optional[float] = None,
-             out=None, err=None) -> None:
-        out = out or sys.stdout
-        err = err or sys.stderr
-        out.write(self.to_json())
+    def emit(self, elapsed: float) -> None:
+        sys.stdout.write(self.to_json())
         lines = ["%s: %s" % (self.command, self.status)]
         for k, v in self.results.items():
             lines.append("  %s = %s" % (k, v))
@@ -65,6 +62,5 @@ class Report:
             lines.append("  excluded locus: " + "; ".join(self.excluded))
         for n in self.notes:
             lines.append("  note: " + n)
-        if elapsed is not None:
-            lines.append("  elapsed: %.3fs" % elapsed)
-        err.write("\n".join(lines) + "\n")
+        lines.append("  elapsed: %.3fs" % elapsed)
+        sys.stderr.write("\n".join(lines) + "\n")

@@ -63,18 +63,14 @@ def _univariate_roots(p: Poly, var_index: int) -> Optional[Roots]:
     return None
 
 
-def _bind(terms: dict, vi: int, powers: dict) -> dict:
-    """The term map with variable vi bound to a value; ``powers`` maps an
-    exponent x to the value's x-th power, holds the value at 1 and gains
-    each power on first use.  Zero coefficients are dropped."""
+def _bind(terms: dict, vi: int, val: GaussianRational) -> dict:
+    """The term map with variable vi bound to ``val``.  Zero coefficients
+    are dropped."""
     out: dict = {}
     for m, c in terms.items():
         x = m[vi]
         if x:
-            p = powers.get(x)
-            if p is None:
-                p = powers[x] = powers[1] ** x
-            c = c * p
+            c = c * (val if x == 1 else val ** x)
             m = m[:vi] + (0,) + m[vi + 1:]
         out[m] = out[m] + c if m in out else c
     return {m: c for m, c in out.items() if not c.is_zero()}
@@ -119,11 +115,10 @@ def back_substitute(gens: Sequence[Poly], table: VarTable,
             steps = [(table.index(step[0]), step[1], 1)]
         out = []
         for vi, val, mult in steps:
-            powers = {1: val}
             nxt = []
             for terms, vs in rest:
                 if vi in vs:
-                    terms = _bind(terms, vi, powers)
+                    terms = _bind(terms, vi, val)
                     vs = {i for m in terms for i, x in enumerate(m) if x}
                 if terms:
                     nxt.append((terms, vs))

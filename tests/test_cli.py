@@ -206,6 +206,37 @@ def test_an_expansion_over_the_term_cap_exits_3_at_once(tmp_path):
     assert doc["results"]["limit_stats"] == {"terms_bound": 635376, "cap": 10000}
 
 
+# 2^40000 has 12042 digits; Python 3.11 refuses to print an int of more
+# than 4300, and segrekit refuses to parse one
+
+
+@pytest.mark.parametrize("point", ["1,2^40000", "1,1/2^40000"], ids=["power", "reciprocal"])
+def test_a_point_with_a_number_over_the_digit_cap_exits_3(point):
+    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--point", point)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"] == {"digits_bound": 12042, "cap": 4300}
+
+
+def test_a_point_literal_over_the_digit_cap_is_an_input_error():
+    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--point", "1," + "7" * 5000)
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error: bad coordinate")
+    assert status.endswith("number literal longer than 4300 digits (column 1)")
+
+
+def test_a_manifold_with_a_number_over_the_digit_cap_exits_3(tmp_path):
+    path = tmp_path / "big.mfd"
+    path.write_text("vars z1 z2\nrho: z1*~z1 + z2*~z2 - 2^40000\n")
+    code, out, _ = run_cli("segre", str(path), "--symbolic")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"] == {"digits_bound": 12042, "cap": 4300}
+
+
 def test_exit_code_resource_limit(monkeypatch):
     monkeypatch.delenv("SEGREKIT_MAX_DEGREE", raising=False)
     monkeypatch.delenv("SEGREKIT_MAX_BASIS", raising=False)

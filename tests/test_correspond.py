@@ -7,15 +7,17 @@ import pytest
 
 from segrekit.catalog import load_manifold, sample_points
 from segrekit.correspond import (AlgebraicMap, CorrespondenceError,
-                                 ExcludedLocusError, build_correspondence,
-                                 compose, fiber, power_correspondence,
+                                 ExcludedLocusError, _param_table, build_correspondence,
+                                 compose, fiber, graph_targets, power_correspondence,
                                  relation_correspondence,
                                  sample_variety_points, splits_at,
                                  verify_invariance)
 from segrekit.gaussian import GaussianRational as QI
+from segrekit.ideal import Ideal, saturate
 from segrekit.manifold import (CRManifold, ManifoldError, genericity_rank,
                                levi_signature)
-from segrekit.segre import (essential_finiteness, inversion_set, minimality,
+from segrekit.segre import (SYMBOLIC, containment_ideal, essential_finiteness,
+                            inversion_set, minimality,
                             segre_map_locally_injective, segre_variety)
 
 SPHERE = load_manifold("sphere_C2.mfd")
@@ -378,3 +380,25 @@ def test_d2_identity_fiber_contains_its_point():
     res = fiber(C, D2_POINT)
     assert res.degree == 1
     assert res.solutions is None or (D2_POINT, 1) in res.solutions
+
+
+# Q_w's generators lead with different z-variables here, so the graph's
+# ledger has one entry per generator
+@pytest.mark.parametrize("text, entries", [
+    ("vars z1 z2 z3\nrho: z1*~z1 + z2*~z2 + z3*~z3 - 1\nrho: z2*~z3 + z3*~z2\n", 2),
+    ("vars z1 z2 z3\nrho: z1*~z1 - z3*~z3 - 1\nrho: z2*~z2 + z3*~z3 - 2\n", 2),
+    ("vars z1 z2 z3 z4\nrho: z1*~z1 - z4*~z4 - 1\nrho: z2*~z2 + z4*~z4 - 2\n"
+     "rho: z3*~z3 - z4*~z4 - 3\n", 3),
+], ids=["sphere-and-cone", "two-quadrics", "three-quadrics"])
+def test_saturating_by_the_ledger_product_equals_saturating_entry_by_entry(text, entries):
+    M = CRManifold.from_text(text)
+    C = build_correspondence(M, M, AlgebraicMap.identity(M))
+    assert len(C.excluded) == entries
+    ptable = _param_table(M, M)
+    gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, M, AlgebraicMap.identity(M),
+                                                                  ptable), ptable)
+    assert excluded == C.excluded
+    want = Ideal.make(gens, table=ptable)
+    for e in excluded:
+        want = saturate(want, e)
+    assert C.graph.generators == want.generators

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segrekit.gaussian import (GaussianRational as QI, QI_I, QI_ONE, QI_ZERO,
+from segrekit.gaussian import (GaussianRational as QI, QI_ONE, QI_ZERO,
                                format_coeff, qi_sqrt)
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -14,8 +14,7 @@ qis = st.builds(QI, fracs, fracs)
 
 
 def test_basic_identities():
-    assert QI_I * QI_I == -QI_ONE
-    assert QI(Fraction(3), Fraction(4)).norm() == Fraction(25)
+    assert QI(0, 1) * QI(0, 1) == -QI_ONE
     assert QI(Fraction(1), Fraction(1)).conjugate() == QI(Fraction(1), Fraction(-1))
 
 
@@ -64,7 +63,7 @@ def test_qi_sqrt_of_rationals():
 
 def test_qi_sqrt_exact_cases():
     # sqrt(-1) = i, sqrt(2i) = 1 + i, sqrt(-4) = 2i
-    assert qi_sqrt(QI(Fraction(-1))) in (QI_I, -QI_I)
+    assert qi_sqrt(QI(Fraction(-1))) in (QI(0, 1), QI(0, -1))
     r = qi_sqrt(QI(Fraction(0), Fraction(2)))
     assert r is not None and r * r == QI(Fraction(0), Fraction(2))
     r = qi_sqrt(QI(Fraction(-4)))
@@ -82,7 +81,7 @@ def test_qi_sqrt_roundtrip(a):
 
 def test_format_coeff():
     assert format_coeff(QI(Fraction(3, 2))) == "3/2"
-    assert format_coeff(QI_I) == "i"
+    assert format_coeff(QI(0, 1)) == "i"
     assert "i" in format_coeff(QI(Fraction(1), Fraction(2)))
 
 
@@ -147,8 +146,6 @@ def test_operations_match_the_fraction_pair_model(x, y, k):
         assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
         assert _model(got) == want
         _assert_canonical(got)
-    assert x.norm() == px[0] * px[0] + px[1] * px[1]
-    assert isinstance(x.norm(), Fraction)
 
 
 @given(qis)

@@ -93,7 +93,7 @@ def qi_sqrt_reference(c):
             return QI(r)
         r = frac_sqrt(-c.re)
         return None if r is None else QI(0, r)
-    mod = frac_sqrt(c.norm())
+    mod = frac_sqrt(c.re**2 + c.im**2)
     if mod is None:
         return None
     x = frac_sqrt((c.re + mod) / 2)

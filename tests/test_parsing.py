@@ -1,10 +1,13 @@
 """Text formats: polynomial expressions, manifold files, map files."""
 
+import random
+from math import comb, log10
+
 import pytest
 
 from segrekit.gaussian import GaussianRational as QI
-from segrekit.ideal import PARSE_TERM_CAP, ResourceLimitError
-from segrekit.parsing import (ParseError, _power_terms, parse_manifold_text,
+from segrekit.ideal import PARSE_DIGIT_CAP, PARSE_TERM_CAP, ResourceLimitError
+from segrekit.parsing import (ParseError, _log_heights, _power_terms, parse_manifold_text,
                               parse_map_text, parse_poly)
 from segrekit.poly import VarTable
 
@@ -236,3 +239,81 @@ def test_the_power_bound_holds(src):
     assert len(parse_poly(src, TABLE).terms) <= _power_terms(p, int(k))
     # a power of a generic sum meets the bound
     assert _power_terms(parse_poly("z1+z2+~z1+~z2+1", TABLE), 10) == 1001
+
+
+def test_a_huge_exponent_reports_a_printable_term_bound():
+    """Past k = PARSE_TERM_CAP the bound is taken at the cap, where it is
+    already over, so a 2500-digit exponent reports C(10002, 2)."""
+    with pytest.raises(ResourceLimitError) as info:
+        parse_poly("(z1 + z2 + 1)^" + "9" * 2500, TABLE)
+    assert info.value.stats == {"terms_bound": comb(10002, 2), "cap": PARSE_TERM_CAP}
+
+
+# -- digit bounds ---------------------------------------------------------------
+
+NINES = "9" * PARSE_DIGIT_CAP  # the largest literal: 10^4300 - 1
+
+
+@pytest.mark.parametrize("src, pos", [
+    ("9" * (PARSE_DIGIT_CAP + 1), 0),
+    ("z1 + 2*" + "0" * (PARSE_DIGIT_CAP + 1), 7),
+    ("z1^" + "1" * (PARSE_DIGIT_CAP + 1), 3),
+], ids=["constant", "coefficient", "exponent"])
+def test_a_literal_over_the_digit_cap_is_a_parse_error_at_its_column(src, pos):
+    with pytest.raises(ParseError) as info:
+        parse_poly(src, TABLE)
+    assert info.value.reason == "number literal longer than 4300 digits"
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("src, digits", [
+    # 2^14285 has 4301 digits; the power is refused before it is taken
+    ("2^14285", 4301),
+    ("(2*i*z1)^14285", 4301),
+    # N(z1 + 10^2200) = 10^2200 + 1, squared
+    ("(z1 + 10^2200)^2", 4401),
+    # 3 * (10^4300 - 1) and its reciprocal
+    (NINES + "*3*z1", 4301),
+    ("z1 / " + NINES + " / 3", 4301),
+    # a sum is checked once summed: 10^4300 has 4301 digits
+    (NINES + " + 1", 4301),
+], ids=["power", "power-of-a-term", "power-of-a-sum", "product", "quotient", "sum"])
+def test_a_number_over_the_digit_cap_is_refused(src, digits):
+    with pytest.raises(ResourceLimitError) as info:
+        parse_poly(src, TABLE)
+    assert info.value.stats == {"digits_bound": digits, "cap": PARSE_DIGIT_CAP}
+
+
+@pytest.mark.parametrize("src", ["2^14284", NINES, "-5*10^4299*z1 + 4*10^4299*i*z2",
+                                 "1/" + NINES, "(2*i*z1)^14284"],
+                         ids=["power", "literal", "sum", "reciprocal", "power-of-a-term"])
+def test_numbers_up_to_the_digit_cap_are_accepted(src):
+    p = parse_poly(src, TABLE)
+    assert max(len(str(abs(f.numerator))) for c in p.terms.values() for f in (c.re, c.im)) \
+        <= PARSE_DIGIT_CAP
+
+
+def _top(p):
+    """log10 of the largest integer in p's coefficients."""
+    return max(log10(max(abs(f.numerator), f.denominator))
+               for c in p.terms.values() for f in (c.re, c.im))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_digit_bounds_hold(seed):
+    """A product's numbers are at most N(p)*N(q) and D(p)*D(q), a power's
+    N(p)^k and D(p)^k."""
+    rng = random.Random(seed)
+
+    def poly():
+        terms = " + ".join(f"({rng.randint(-99, 99)}/{rng.randint(1, 30)}"
+                           f" + {rng.randint(-9, 9)}/{rng.randint(1, 30)}*i)"
+                           f"*z1^{rng.randint(0, 3)}*~z2^{rng.randint(0, 2)}"
+                           for _ in range(rng.randint(1, 4)))
+        return f"({terms})"
+
+    a, b, k = poly(), poly(), rng.randint(1, 6)
+    p, q = parse_poly(a, TABLE), parse_poly(b, TABLE)
+    (np, dp), (nq, dq) = _log_heights(p), _log_heights(q)
+    assert _top(parse_poly(a + "*" + b, TABLE)) <= max(np + nq, dp + dq) + 1e-9
+    assert _top(parse_poly(f"{a}^{k}", TABLE)) <= k * max(np, dp) + 1e-9

@@ -81,6 +81,11 @@ def target_cases():
                   map_on(sphere, ["z1*z2 / (3 + z1)", "z2 - 1"])))
     cases.append(("H3/rational", H3, H3,
                   map_on(H3, ["z1 / (1 + z3)", "z2", "z3^2 / (1 + z3)"])))
+    # constant components: a factor equal to 1 is skipped, any other kept,
+    # and -1 to an even power is 1
+    cases.append(("sphere/constant", sphere, sphere, map_on(sphere, ["3/5", "z2"])))
+    cases.append(("sphere/one", sphere, sphere, map_on(sphere, ["1", "z1*z2"])))
+    cases.append(("H3/constants", H3, H3, map_on(H3, ["-1", "2*i", "z3 / (1 - z1)"])))
     return cases
 
 
