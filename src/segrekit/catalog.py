@@ -130,7 +130,6 @@ class CatalogEntry(NamedTuple):
     map: Optional[AlgebraicMap] = None
     relation: Optional[dict] = None
     source_name: Optional[str] = None
-    target_name: Optional[str] = None
 
 
 def _read_data(fname: str) -> str:
@@ -160,8 +159,7 @@ def _entry(rec: dict) -> CatalogEntry:
     relation = dict(rec["relation"]) if kind == "relation" else None
     return CatalogEntry(name, kind, expected, {}, source=source,
                         target=load_manifold(rec["target"]), map=fmap,
-                        relation=relation, source_name=_base(rec["source"]),
-                        target_name=_base(rec["target"]))
+                        relation=relation, source_name=_base(rec["source"]))
 
 
 def load_catalog() -> Dict[str, CatalogEntry]:

@@ -2,7 +2,9 @@
 
 Machine-readable JSON report on stdout, short human summary on stderr.
 Exit codes: 0 success, 1 mathematical mismatch, 2 input error,
-3 resource limit hit or result inconclusive.
+3 resource limit hit or result inconclusive.  An error's exit code is that
+of its base class in ``orders``: ``InputError``, ``ResourceLimitError`` or
+``InconclusiveError``.
 
 Each command imports the modules it runs when it runs, so that a quick
 command in a fresh process does not load, say, the correspondence code."""
@@ -15,8 +17,10 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .ideal import ResourceLimitError, current_limits, limits_scope
-from .parsing import ParseError, parse_poly
+from .gaussian import QI
+from .ideal import current_limits, limits_scope
+from .orders import InconclusiveError, InputError, ResourceLimitError
+from .parsing import parse_poly
 from .poly import VarTable
 from .report import Report
 
@@ -26,43 +30,39 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-class InputError(ValueError):
-    pass
-
-
 def parse_point(text: str) -> tuple:
     """Parse "1,0" or "1/2+1/2*i,0" into a tuple of Gaussian rationals."""
     table = VarTable.make([], conjugates=False)
     coords = []
-    for part in text.split(","):
+    for k, part in enumerate(text.split(","), start=1):
         part = part.strip()
         if not part:
-            raise InputError("empty coordinate in point " + repr(text))
+            raise InputError(f"coordinate {k} is empty")
         try:
             p = parse_poly(part, table)
-        except ParseError as exc:
-            raise InputError(f"bad coordinate {part!r}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"bad coordinate {k}: {exc}") from exc
         coords.append(p.eval({}))
     return tuple(coords)
 
 
-def _read_file(path: str) -> str:
+def _load(path: str, rep: Report, label: str = "manifold", parse=None):
+    """The input file at ``path`` read, digested into the report under
+    ``label`` and parsed: as a manifold, or with ``parse`` as a map.  A file
+    that cannot be read or parsed is an input error."""
+    from .manifold import CRManifold
+
+    kind, parse = ("map", parse) if parse else ("manifold", CRManifold.from_text)
     try:
         with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_manifold(path: str, rep: Report, label: str = "manifold"):
-    from .manifold import CRManifold, ManifoldError
-
-    text = _read_file(path)
     rep.add_input(label, text)
     try:
-        return CRManifold.from_text(text)
-    except (ParseError, ManifoldError, ValueError) as exc:
-        raise InputError(f"bad manifold file {path}: {exc}") from exc
+        return parse(text)
+    except ValueError as exc:
+        raise InputError(f"bad {kind} file {path}: {exc}") from exc
 
 
 def _fmt_point(p) -> list:
@@ -72,7 +72,7 @@ def _fmt_point(p) -> list:
 def cmd_segre(args, rep: Report) -> int:
     from .segre import SYMBOLIC, segre_variety
 
-    M = _load_manifold(args.manifold, rep)
+    M = _load(args.manifold, rep)
     w = SYMBOLIC if args.symbolic else parse_point(args.point)
     Q = segre_variety(M, w)
     rep.results["parameter"] = "symbolic" if args.symbolic else _fmt_point(w)
@@ -83,7 +83,7 @@ def cmd_segre(args, rep: Report) -> int:
 def cmd_essfin(args, rep: Report) -> int:
     from .segre import inversion_set
 
-    M = _load_manifold(args.manifold, rep)
+    M = _load(args.manifold, rep)
     w = parse_point(args.point)
     inv = inversion_set(M, w)
     rep.excluded.extend(sorted(str(e) for e in inv.excluded))
@@ -101,7 +101,7 @@ def cmd_minimal(args, rep: Report) -> int:
 
     if args.jmax is not None and args.jmax < 1:
         raise InputError(f"--jmax must be at least 1, got {args.jmax}")
-    M = _load_manifold(args.manifold, rep)
+    M = _load(args.manifold, rep)
     p = parse_point(args.point)
     minimal, j = minimality(M, p, j_max=args.jmax)
     rep.results["point"] = _fmt_point(p)
@@ -113,11 +113,11 @@ def cmd_minimal(args, rep: Report) -> int:
 def cmd_levi(args, rep: Report) -> int:
     from .manifold import levi_signature
 
-    M = _load_manifold(args.manifold, rep)
+    M = _load(args.manifold, rep)
     p = parse_point(args.point)
     lev = levi_signature(M, p, args.conormal.split(","))
     rep.results["point"] = _fmt_point(p)
-    rep.results["conormal"] = [str(x) for x in lev.conormal]
+    rep.results["conormal"] = _fmt_point(map(QI, lev.conormal))  # printed under the digit cap
     rep.results["signature"] = list(lev.signature)
     rep.results["mixed"] = lev.mixed
     return EXIT_OK
@@ -132,14 +132,9 @@ def cmd_correspond(args, rep: Report) -> int:
     if args.splits and args.reverse:
         raise InputError("--splits decides splitting over a source point "
                          "and cannot be combined with --reverse")
-    M = _load_manifold(args.source, rep, "source")
-    Mp = _load_manifold(args.target, rep, "target")
-    map_text = _read_file(args.map)
-    rep.add_input("map", map_text)
-    try:
-        f = AlgebraicMap.from_text(map_text, M)
-    except (ParseError, ValueError) as exc:
-        raise InputError(f"bad map file {args.map}: {exc}") from exc
+    M = _load(args.source, rep, "source")
+    Mp = _load(args.target, rep, "target")
+    f = _load(args.map, rep, "map", lambda text: AlgebraicMap.from_text(text, M))
     C = build_correspondence(M, Mp, f)
     rep.excluded.extend(sorted(str(e) for e in C.excluded))
     rep.results["graph_generators"] = sorted(str(g) for g in C.graph.generators)
@@ -198,13 +193,6 @@ def _setting(args, option: str, minimum: Optional[int] = None) -> Optional[int]:
     if value is not None and minimum is not None and value < minimum:
         raise InputError(f"{source} must be at least {minimum}, got {value}")
     return value
-
-
-def _loaded(module: str, name: str) -> tuple:
-    """``(segrekit.<module>.<name>,)`` if that module is loaded, else ``()``:
-    a module that was never imported cannot have raised its error."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return (getattr(mod, name),) if mod is not None else ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,17 +271,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       "max_basis": limits.max_basis}
         with limits_scope(limits):
             code = args.func(args, rep)
-    # the error classes of modules a command imports are looked up only
-    # when an error reaches here
-    except (InputError, *_loaded("manifold", "ManifoldError"),
-            *_loaded("correspond", "CorrespondenceError")) as exc:
+    except InputError as exc:
         rep.status = "input-error: " + str(exc)
         code = EXIT_INPUT
     except ResourceLimitError as exc:
         rep.status = "resource-limit"
         rep.results["limit_stats"] = exc.stats
         code = EXIT_INCONCLUSIVE
-    except _loaded("segre", "InconclusiveError") as exc:
+    except InconclusiveError as exc:
         rep.status = "inconclusive: " + str(exc)
         code = EXIT_INCONCLUSIVE
     else:

@@ -11,6 +11,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from .gaussian import QI, GaussianRational, PointPowers
 from .ideal import Ideal, degree_zero_dim, dimension, eliminate, has_pure_powers, saturate
 from .manifold import CRManifold, ManifoldError, check_point, require_real
+from .orders import InconclusiveError, InputError
 from .parsing import parse_map_text, parse_poly
 from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
 from .segre import (SYMBOLIC, containment_ideal, segre_map_locally_injective,
@@ -18,7 +19,7 @@ from .segre import (SYMBOLIC, containment_ideal, segre_map_locally_injective,
 from .solve import back_substitute, solve_zero_dim
 
 
-class CorrespondenceError(ValueError):
+class CorrespondenceError(InputError):
     pass
 
 
@@ -26,7 +27,7 @@ class ExcludedLocusError(CorrespondenceError):
     pass
 
 
-class SamplingError(RuntimeError):
+class SamplingError(InconclusiveError):
     pass
 
 

@@ -6,6 +6,12 @@ import math
 from fractions import Fraction
 from math import gcd, lcm
 
+from .orders import ResourceLimitError
+
+# the most digits of an integer parsed or printed: Python 3.11's print limit
+PARSE_DIGIT_CAP = 4300
+_DIGIT_LIMIT = 10 ** PARSE_DIGIT_CAP  # made once: 10^4300 takes tens of microseconds
+
 
 def _make(a: int, b: int, d: int) -> "GaussianRational":
     """(a + b*i)/d with d > 0, brought to lowest terms."""
@@ -210,8 +216,19 @@ def heights(coeffs) -> tuple:
     return sum((abs(c._a) + abs(c._b)) * (den // c._d) for c in coeffs), den
 
 
+def check_digits(n: int) -> None:
+    """Refuse a natural number n of more than PARSE_DIGIT_CAP digits, on
+    every interpreter, not only where ``str`` has that limit."""
+    if n >= _DIGIT_LIMIT:
+        raise ResourceLimitError("number too long to print", {
+            "digits_bound": math.floor(math.log10(n)) + 1, "cap": PARSE_DIGIT_CAP})
+
+
 def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    n, d = f.numerator, f.denominator
+    if abs(n) >= _DIGIT_LIMIT or d >= _DIGIT_LIMIT:  # the cheap test first
+        check_digits(max(abs(n), d))
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_coeff(c: GaussianRational) -> str:

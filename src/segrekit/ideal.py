@@ -43,8 +43,6 @@ DEFAULT_LIMITS = Limits()
 STANDARD_CAP = 100000
 # the most terms a product or power in a parsed expression may expand to
 PARSE_TERM_CAP = 10000
-# the most digits of an integer in a parsed expression: Python 3.11's print limit
-PARSE_DIGIT_CAP = 4300
 _SCOPED_LIMITS: ContextVar[Limits] = ContextVar("segrekit_limits",
                                                 default=DEFAULT_LIMITS)
 

@@ -8,13 +8,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
 from .linalg import hermitian_signature, nullspace, rank
+from .orders import InputError
 from .parsing import parse_manifold_text
 from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
 
 Point = Tuple[GaussianRational, ...]
 
 
-class ManifoldError(ValueError):
+class ManifoldError(InputError):
     pass
 
 

@@ -16,13 +16,22 @@ from typing import Optional
 EXP_BITS = 16
 
 
+# the three kinds of refusal, each deciding the exit code of those derived from it
+class InputError(ValueError):
+    """Input that is malformed or does not fit: a file, a point, an option."""
+
+
 class ResourceLimitError(RuntimeError):
-    """A computation outgrew a cap: a basis limit, a step limit, or the
-    width of a packed exponent field."""
+    """A computation outgrew a cap: a basis limit, a step limit, the width
+    of a packed exponent field, or the digits of a printed number."""
 
     def __init__(self, message: str, stats: dict):
         super().__init__(f"{message} ({stats})")
         self.stats = stats
+
+
+class InconclusiveError(RuntimeError):
+    """A randomized or bounded method stopped without an answer."""
 
 
 def _grevlex_forms(idx):

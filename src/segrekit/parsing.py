@@ -16,12 +16,17 @@ import re
 from math import comb, floor, log10
 from typing import List, NamedTuple, Optional, Tuple
 
-from .gaussian import QI, heights
-from .ideal import PARSE_DIGIT_CAP, PARSE_TERM_CAP, ResourceLimitError
+from .gaussian import PARSE_DIGIT_CAP, QI, check_digits, heights
+from .ideal import PARSE_TERM_CAP
+from .orders import InputError, ResourceLimitError
 from .poly import BLOCKS, Poly, VarTable
 
+# the deepest nesting of parentheses: at four frames a level of the descent,
+# well under the interpreter's recursion limit wherever the parser is called
+MAX_NESTING = 100
 
-class ParseError(ValueError):
+
+class ParseError(InputError):
     def __init__(self, message: str, pos: Optional[int] = None, line: Optional[int] = None):
         loc = [f"line {line}"] if line is not None else []
         if pos is not None:
@@ -42,9 +47,6 @@ def _power_terms(p: Poly, k: int) -> int:
     k = min(k, PARSE_TERM_CAP)  # both bounds are over the cap from there on
     v = len(p.variables())
     return min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
-
-
-_DIGIT_LIMIT = 10 ** PARSE_DIGIT_CAP  # made once: 10^4300 takes tens of microseconds
 
 
 def _log_heights(p: Poly) -> Tuple[float, float]:
@@ -93,6 +95,7 @@ class _Parser:
         self.table = table
         self.k = 0
         self.src = src
+        self.depth = 0  # of the parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else ("end", "", len(self.src))
@@ -149,10 +152,10 @@ class _Parser:
             p = p * q
 
     def factor(self) -> Poly:
-        tok = self.peek()
-        if tok[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.take()
-            return -self.factor()
+            negate = not negate
         p = self.base()
         while self.peek()[0] == "^":
             self.take()
@@ -160,7 +163,7 @@ class _Parser:
             # past 10^6, k is over the digit cap unless p's integers are 0 or 1
             _check_expansion(_power_terms(p, k), max(_log_heights(p)) * min(k, 10 ** 6))
             p = p ** k
-        return p
+        return -p if negate else p
 
     def base(self) -> Poly:
         tok = self.take()
@@ -169,30 +172,30 @@ class _Parser:
         if tok[0] == "name":
             if tok[1] == "i":
                 return Poly.const(self.table, QI(0, 1))
-            return self._var(tok[1], tok[2])
+            if tok[1] not in self.table.names:
+                raise ParseError(f"unknown variable {tok[1]!r}", pos=tok[2])
+            return Poly.var(self.table, tok[1])
         if tok[0] == "~":
             name_tok = self.take()
             if name_tok[0] != "name":
                 raise ParseError("`~` must be followed by a variable name", pos=tok[2])
-            i = self.table.index(name_tok[1]) if name_tok[1] in self.table.names else None
-            if i is None:
+            if name_tok[1] not in self.table.names:
                 raise ParseError(f"unknown variable {name_tok[1]!r}", pos=name_tok[2])
-            j = self.table.pairs[i]
+            j = self.table.pairs[self.table.index(name_tok[1])]
             if j is None:
                 raise ParseError(
                     f"variable {name_tok[1]!r} has no conjugate partner", pos=tok[2]
                 )
             return Poly.var(self.table, self.table.names[j])
         if tok[0] == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos=tok[2])
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {tok[1]!r}", pos=tok[2])
-
-    def _var(self, name: str, pos: int) -> Poly:
-        if name not in self.table.names:
-            raise ParseError(f"unknown variable {name!r}", pos=pos)
-        return Poly.var(self.table, name)
 
 
 def parse_poly(src: str, table: VarTable) -> Poly:
@@ -201,10 +204,7 @@ def parse_poly(src: str, table: VarTable) -> Poly:
     10^PARSE_DIGIT_CAP: products and powers are bounded before they are
     expanded, and the whole expression is checked once it is summed."""
     p = _Parser(src, table).parse()
-    top = max(heights(p.terms.values()))
-    if top >= _DIGIT_LIMIT:
-        # refused however log10 rounds: 10^4300 has a float log10 of 4300
-        _check_expansion(1, max(log10(top), PARSE_DIGIT_CAP + 0.5))
+    check_digits(max(heights(p.terms.values())))
     return p
 
 

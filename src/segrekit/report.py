@@ -14,10 +14,6 @@ from typing import Dict, List
 SCHEMA = 1
 
 
-def digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 class Report:
     """One command's report, filled in as the command runs."""
 
@@ -35,10 +31,12 @@ class Report:
         self.notes: List[str] = []
 
     def add_input(self, label: str, text: str) -> None:
-        self.inputs[label] = digest_text(text)
+        """Name an input by the first 16 hex digits of its SHA-256."""
+        self.inputs[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    def to_dict(self) -> dict:
-        return {
+    def emit(self, elapsed: float) -> None:
+        """The JSON document on stdout, the human summary on stderr."""
+        doc = {
             "schema": SCHEMA,
             "command": self.command,
             "seed": self.seed,
@@ -49,12 +47,7 @@ class Report:
             "notes": self.notes,
             "status": self.status,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    def emit(self, elapsed: float) -> None:
-        sys.stdout.write(self.to_json())
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         lines = ["%s: %s" % (self.command, self.status)]
         for k, v in self.results.items():
             lines.append("  %s = %s" % (k, v))

@@ -11,13 +11,10 @@ from .ideal import (Ideal, degree_zero_dim, dimension, eliminate,
 from .gaussian import PointPowers
 from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
                        vanish)
+from .orders import InconclusiveError
 from .poly import U, WB, ZB, Poly, PolyError, VarTable
 
 SYMBOLIC = "symbolic"
-
-
-class InconclusiveError(RuntimeError):
-    pass
 
 
 def _segre_gens(M: CRManifold, w, table: VarTable) -> Tuple[Poly, ...]:

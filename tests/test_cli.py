@@ -5,10 +5,11 @@ import json
 import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from importlib import resources
+from importlib import import_module, resources
 
 import pytest
 
+from segrekit import cli
 from segrekit.cli import main, parse_point, InputError
 from segrekit.gaussian import GaussianRational as QI
 
@@ -227,6 +228,63 @@ def test_a_point_literal_over_the_digit_cap_is_an_input_error():
     assert status.endswith("number literal longer than 4300 digits (column 1)")
 
 
+@pytest.mark.parametrize("point, named", [
+    ("1," + "7" * 5000, "bad coordinate 2: "),
+    ("1,," + "7" * 5000, "coordinate 2 is empty"),
+], ids=["long-literal", "empty"])
+def test_a_bad_coordinate_is_named_by_its_position(point, named):
+    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--point", point)
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert named in status and len(status) < 200
+
+
+def nested(depth):
+    return "(" * depth + "1" + ")" * depth
+
+
+def test_a_point_nested_too_deep_is_an_input_error():
+    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--point", "1," + nested(250))
+    assert code == 2
+    assert json.loads(out)["status"] == \
+        "input-error: bad coordinate 2: parentheses nested deeper than 100 (column 101)"
+
+
+def test_a_manifold_nested_too_deep_is_an_input_error(tmp_path):
+    path = tmp_path / "deep.mfd"
+    path.write_text("vars z1 z2\nrho: z1*~z1 + z2*~z2 - 1 + 0*" + nested(250) + "\n")
+    code, out, _ = run_cli("segre", str(path), "--point", "1,0")
+    assert code == 2
+    status = json.loads(out)["status"]
+    assert status.startswith("input-error: bad manifold file")
+    assert status.endswith("parentheses nested deeper than 100 (line 2, column 130)")
+
+
+def test_a_point_with_a_thousand_minus_signs_is_read():
+    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--point",
+                           "1," + "-" * 1000 + "1")
+    assert code == 0
+    assert json.loads(out)["results"]["parameter"] == ["1", "1"]
+
+
+def test_a_coefficient_too_long_to_print_exits_3(tmp_path):
+    """~z1 bound to 2 makes 2^20000, 6021 digits, which no report prints."""
+    path = tmp_path / "big.mfd"
+    path.write_text("vars z1 z2\nrho: z1^20000*~z1^20000 + z2*~z2 - 1\n")
+    code, out, _ = run_cli("segre", str(path), "--point", "2,0")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"] == {"digits_bound": 6021, "cap": 4300}
+
+
+def test_a_conormal_too_long_to_print_exits_3():
+    code, out, _ = run_cli("levi", data_path("hyperquadric_k1_n3.mfd"), "--point", "1,0,0",
+                           "--conormal", "1e5000")
+    assert code == 3
+    assert json.loads(out)["results"]["limit_stats"] == {"digits_bound": 5001, "cap": 4300}
+
+
 def test_a_manifold_with_a_number_over_the_digit_cap_exits_3(tmp_path):
     path = tmp_path / "big.mfd"
     path.write_text("vars z1 z2\nrho: z1*~z1 + z2*~z2 - 2^40000\n")
@@ -235,6 +293,30 @@ def test_a_manifold_with_a_number_over_the_digit_cap_exits_3(tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "resource-limit"
     assert doc["results"]["limit_stats"] == {"digits_bound": 12042, "cap": 4300}
+
+
+@pytest.mark.parametrize("module, name, code, status", [
+    ("parsing", "ParseError", 2, "input-error: "),
+    ("manifold", "ManifoldError", 2, "input-error: "),
+    ("correspond", "CorrespondenceError", 2, "input-error: "),
+    ("correspond", "ExcludedLocusError", 2, "input-error: "),
+    ("orders", "ResourceLimitError", 3, "resource-limit"),
+    ("segre", "InconclusiveError", 3, "inconclusive: "),
+    ("correspond", "SamplingError", 3, "inconclusive: "),
+])
+def test_an_error_exits_by_its_base_class(module, name, code, status, monkeypatch):
+    """``main`` knows three base classes; each error class reaches its exit
+    code through its base, whatever module raised it."""
+    cls = getattr(import_module("segrekit." + module), name)
+    error = cls("refused", {"cap": 1}) if name == "ResourceLimitError" else cls("refused")
+
+    def command(args, rep):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_segre", command)
+    got, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--symbolic")
+    assert got == code
+    assert json.loads(out)["status"].startswith(status)
 
 
 def test_exit_code_resource_limit(monkeypatch):

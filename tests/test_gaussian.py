@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segrekit.gaussian import (GaussianRational as QI, QI_ONE, QI_ZERO,
+from segrekit.gaussian import (PARSE_DIGIT_CAP, GaussianRational as QI, QI_ONE, QI_ZERO,
                                format_coeff, qi_sqrt)
+from segrekit.orders import ResourceLimitError
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 qis = st.builds(QI, fracs, fracs)
@@ -83,6 +84,27 @@ def test_format_coeff():
     assert format_coeff(QI(Fraction(3, 2))) == "3/2"
     assert format_coeff(QI(0, 1)) == "i"
     assert "i" in format_coeff(QI(Fraction(1), Fraction(2)))
+
+
+NINES = 10 ** PARSE_DIGIT_CAP - 1  # the largest integer that prints
+
+
+@pytest.mark.parametrize("x", [QI(NINES), QI(Fraction(-1, NINES)), QI(1, -NINES)],
+                         ids=["integer", "denominator", "imaginary"])
+def test_numbers_up_to_the_digit_cap_print(x):
+    assert len(format_coeff(x)) >= PARSE_DIGIT_CAP
+
+
+@pytest.mark.parametrize("x, digits", [
+    (QI(NINES + 1), 4301),
+    (QI(Fraction(1, 2 ** 20000)), 6021),
+    (QI(1, -3 ** 10000), 4772),
+], ids=["integer", "denominator", "imaginary"])
+def test_a_number_over_the_digit_cap_is_refused_when_printed(x, digits):
+    """On every interpreter, also where ``str`` has no limit of its own."""
+    with pytest.raises(ResourceLimitError) as info:
+        format_coeff(x)
+    assert info.value.stats == {"digits_bound": digits, "cap": PARSE_DIGIT_CAP}
 
 
 # -- the integer-triple representation against a model of Fraction pairs ------

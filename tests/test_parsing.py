@@ -5,10 +5,10 @@ from math import comb, log10
 
 import pytest
 
-from segrekit.gaussian import GaussianRational as QI
-from segrekit.ideal import PARSE_DIGIT_CAP, PARSE_TERM_CAP, ResourceLimitError
-from segrekit.parsing import (ParseError, _log_heights, _power_terms, parse_manifold_text,
-                              parse_map_text, parse_poly)
+from segrekit.gaussian import PARSE_DIGIT_CAP, GaussianRational as QI
+from segrekit.ideal import PARSE_TERM_CAP, ResourceLimitError
+from segrekit.parsing import (MAX_NESTING, ParseError, _log_heights, _power_terms,
+                              parse_manifold_text, parse_map_text, parse_poly)
 from segrekit.poly import VarTable
 
 TABLE = VarTable.make(["z1", "z2"])
@@ -317,3 +317,40 @@ def test_the_digit_bounds_hold(seed):
     (np, dp), (nq, dq) = _log_heights(p), _log_heights(q)
     assert _top(parse_poly(a + "*" + b, TABLE)) <= max(np + nq, dp + dq) + 1e-9
     assert _top(parse_poly(f"{a}^{k}", TABLE)) <= k * max(np, dp) + 1e-9
+
+
+# -- nesting --------------------------------------------------------------------
+
+def nested(depth, inner="z1"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_parentheses_up_to_the_nesting_cap_parse():
+    assert parse_poly(nested(MAX_NESTING), TABLE) == parse_poly("z1", TABLE)
+    assert parse_poly(" + ".join([nested(MAX_NESTING)] * 3), TABLE) == parse_poly("3*z1", TABLE)
+
+
+@pytest.mark.parametrize("src, pos", [
+    (nested(MAX_NESTING + 1), MAX_NESTING),
+    ("z1 + " + nested(250), 5 + MAX_NESTING),
+    (nested(10, nested(300)), MAX_NESTING),
+], ids=["just-over", "far-over", "after-a-term"])
+def test_parentheses_past_the_nesting_cap_are_a_parse_error_at_their_column(src, pos):
+    with pytest.raises(ParseError) as info:
+        parse_poly(src, TABLE)
+    assert info.value.reason == f"parentheses nested deeper than {MAX_NESTING}"
+    assert info.value.pos == pos
+
+
+def test_nesting_past_the_cap_in_a_file_names_its_line_and_column():
+    text = "vars z1 z2\nrho: z1*~z1 + z2*~z2 - 1 + " + nested(250, "0") + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_manifold_text(text)
+    assert str(info.value).endswith("(line 2, column 128)")
+
+
+@pytest.mark.parametrize("signs, sign", [(1000, 1), (1001, -1)])
+def test_a_long_run_of_minus_signs_parses(signs, sign):
+    """Unary minus is read in a loop, not by recursion."""
+    assert parse_poly("-" * signs + "z1^2", TABLE) == sign * parse_poly("z1^2", TABLE)
+    assert parse_poly("3*" + "-" * signs + "z1", TABLE) == sign * parse_poly("3*z1", TABLE)
