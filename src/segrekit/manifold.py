@@ -3,10 +3,11 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import QI, QI_ZERO, GaussianRational, PointPowers
+from .gaussian import PARSE_DIGIT_CAP, QI, QI_ZERO, GaussianRational, PointPowers
 from .linalg import hermitian_signature, nullspace, rank
 from .orders import InputError
 from .parsing import parse_manifold_text
@@ -249,10 +250,18 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     Hermitian congruence over Q(i).  The entries of c are rationals or
     their strings, and M must be real: otherwise the form is not Hermitian."""
     require_real(M)
-    try:
-        c = [Fraction(x) for x in c]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ManifoldError(f"conormal entries must be rationals, got {list(c)}") from None
+    entries = []
+    for k, x in enumerate(c, start=1):
+        # a digit run past the cap is refused before Fraction reads it: its
+        # integer parse has the interpreter's own limit on some versions
+        if isinstance(x, str) and re.search(rf"\d{{{PARSE_DIGIT_CAP + 1}}}", x):
+            raise ManifoldError(f"bad conormal entry {k}: number literal longer than "
+                                f"{PARSE_DIGIT_CAP} digits")
+        try:
+            entries.append(Fraction(x))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ManifoldError(f"conormal entry {k} is not a rational") from None
+    c = entries
     if len(c) != M.d:
         raise ManifoldError(f"conormal needs {M.d} coefficients")
     if all(x == 0 for x in c):

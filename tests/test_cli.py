@@ -228,12 +228,16 @@ def test_a_point_literal_over_the_digit_cap_is_an_input_error():
     assert status.endswith("number literal longer than 4300 digits (column 1)")
 
 
-@pytest.mark.parametrize("point, named", [
-    ("1," + "7" * 5000, "bad coordinate 2: "),
-    ("1,," + "7" * 5000, "coordinate 2 is empty"),
-], ids=["long-literal", "empty"])
-def test_a_bad_coordinate_is_named_by_its_position(point, named):
-    code, out, _ = run_cli("segre", data_path("sphere_C2.mfd"), "--point", point)
+@pytest.mark.parametrize("argv, named", [
+    (["segre", "sphere_C2.mfd", "--point", "1," + "7" * 5000], "bad coordinate 2: "),
+    (["segre", "sphere_C2.mfd", "--point", "1,," + "7" * 5000], "coordinate 2 is empty"),
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "7" * 5000],
+     "bad conormal entry 1: number literal longer than 4300 digits"),
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "1," + "x" * 5000],
+     "conormal entry 2 is not a rational"),
+], ids=["long-literal", "empty", "long-conormal", "conormal-not-rational"])
+def test_a_bad_coordinate_is_named_by_its_position(argv, named):
+    code, out, _ = run_cli(*[data_path(a) if a.endswith(".mfd") else a for a in argv])
     assert code == 2
     status = json.loads(out)["status"]
     assert named in status and len(status) < 200

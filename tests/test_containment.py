@@ -1,130 +1,143 @@
-"""The containment ideal and parametric pseudo-division against the code
-they replaced.
+"""The containment ideal and parametric pseudo-division, checked against
+field arithmetic at random parameter values.
 
-The reference below is the earlier per-target path, kept here: pseudo-divide
-over the working table, put the remainder back together as one polynomial
-and strip ledger factors from it whole, then split it again by z-monomial,
-sort the coefficients in Q_w's order and transport every coefficient and
-every ledger entry onto the caller's parameter table."""
+Off the ledger, a pseudo-remainder specialized at parameter values t is a
+nonzero multiple of the target specialized at t, modulo the divisors
+specialized at t, and no leading monomial of those divisors divides any of
+its terms.  Where the divisors are a Groebner basis at t, the remainder is
+therefore a nonzero multiple of the field normal form: the containment ideal
+vanishes at t exactly where the target vanishes on Q_w.
+
+The test names keep their earlier wording, so that the suite's ids stay
+stable."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from segrekit import segre
 from segrekit.catalog import SAMPLERS, load_catalog, load_manifold, sample_points
 from segrekit.correspond import AlgebraicMap, _param_table, graph_targets
 from segrekit.gaussian import GaussianRational as QI
-from segrekit.ideal import (Ideal, ResourceLimitError, _divide, _divisor, _pack,
-                            exact_div, parametric_normal_form)
+from segrekit.ideal import Ideal, member, normal_form, parametric_normal_form
 from segrekit.manifold import CRManifold, polar_gens
 from segrekit.poly import WB, ZB, Poly, PolyError, VarTable
-from segrekit.segre import SYMBOLIC, _segre_gens, containment_ideal
+from segrekit.segre import SYMBOLIC, containment_ideal
 
-from reference_layout import transport
+from test_relayout import random_value
 
 CATALOG = load_catalog()
 
 
-def coefficients_reference(p, main_indices):
-    main = set(main_indices)
-    mask = [i in main for i in range(len(p.table))]
-    buckets = {}
-    for m, c in p.terms.items():
-        key = tuple([e if k else 0 for e, k in zip(m, mask)])
-        rest = tuple([0 if k else e for e, k in zip(m, mask)])
-        buckets.setdefault(key, {})[rest] = c
-    return {k: Poly(p.table, v) for k, v in buckets.items()}
+class NotANormalForm(AssertionError):
+    """A remainder that is not a multiple of the field normal form: its
+    divisors are no Groebner basis where they were specialized."""
 
 
-def pnf_reference(p, I, param_names):
+def _leading_coefficient(g, n, ptable):
+    """g's coefficient over ``ptable`` at its largest monomial in the first
+    n variables of its table, under the table's grevlex order."""
+    pad = (0,) * (len(g.table) - n)
+    lead = max((m[:n] for m in g.terms), key=lambda k: g.table.grevlex.key(k + pad))
+    return Poly(ptable, {m[n:]: c for m, c in g.terms.items() if m[:n] == lead})
+
+
+def check_remainder(p, I, ptable, coeffs, excluded, rng, normal=True, rounds=2):
+    """(coeffs, excluded), the result of parametric_normal_form(p, I,
+    ptable), against field arithmetic.
+
+    The keys are monomials in I's main variables, ascending in I's order,
+    each with a nonzero coefficient over ``ptable``.  The ledger holds
+    distinct nonconstant leading coefficients of I's generators, and none
+    of them divides every coefficient.  At ``rounds`` random parameter
+    values t where no leading coefficient vanishes, the remainder r(t) has
+    no term that a leading monomial of I's generators divides, and its
+    normal form modulo them is a nonzero multiple of p(t)'s.  With
+    ``normal``, r(t) must be that normal form itself, else NotANormalForm is
+    raised."""
     table = I.table
-    params = {table.index(n) for n in param_names}
-    main = [i for i in range(len(table)) if i not in params]
-    codec = table.grevlex.codec
-    divisors = [_divisor(_pack(coefficients_reference(g, main), codec))
-                for g in I.generators if not g.is_zero()]
-    excluded = []
-    steps = 0
-
-    def pseudo_step(c, lc):
-        nonlocal steps
-        steps += 1
-        if steps >= 20000:
-            raise ResourceLimitError("parametric reduction did not terminate",
-                                     {"steps": steps})
-        if not lc.is_constant() and all(lc != e for e in excluded):
-            excluded.append(lc)
-        return lc, c
-
-    rem = _divide(_pack(coefficients_reference(p, main), codec), divisors, codec,
-                  pseudo_step)
-    work = Poly(table, {tuple(x + y for x, y in zip(codec.dec(m), r)): v
-                        for m, c in rem.items() for r, v in c.terms.items()})
-    changed = True
-    while changed and not work.is_zero():
-        changed = False
-        for e in excluded:
-            q = exact_div(work, e)
-            if q is not None:
-                work = q
-                changed = True
-    return work, excluded
+    n = len(table) - len(ptable)
+    keys = list(coeffs)
+    assert keys == sorted(keys, key=I.order.key)
+    assert all(not any(k[n:]) for k in keys)
+    assert all(c.table is ptable and not c.is_zero() for c in coeffs.values())
+    lcs = [_leading_coefficient(g, n, ptable) for g in I.generators if not g.is_zero()]
+    assert len(set(excluded)) == len(excluded)
+    assert all(not e.is_constant() and e in lcs for e in excluded)
+    if coeffs:
+        assert not any(all(member(c, Ideal.make([e], table=ptable)) for c in coeffs.values())
+                       for e in excluded)
+    ztable = VarTable.make(table.names[:n], conjugates=False)
+    for _ in range(rounds):
+        t = {name: random_value(rng) for name in ptable.names}
+        while any(lc.eval(t).is_zero() for lc in lcs):
+            t = {name: random_value(rng) for name in ptable.names}
+        J = Ideal.make([g.substitute(t, ztable) for g in I.generators if not g.is_zero()],
+                       table=ztable)
+        r_t = Poly(ztable, {k[:n]: c.eval(t) for k, c in coeffs.items()})
+        lms = [max(g.terms, key=ztable.grevlex.key) for g in J.generators]
+        assert not any(all(map(int.__ge__, m, lm)) for m in r_t.terms for lm in lms)
+        nf_p, nf_r = normal_form(p.substitute(t, ztable), J), normal_form(r_t, J)
+        assert nf_p.is_zero() == nf_r.is_zero()
+        if not nf_p.is_zero():
+            m = next(iter(nf_p.terms))
+            assert nf_r == nf_p * (nf_r.terms.get(m, QI(0)) / nf_p.terms[m])
+        if normal and r_t != nf_r:
+            raise NotANormalForm(f"the remainder of {p} is no normal form at {t}")
 
 
-def containment_reference(M, w, targets, ptable):
-    zvars = M.zvar_names
-    params = ptable.names
-    table = targets[0].table
-    if table.names != zvars + params:
-        table = VarTable.make(zvars, params=params, conjugates=False)
-        targets = [transport(p, table) for p in targets]
-    if w != SYMBOLIC:
-        w = M.point(w)
-    Qw = Ideal.make(_segre_gens(M, w, table), table=table)
-    gens, excluded = [], []
-    z_idx = [table.index(n) for n in zvars]
-    for p in targets:
-        rem, exc = pnf_reference(p, Qw, params)
-        for e in exc:
-            if all(e != x for x in excluded):
-                excluded.append(e)
-        coeffs = coefficients_reference(rem, z_idx)
-        gens.extend(coeffs[m] for m in sorted(coeffs, key=Qw.order.key))
-    return ([transport(g, ptable) for g in gens if not g.is_zero()],
-            tuple(transport(e, ptable) for e in excluded))
+def check_containment(M, w, targets, ptable, normal=True):
+    """containment_ideal(M, w, targets, ptable) is the coefficients of each
+    target's pseudo-remainder modulo Q_w, target by target, and the ledger
+    gathered in order of first use, all over ``ptable``; each remainder
+    passes ``check_remainder``."""
+    calls = []
+    real = segre.parametric_normal_form
 
+    def spy(p, I, pt):
+        out = real(p, I, pt)
+        calls.append((p, I, out))
+        return out
 
-def assert_same_containment(M, w, targets, ptable):
-    gens, excluded = containment_ideal(M, w, targets, ptable)
-    ref_gens, ref_excluded = containment_reference(M, w, targets, ptable)
-    assert gens == ref_gens and excluded == ref_excluded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segre, "parametric_normal_form", spy)
+        gens, excluded = containment_ideal(M, w, targets, ptable)
+    assert [p for p, _, _ in calls] == list(targets)
+    assert all(I.table.names == M.zvar_names + ptable.names for _, I, _ in calls)
+    rng = random.Random(str((M.rho, w)))
+    ledger = []
+    for p, I, (coeffs, exc) in calls:
+        check_remainder(p, I, ptable, coeffs, exc, rng, normal)
+        ledger += [e for e in exc if e not in ledger]
+    assert gens == [c for _, _, (coeffs, _) in calls for c in coeffs.values()]
+    assert excluded == tuple(ledger)
     assert all(g.table is ptable for g in gens)
     assert all(e.table is ptable for e in excluded)
     return gens, excluded
 
 
-def assert_same_inversion(M, w):
+def check_inversion(M, w, normal=True):
     """The containment that ``inversion_set`` asks for at w."""
     zb = M.block(ZB)
     params = zb + M.block(WB) if w == SYMBOLIC else zb
     ptable = VarTable.make(params, conjugates=False)
     ttable = VarTable.make(M.zvar_names, params=params, conjugates=False)
-    return assert_same_containment(M, w, polar_gens(M, ttable, zb), ptable)
+    return check_containment(M, w, polar_gens(M, ttable, zb), ptable, normal)
 
 
-def assert_same_graph(M, Mp, f):
+def check_graph(M, Mp, f, normal=True):
     """The containment that ``build_correspondence`` asks for, before the
     graph is saturated."""
     ptable = _param_table(M, Mp)
-    return assert_same_containment(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
+    return check_containment(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable, normal)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_catalog_inversion_sets(name):
     M = load_manifold(name + ".mfd")
     for w in sample_points(name, 3, seed=5) + [SYMBOLIC]:
-        assert_same_inversion(M, w)
+        check_inversion(M, w)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -139,7 +152,7 @@ def test_catalog_graphs(name):
     else:
         pairs = [(entry.source, entry.source, AlgebraicMap.identity(entry.source))]
     for M, Mp, f in pairs:
-        gens, _ = assert_same_graph(M, Mp, f)
+        gens, _ = check_graph(M, Mp, f)
         assert gens
 
 
@@ -174,13 +187,13 @@ def test_power_hypersurfaces(n):
     P1 = power_manifold(n, 1)
     for r in range(1, 6):
         M = power_manifold(n, r)
-        gens, _ = assert_same_inversion(M, generic_point(rng, n))
+        gens, _ = check_inversion(M, generic_point(rng, n))
         assert gens
-        assert_same_inversion(M, SYMBOLIC)
+        check_inversion(M, SYMBOLIC)
         f = AlgebraicMap.from_text(
             _vars(n) + "".join(f"component: z{k}^{r}\n" for k in range(1, n + 1)), M)
-        assert_same_graph(M, P1, f)
-        assert_same_graph(P1, M, AlgebraicMap.identity(P1))
+        check_graph(M, P1, f)
+        check_graph(P1, M, AlgebraicMap.identity(P1))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -188,9 +201,9 @@ def test_hyperquadrics(n):
     rng = random.Random(10 + n)
     for p in range(1, n):
         H = hyperquadric(p, n - p)
-        assert_same_inversion(H, generic_point(rng, n))
-        assert_same_inversion(H, SYMBOLIC)
-        assert_same_graph(H, H, AlgebraicMap.identity(H))
+        check_inversion(H, generic_point(rng, n))
+        check_inversion(H, SYMBOLIC)
+        check_graph(H, H, AlgebraicMap.identity(H))
 
 
 D2 = CRManifold.from_text("vars z1 z2 z3\n"
@@ -198,15 +211,28 @@ D2 = CRManifold.from_text("vars z1 z2 z3\n"
                           "rho: z1*~z2 + z2*~z1 - z3*~z3\n")
 
 
+D2_POINTS = [(QI(Fraction(1, 2)), QI(Fraction(1, 2)), QI(Fraction(1, 2))),
+             generic_point(random.Random(2), 3), SYMBOLIC]
+
+
 def test_two_generators():
-    """D2: Q_w has two generators, so the second divisor is reached."""
-    rng = random.Random(2)
-    for w in [(QI(Fraction(1, 2)), QI(Fraction(1, 2)), QI(Fraction(1, 2))),
-              generic_point(rng, 3), SYMBOLIC]:
-        assert_same_inversion(D2, w)
-    assert_same_graph(D2, D2, AlgebraicMap.identity(D2))
-    _, excluded = assert_same_inversion(D2, SYMBOLIC)
+    """D2: Q_w has two generators, so the second divisor is reached.  Every
+    check but the normal form holds."""
+    for w in D2_POINTS:
+        check_inversion(D2, w, normal=False)
+    check_graph(D2, D2, AlgebraicMap.identity(D2), normal=False)
+    _, excluded = check_inversion(D2, SYMBOLIC, normal=False)
     assert excluded
+
+
+@pytest.mark.xfail(raises=NotANormalForm, strict=True,
+                   reason="ROADMAP item 1: codimension 2 reduces against the generators "
+                          "of Q_w, not a block basis; today D2's remainders are no normal "
+                          "forms")
+def test_two_generators_reduce_to_normal_forms():
+    for w in D2_POINTS:
+        check_inversion(D2, w)
+    check_graph(D2, D2, AlgebraicMap.identity(D2))
 
 
 def random_parametric_system(rng):
@@ -239,21 +265,14 @@ def random_parametric_system(rng):
 
 
 def test_random_parametric_systems():
+    """Up to three divisors, which need not be a Groebner basis anywhere."""
     rng = random.Random(17)
     ptable = VarTable.make(["a", "b"], conjugates=False)
     ledgers = 0
     for _ in range(40):
         table, I, p = random_parametric_system(rng)
         coeffs, excluded = parametric_normal_form(p, I, ptable)
-        rem, ref_excluded = pnf_reference(p, I, ["a", "b"])
-        assert excluded == [transport(e, ptable) for e in ref_excluded]
-        assert all(c.table is ptable and not c.is_zero() for c in coeffs.values())
-        keys = list(coeffs)
-        assert keys == sorted(keys, key=I.order.key)
-        assert all(m[2:] == (0, 0) for m in keys)
-        rebuilt = Poly(table, {m[:2] + r: v for m, c in coeffs.items()
-                               for r, v in c.terms.items()})
-        assert rebuilt == rem
+        check_remainder(p, I, ptable, coeffs, excluded, rng, normal=False)
         ledgers += bool(excluded)
     assert ledgers > 20
 

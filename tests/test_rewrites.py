@@ -1,12 +1,12 @@
-"""Graph targets, the reality test and the fiber shortcuts against the code
-they replaced.
+"""Graph targets checked by evaluation, the reality test against the
+coefficients of swapped monomials, and the fibers of the square map.
 
-The references below are the earlier implementations, kept here: the graph
-targets one term of rho' at a time with every power taken afresh, and
-``is_real`` as a comparison with the whole conjugate polynomial."""
+The test names keep their earlier wording, so that the suite's ids stay
+stable."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -15,33 +15,11 @@ from segrekit.correspond import (AlgebraicMap, ExcludedLocusError, _param_table,
                                  build_correspondence, fiber, graph_targets)
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.manifold import CRManifold
-from segrekit.poly import CONJ_VAR, PARAM_VAR, Z_VAR, Poly, PolyError, VarTable
+from segrekit.poly import CONJ_VAR, PARAM_VAR, WPB, Z_VAR, Poly, PolyError, VarTable
 
-from reference_layout import transport
+from test_relayout import random_value
 
 CATALOG = load_catalog()
-
-
-def targets_reference(M, Mp, f):
-    wpb = tuple("wpb_" + n for n in Mp.zvar_names)
-    ttable = VarTable.make(list(M.zvar_names), params=list(wpb), conjugates=False)
-    nums = [transport(num, ttable) for num, _ in f.components]
-    dens = [transport(den, ttable) for _, den in f.components]
-    targets = []
-    for rp in Mp.rho:
-        degs = [rp.degree_in([rp.table.index(n)]) for n in Mp.zvar_names]
-        acc = Poly.zero(ttable)
-        for mono, c in rp.terms.items():
-            piece = Poly.const(ttable, c)
-            for k, n in enumerate(Mp.zvar_names):
-                a = mono[rp.table.index(n)]
-                b = mono[rp.table.index("~" + n)]
-                piece = piece * nums[k] ** a * dens[k] ** (degs[k] - a)
-                if b:
-                    piece = piece * Poly.var(ttable, wpb[k]) ** b
-            acc = acc + piece
-        targets.append(acc)
-    return targets
 
 
 def _vars(n):
@@ -92,12 +70,29 @@ def target_cases():
 @pytest.mark.parametrize("label,M,Mp,f", target_cases(), ids=[c[0] for c in target_cases()])
 def test_graph_targets_equal_the_per_term_loop(label, M, Mp, f):
     """The targets come laid out over the containment ring: M's z-variables,
-    then the graph's (wb, wpb) parameter table."""
+    then the graph's (wb, wpb) parameter table.  At random points (z, wb,
+    wpb) off the poles of f, the k-th target takes the value of
+    prod_j den_j(z)^deg_j * rho'_k(f(z), wpb), with deg_j the degree of
+    rho'_k in the j-th variable of Mp."""
     ptable = _param_table(M, Mp)
     ring = VarTable.make(M.zvar_names, params=ptable.names, conjugates=False)
     got = graph_targets(M, Mp, f, ptable)
-    assert all(t.table == ring for t in got)
-    assert got == [transport(t, ring) for t in targets_reference(M, Mp, f)]
+    assert len(got) == len(Mp.rho) and all(t.table == ring for t in got)
+    rng = random.Random(label)
+    checked = 0
+    while checked < 3:
+        at = {n: random_value(rng) for n in ring.names}
+        z = {n: at[n] for n in M.zvar_names}
+        dens = [den.eval(z) for _, den in f.components]
+        if any(d.is_zero() for d in dens):
+            continue
+        point = {n: num.eval(z) / d for n, (num, _), d in zip(Mp.zvar_names, f.components, dens)}
+        point.update(("~" + n, at[w]) for n, w in zip(Mp.zvar_names, Mp.block(WPB)))
+        for t, rp in zip(got, Mp.rho):
+            scale = prod((d ** max(m[rp.table.index(n)] for m in rp.terms)
+                          for n, d in zip(Mp.zvar_names, dens)), start=QI(1))
+            assert t.eval(at) == scale * rp.eval(point)
+        checked += 1
 
 
 TABLE = VarTable.make(["z1", "z2"], params=["t"])
@@ -115,8 +110,19 @@ def rand_poly(rng, table=TABLE, nterms=5):
     return Poly(table, terms)
 
 
+def swapped(p):
+    """{monomial: coefficient} of p with each z-exponent swapped with its
+    conjugate's and each coefficient conjugated, read off the table's
+    pairs term by term."""
+    pairs = p.table.pairs
+    return {tuple(m[i if j is None else j] for i, j in enumerate(pairs)): c.conjugate()
+            for m, c in p.terms.items()}
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_is_real_equals_the_conjugate_comparison(seed):
+    """p is real when the coefficient of each swapped monomial is the
+    conjugate of its partner's, and ``conjugate`` swaps and conjugates."""
     rng = random.Random(seed)
     p = rand_poly(rng)
     real = p + p.conjugate()
@@ -126,7 +132,8 @@ def test_is_real_equals_the_conjugate_comparison(seed):
         cases.append(real + Poly(TABLE, {next(iter(real.terms)): QI(0, 1)}))
         assert not cases[-1].is_real()
     for q in cases:
-        assert q.is_real() == (q.conjugate() == q)
+        assert q.conjugate().terms == swapped(q)
+        assert q.is_real() == (swapped(q) == q.terms)
     assert real.is_real()
 
 

@@ -23,8 +23,6 @@ from segrekit.manifold import CRManifold
 from segrekit.poly import Poly, PolyError, VarTable
 from segrekit.segre import inversion_set
 
-from reference_layout import transport
-
 CATALOG = load_catalog()
 
 
@@ -144,7 +142,7 @@ def fiber_ideal(C, w, reverse=False):
     fixed, free = (C.wpb_names, C.wb_names) if reverse else (C.wb_names, C.wpb_names)
     binding = {n: QI.from_value(x).conjugate() for n, x in zip(fixed, w)}
     ftable = VarTable.make(list(free), conjugates=False)
-    gens = [transport(g.substitute(binding), ftable) for g in C.graph.generators]
+    gens = [g.substitute(binding, ftable) for g in C.graph.generators]
     return Ideal.make([g for g in gens if not g.is_zero()], table=ftable)
 
 
