@@ -3,14 +3,38 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .orders import ResourceLimitError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # the most digits of an integer parsed or printed: Python 3.11's print limit
 PARSE_DIGIT_CAP = 4300
 _DIGIT_LIMIT = 10 ** PARSE_DIGIT_CAP  # made once: 10^4300 takes tens of microseconds
+
+
+def is_fraction(x) -> bool:
+    """Whether x is a ``Fraction``, asked without importing ``fractions``:
+    no Fraction exists before that module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _ratio_hash(n: int, d: int) -> int:
+    """The numeric hash of n/d for d > 0, as the Python reference defines it
+    ("Hashing of numeric types"): n * d^-1 modulo the prime P, the same for
+    n/d in any terms as long as P does not divide d.  It may be -1, which
+    ``hash`` turns into -2 as it does for Fraction."""
+    P = sys.hash_info.modulus
+    if d % P == 0:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    h = sys.hash_info.inf if d % P == 0 else abs(n) * pow(d, -1, P) % P
+    return h if n >= 0 else -h
 
 
 def _make(a: int, b: int, d: int) -> "GaussianRational":
@@ -42,7 +66,8 @@ class GaussianRational:
 
     The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
     have equal fields.  Values are immutable; all arithmetic is exact.
-    ``re`` and ``im`` give the parts as ``Fraction``s.
+    ``re`` and ``im`` give the parts as ``Fraction``s, made when asked for:
+    printing, hashing and comparing read the triple.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -51,6 +76,8 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
+        from fractions import Fraction
+
         re, im = Fraction(re), Fraction(im)
         dr, di = re.denominator, im.denominator
         d = dr * di // gcd(dr, di)
@@ -61,10 +88,14 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
@@ -94,6 +125,9 @@ class GaussianRational:
 
     def is_one(self) -> bool:
         return self._a == 1 and self._b == 0 and self._d == 1
+
+    def re_positive(self) -> bool:
+        return self._a > 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -181,17 +215,19 @@ class GaussianRational:
             return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, int):
             return self._b == 0 and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
+        if is_fraction(other):
             return (self._b == 0 and self._d == other.denominator
                     and self._a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        # a real value equals its int or Fraction, so it hashes as one
+        # as the int or Fraction that a real value equals, else as the pair
+        # (re, im): hash(Fraction(n)) == hash(n), and a part whose numeric
+        # hash is h has the hash of h
         if self._d == 1:
-            # hash(Fraction(n)) == hash(n)
             return hash(self._a) if self._b == 0 else hash((self._a, self._b))
-        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
+        re = _ratio_hash(self._a, self._d)
+        return re if self._b == 0 else hash((re, _ratio_hash(self._b, self._d)))
 
     # -- printing ----------------------------------------------------------
 
@@ -220,31 +256,41 @@ def check_digits(n: int) -> None:
     """Refuse a natural number n of more than PARSE_DIGIT_CAP digits, on
     every interpreter, not only where ``str`` has that limit."""
     if n >= _DIGIT_LIMIT:
-        raise ResourceLimitError("number too long to print", {
-            "digits_bound": math.floor(math.log10(n)) + 1, "cap": PARSE_DIGIT_CAP})
+        digits = math.floor(math.log10(n)) + 1
+        if n < 10 ** (digits - 1):  # float log10 rounds 10^k - 1 up to k
+            digits -= 1
+        raise ResourceLimitError("number too long to print",
+                                 {"digits_bound": digits, "cap": PARSE_DIGIT_CAP})
 
 
-def _frac_str(f: Fraction) -> str:
-    n, d = f.numerator, f.denominator
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, as `n` or `n/d`, for d > 0."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
     if abs(n) >= _DIGIT_LIMIT or d >= _DIGIT_LIMIT:  # the cheap test first
         check_digits(max(abs(n), d))
     return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_coeff(c: GaussianRational) -> str:
-    """Render as `a`, `a/b`, `a+b*i`, `b*i` or `i` (the printed syntax)."""
-    if c.im == 0:
-        return _frac_str(c.re)
-    if c.im == 1:
+    """Render as `a`, `a/b`, `a+b*i`, `b*i` or `i` (the printed syntax),
+    read off the triple (a + b*i)/d: the imaginary part b/d is 1 exactly
+    when b == d."""
+    a, b, d = c._a, c._b, c._d
+    if b == 0:
+        return _ratio_str(a, d)
+    if b == d:
         im = "i"
-    elif c.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = f"{_frac_str(c.im)}*i"
-    if c.re == 0:
+        im = f"{_ratio_str(b, d)}*i"
+    if a == 0:
         return im
-    sign = "+" if c.im > 0 else ""
-    return f"{_frac_str(c.re)}{sign}{im}"
+    sign = "+" if b > 0 else ""
+    return f"{_ratio_str(a, d)}{sign}{im}"
 
 
 class PointPowers:

@@ -80,7 +80,7 @@ def hermitian_signature(H: Sequence[Sequence[GaussianRational]]) -> Tuple[int, i
         for row in A:
             row[k], row[p] = row[p], row[k]
         piv = A[k][k]
-        if piv.re > 0:
+        if piv.re_positive():
             pos += 1
         else:
             neg += 1

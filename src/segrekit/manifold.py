@@ -4,11 +4,9 @@
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import PARSE_DIGIT_CAP, QI, QI_ZERO, GaussianRational, PointPowers
-from .linalg import hermitian_signature, nullspace, rank
 from .orders import InputError
 from .parsing import parse_manifold_text
 from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
@@ -152,6 +150,8 @@ def _jets(M: CRManifold, p: Point, levi: bool = False) -> list:
 
 def _generic_rank(M: CRManifold, jets: list) -> int:
     """Rank of the antiholomorphic gradients, once p is checked to lie on M."""
+    from .linalg import rank  # loaded only by the Levi and genericity checks
+
     if not all(value.is_zero() for value, _, _ in jets):
         raise ManifoldError("point does not lie on the manifold")
     return rank([grad[M.n:] for _, grad, _ in jets])
@@ -231,6 +231,8 @@ class LeviReport(NamedTuple):
 def _tangent_basis(M: CRManifold, jets: list) -> List[List[GaussianRational]]:
     """Basis of the holomorphic tangent space H_pM: the kernel of the
     holomorphic gradients in ``jets``."""
+    from .linalg import nullspace
+
     return nullspace([grad[:M.n] for _, grad, _ in jets], M.n)
 
 
@@ -249,14 +251,21 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     The form is sum_j c_j * Hess(rho_j) restricted to H_pM, diagonalized by
     Hermitian congruence over Q(i).  The entries of c are rationals or
     their strings, and M must be real: otherwise the form is not Hermitian."""
+    from .linalg import hermitian_signature
+
     require_real(M)
     entries = []
     for k, x in enumerate(c, start=1):
+        if isinstance(x, int):  # taken as it is, with no Fraction made
+            entries.append(x)
+            continue
         # a digit run past the cap is refused before Fraction reads it: its
         # integer parse has the interpreter's own limit on some versions
         if isinstance(x, str) and re.search(rf"\d{{{PARSE_DIGIT_CAP + 1}}}", x):
             raise ManifoldError(f"bad conormal entry {k}: number literal longer than "
                                 f"{PARSE_DIGIT_CAP} digits")
+        from fractions import Fraction
+
         try:
             entries.append(Fraction(x))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):

@@ -24,6 +24,10 @@ from .poly import BLOCKS, Poly, VarTable
 # the deepest nesting of parentheses: at four frames a level of the descent,
 # well under the interpreter's recursion limit wherever the parser is called
 MAX_NESTING = 100
+# the most work a power in a parsed expression may take, in products of two
+# coefficients, one of D digits counting 1 + D/500 (such a unit takes 1 to 4
+# microseconds on one x86-64 core under Python 3.11)
+PARSE_WORK_CAP = 10 ** 6
 
 
 class ParseError(InputError):
@@ -49,6 +53,35 @@ def _power_terms(p: Poly, k: int) -> int:
     return min(comb(t + k - 1, k), comb(v + k * p.total_degree(), v))
 
 
+def _power_work(p: Poly, k: int) -> float:
+    """A bound on the work of p**k, taken as ``Poly.__pow__`` takes it, by
+    repeated squaring.  Each product of p^e and p^f multiplies every term of
+    one by every term of the other, at most ``_power_terms`` of each, into
+    integers of at most (e + f)*L digits, for L the larger of p's
+    ``_log_heights``.  Once the term and digit bounds of p**k hold, a p of
+    two terms or more has k*L <= PARSE_DIGIT_CAP with L >= log10(2), so the
+    exponents stay small; a single term's power is a few products of one
+    term each and counts as no work."""
+    if len(p.terms) <= 1:
+        return 0
+    digits = max(_log_heights(p))
+
+    def product(e: int, f: int) -> float:  # the work of p^e * p^f
+        return _power_terms(p, e) * _power_terms(p, f) * (1 + (e + f) * digits / 500)
+
+    work, done, e = 0, 0, 1  # p^done is the product so far, p^e the square
+    while k:
+        if k & 1:
+            if done:
+                work += product(done, e)
+            done += e
+        if k > 1:
+            work += product(e, e)
+            e *= 2
+        k >>= 1
+    return work
+
+
 def _log_heights(p: Poly) -> Tuple[float, float]:
     """log10 of p's ``gaussian.heights``, each taken as at least 1."""
     return tuple(log10(max(h, 1)) for h in heights(p.terms.values()))
@@ -65,6 +98,14 @@ def _check_expansion(terms: int, log_digits: float) -> None:
     if log_digits > PARSE_DIGIT_CAP:
         raise ResourceLimitError("expression has numbers too long to print",
                                  {"digits_bound": floor(log_digits) + 1, "cap": PARSE_DIGIT_CAP})
+
+
+def _check_work(work: float) -> None:
+    """Refuse a power before it is taken when its ``_power_work`` is over
+    PARSE_WORK_CAP."""
+    if work > PARSE_WORK_CAP:
+        raise ResourceLimitError("expression takes too much work to expand",
+                                 {"work_bound": int(work), "cap": PARSE_WORK_CAP})
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9']*"
@@ -162,6 +203,7 @@ class _Parser:
             k = int(self.expect("num")[1])
             # past 10^6, k is over the digit cap unless p's integers are 0 or 1
             _check_expansion(_power_terms(p, k), max(_log_heights(p)) * min(k, 10 ** 6))
+            _check_work(_power_work(p, k))
             p = p ** k
         return -p if negate else p
 

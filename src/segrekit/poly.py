@@ -8,11 +8,11 @@ each z-exponent with the exponent of its paired conjugate variable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .gaussian import QI, QI_ONE, QI_ZERO, GaussianRational, PointPowers, format_coeff
+from .gaussian import (QI, QI_ONE, QI_ZERO, GaussianRational, PointPowers, format_coeff,
+                       is_fraction)
 from .orders import MonomialOrder, block_elim, grevlex, lex
 
 Z_VAR = "z"
@@ -25,8 +25,11 @@ PARAM_VAR = "param"
 # composition; a `vars` line may not use them
 WB, WPB, ZB, ZETA, U, MB = BLOCKS = ("wb_", "wpb_", "zb_", "zeta_", "u_", "mb_")
 
-# scalars that combine with a Poly as constants
-SCALARS = (int, Fraction, GaussianRational)
+
+def is_scalar(x) -> bool:
+    """Whether x combines with a Poly as a constant: an int, a Fraction or a
+    GaussianRational."""
+    return isinstance(x, (int, GaussianRational)) or is_fraction(x)
 
 
 class PolyError(ValueError):
@@ -229,7 +232,7 @@ class Poly:
             raise PolyError("polynomials over different variable tables")
 
     def __add__(self, other):
-        if isinstance(other, SCALARS):
+        if is_scalar(other):
             other = Poly.const(self.table, other)
         elif not isinstance(other, Poly):
             return NotImplemented
@@ -249,7 +252,7 @@ class Poly:
         return Poly._raw(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, SCALARS):
+        if is_scalar(other):
             other = Poly.const(self.table, other)
         return self + (-other)
 
@@ -257,7 +260,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, SCALARS):
+        if is_scalar(other):
             c = GaussianRational.from_value(other)
             return Poly(self.table, {m: v * c for m, v in self.terms.items()})
         if not isinstance(other, Poly):
@@ -340,7 +343,7 @@ class Poly:
             i = src.index(name)
             if isinstance(val, str):
                 target[i] = val
-            elif isinstance(val, SCALARS):
+            elif is_scalar(val):
                 numbers.append((i, val))
             elif val.table != table:
                 raise PolyError("binding polynomial over incompatible table")

@@ -6,10 +6,19 @@ on stderr instead)."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from typing import Dict, List
+
+# SHA-256 from the interpreter's own module, which loads no OpenSSL, as
+# random.py takes its SHA-512; hashlib where the build lacks that module
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA = 1
 
@@ -32,7 +41,7 @@ class Report:
 
     def add_input(self, label: str, text: str) -> None:
         """Name an input by the first 16 hex digits of its SHA-256."""
-        self.inputs[label] = hashlib.sha256(text.encode()).hexdigest()[:16]
+        self.inputs[label] = sha256(text.encode()).hexdigest()[:16]
 
     def emit(self, elapsed: float) -> None:
         """The JSON document on stdout, the human summary on stderr."""

@@ -207,6 +207,20 @@ def test_an_expansion_over_the_term_cap_exits_3_at_once(tmp_path):
     assert doc["results"]["limit_stats"] == {"terms_bound": 635376, "cap": 10000}
 
 
+def test_a_power_over_the_work_cap_exits_3_at_once(tmp_path):
+    """(z1+~z1)^5000 passes the term and digit bounds, 5001 terms of at most
+    1506 digits, but would take tens of seconds to expand."""
+    path = tmp_path / "work.mfd"
+    path.write_text("vars z1 z2\nrho: z1*~z1 + z2*~z2 - 1 + 0*(z1+~z1)^5000\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli("segre", str(path), "--point", "1,0")
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "resource-limit"
+    assert doc["results"]["limit_stats"]["cap"] == 10 ** 6
+
+
 # 2^40000 has 12042 digits; Python 3.11 refuses to print an int of more
 # than 4300, and segrekit refuses to parse one
 

@@ -1,6 +1,7 @@
 """Gaussian rational arithmetic."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,3 +250,70 @@ def test_submul_edge_cases(s, f, g):
     assert _model(got) == (s.re - fg[0], s.im - fg[1])
     _assert_canonical(got)
     assert got.is_zero() == (s == f * g)
+
+
+# -- printing and hashing read the triple: a Fraction oracle over wide triples ---
+
+P = sys.hash_info.modulus
+BIG = 10 ** PARSE_DIGIT_CAP  # the first integer of 4301 digits
+
+
+def _parts(a, b, d):
+    """(re, im) of (a + b*i)/d as Fractions: the oracle's reading."""
+    return Fraction(a, d), Fraction(b, d)
+
+
+def _oracle_str(re, im):
+    """The printed syntax built on the Fraction parts, refusing a part whose
+    numerator or denominator has more than PARSE_DIGIT_CAP digits."""
+    if any(max(abs(f.numerator), f.denominator) >= BIG for f in (re, im)):
+        return None
+    return _model_str(re, im)
+
+
+ints = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.integers(-BIG + 1, BIG - 1),
+                 st.integers(BIG // 10, BIG - 1).map(lambda n: n * (-1) ** (n % 2)),
+                 st.integers(BIG, 10 * BIG - 1))
+dens = st.one_of(st.integers(1, 10 ** 6), st.integers(1, BIG - 1),
+                 st.integers(BIG // 10, BIG - 1), st.integers(1, 10 ** 6).map(lambda k: k * P))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ints, st.one_of(st.just(0), ints), dens)
+def test_printing_hashing_and_equality_agree_with_fractions(a, b, d):
+    q = QI.from_ints(a, b, d)
+    re, im = _parts(a, b, d)
+    assert (q.re, q.im) == (re, im)
+    want = _oracle_str(re, im)
+    if want is None:
+        with pytest.raises(ResourceLimitError) as info:
+            str(q)
+        assert info.value.stats["digits_bound"] == PARSE_DIGIT_CAP + 1
+    else:
+        assert str(q) == format_coeff(q) == want
+    assert hash(q) == (hash(re) if b == 0 else hash((re, im)))
+    assert (q == re) == (re == q) == (b == 0)
+    if b == 0 and re.denominator == 1:
+        assert q == re.numerator and hash(q) == hash(re.numerator)
+
+
+@pytest.mark.parametrize("x", [QI(BIG), QI(-BIG, 1), QI.from_ints(1, BIG, 3), QI.from_ints(1, 0, BIG),
+                               QI.from_ints(2 * BIG + 1, 0, 2 * BIG), QI(10 * BIG - 1)],
+                         ids=["integer", "negative", "imaginary", "denominator", "fraction",
+                              "largest"])
+def test_exactly_4301_digits_are_refused_when_printed(x):
+    """Also 10^4301 - 1, whose float log10 rounds up to 4301."""
+    with pytest.raises(ResourceLimitError) as info:
+        str(x)
+    assert info.value.stats == {"digits_bound": PARSE_DIGIT_CAP + 1, "cap": PARSE_DIGIT_CAP}
+
+
+def test_hashes_at_the_edges_of_the_numeric_hash_rule():
+    """A denominator that the modulus P divides, and a part whose hash would
+    be -1, which Python reserves."""
+    for a, b, d in [(1, 0, P), (P, 0, 2 * P), (3, 5, P), (P, 1, P), (-7, P, 3 * P),
+                    (-(P + 2), 0, 2), (3, -(P + 2), 2)]:
+        q = QI.from_ints(a, b, d)
+        re, im = _parts(a, b, d)
+        assert hash(q) == (hash(re) if b == 0 else hash((re, im)))

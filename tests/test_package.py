@@ -79,6 +79,63 @@ def test_the_cli_runs_without_dataclasses():
         assert got["commands"] == json.load(fh)
 
 
+# the eight command lines the README and CI run, over the bundled data
+README_COMMANDS = [
+    "segre sphere_C2.mfd --point 1,0",
+    "segre sphere_C2.mfd --symbolic",
+    "essfin power_r2_n2.mfd --point 1,1",
+    "minimal tube_C2.mfd --point 1,0",
+    "levi hyperquadric_k1_n3.mfd --point 1,0,0 --conormal 1",
+    "correspond power_r2_n2.mfd hyperquadric_k1_n2.mfd square_n2.map --fiber 1,4 --reverse",
+    "correspond power_r2_n2.mfd hyperquadric_k1_n2.mfd square_n2.map --fiber 1,4 --splits",
+    "suite --all",
+]
+
+# runs cli.main on ARGV and prints its exit code and the modules it loaded
+COLD_SCRIPT = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json, os
+for var in ("SEGREKIT_SEED", "SEGREKIT_MAX_DEGREE", "SEGREKIT_MAX_BASIS"):
+    os.environ.pop(var, None)
+from segrekit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(ARGV)
+print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_a_fresh_command_loads_no_openssl_and_only_the_algebra_it_runs(command):
+    """No command loads OpenSSL for its input digests, only ``levi`` reads
+    numbers with ``fractions`` (and so ``decimal``), and only ``levi`` and
+    ``suite``, which form Levi matrices, load the linear algebra."""
+    data = os.path.join(SRC, "segrekit", "data")
+    argv = [os.path.join(data, a) if a.endswith((".mfd", ".map")) else a
+            for a in command.split()]
+    got = json.loads(run_python(f"ARGV = {argv!r}\n" + COLD_SCRIPT))
+    assert got["exit"] == 0
+    loaded = set(got["loaded"])
+    assert "segrekit.cli" in loaded
+    assert not loaded & {"hashlib", "_hashlib"}
+    assert argv[0] == "levi" or not loaded & {"fractions", "decimal"}
+    assert ("segrekit.linalg" in loaded) == (argv[0] in ("levi", "suite"))
+
+
+@pytest.mark.parametrize("text", ["", "vars z1 z2\nrho: z1*~z1 + z2*~z2 - 1\n", "\u03c1 = |z|\u00b2",
+                                  "x" * 100000])
+def test_input_digests_are_sha256(text):
+    """The digest comes from the interpreter's own SHA-256 module where it
+    has one, and agrees with hashlib's."""
+    import hashlib
+
+    from segrekit.report import Report
+
+    rep = Report("segre", 0)
+    rep.add_input("manifold", text)
+    assert rep.inputs == {"manifold": hashlib.sha256(text.encode()).hexdigest()[:16]}
+
+
 def test_the_oracle_runs_without_numpy():
     out = run_python(
         f"import sys; sys.modules['numpy'] = None; sys.path.insert(0, {TESTS!r}); "

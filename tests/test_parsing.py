@@ -1,15 +1,17 @@
 """Text formats: polynomial expressions, manifold files, map files."""
 
 import random
+import time
 from math import comb, log10
 
 import pytest
 
 from segrekit.gaussian import PARSE_DIGIT_CAP, GaussianRational as QI
 from segrekit.ideal import PARSE_TERM_CAP, ResourceLimitError
-from segrekit.parsing import (MAX_NESTING, ParseError, _log_heights, _power_terms,
-                              parse_manifold_text, parse_map_text, parse_poly)
-from segrekit.poly import VarTable
+from segrekit.parsing import (MAX_NESTING, PARSE_WORK_CAP, ParseError, _log_heights,
+                              _power_terms, _power_work, parse_manifold_text, parse_map_text,
+                              parse_poly)
+from segrekit.poly import Poly, VarTable
 
 TABLE = VarTable.make(["z1", "z2"])
 
@@ -247,6 +249,60 @@ def test_a_huge_exponent_reports_a_printable_term_bound():
     with pytest.raises(ResourceLimitError) as info:
         parse_poly("(z1 + z2 + 1)^" + "9" * 2500, TABLE)
     assert info.value.stats == {"terms_bound": comb(10002, 2), "cap": PARSE_TERM_CAP}
+
+
+# -- work bounds ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("src", ["(z1+~z1)^5000", "(z1 + z2 + 1)^100", "0*(z1+~z1)^2000",
+                                 "(1/3*z1 + 2*~z2 + i)^90"])
+def test_a_power_over_the_work_cap_is_refused_before_it_is_taken(src):
+    """Each passes the term and digit bounds; taken, the first would run for
+    tens of seconds."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        parse_poly(src, TABLE)
+    assert time.perf_counter() - start < 1
+    stats = info.value.stats
+    assert stats["cap"] == PARSE_WORK_CAP and stats["work_bound"] > PARSE_WORK_CAP
+
+
+@pytest.mark.parametrize("src", ["(z1+z2+~z1+~z2+1)^10", "(z1 + ~z1)^40", "(z1^2 + z1 + 1)^7",
+                                 "(1/3*z1 + 2*i*~z2 + 5)^13", "(z1 - ~z1)^6", "(z1 + z2)^1",
+                                 "(10^300*z1 + ~z1)^9"])
+def test_the_work_bound_counts_every_coefficient_product(src, monkeypatch):
+    """Each product that ``Poly.__pow__`` makes multiplies every pair of
+    terms, and each pair counts at least 1 in the bound."""
+    base, k = src.rsplit("^", 1)
+    p, k = parse_poly(base, TABLE), int(k)
+    pairs = []
+    mul = Poly.__mul__
+
+    def counting(f, g):
+        if isinstance(g, Poly):
+            pairs.append(len(f.terms) * len(g.terms))
+        return mul(f, g)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    p ** k
+    assert sum(pairs) <= _power_work(p, k)
+
+
+def test_the_work_bound_of_a_generic_sum_is_its_products():
+    """A generic sum's powers meet the term bound, so its work bound is the
+    pairs multiplied, weighted by digits of at most 10*log10(5) < 7."""
+    p = parse_poly("z1+z2+~z1+~z2+1", TABLE)
+    # the squares p^1, p^2, p^4 and the product p^2 * p^8
+    pairs = 5 ** 2 + 15 ** 2 + 70 ** 2 + 15 * 495
+    assert pairs <= _power_work(p, 10) <= pairs * (1 + 7 / 500)
+    assert _power_work(parse_poly("2*z1", TABLE), 10 ** 9) == 0
+
+
+def test_a_pair_counts_one_plus_a_unit_per_500_digits():
+    """p = 10^100*z1 + ~z1 has integers of 100 digits: p^3 is the square
+    p*p, 2*2 pairs of 200 digits, then p*p^2, 2*3 pairs of 300."""
+    p = parse_poly("10^100*z1 + ~z1", TABLE)
+    assert _power_work(p, 3) == pytest.approx(4 * (1 + 200 / 500) + 6 * (1 + 300 / 500))
 
 
 # -- digit bounds ---------------------------------------------------------------
