@@ -13,9 +13,9 @@ from .ideal import Ideal, degree_zero_dim, dimension, eliminate, has_pure_powers
 from .manifold import CRManifold, ManifoldError, check_point, require_real
 from .orders import InconclusiveError, InputError
 from .parsing import parse_map_text, parse_poly
-from .poly import MB, WB, WPB, Z_VAR, Poly, VarTable
+from .poly import MB, WB, WPB, ZB, Z_VAR, Poly, VarTable
 from .segre import (SYMBOLIC, containment_ideal, segre_map_locally_injective,
-                    segre_variety)
+                    segre_variety, symbolic_inversion)
 from .solve import back_substitute, solve_zero_dim
 
 
@@ -244,10 +244,20 @@ def graph_targets(M: CRManifold, Mp: CRManifold, f: AlgebraicMap,
 def build_correspondence(M: CRManifold, Mp: CRManifold, f: AlgebraicMap) -> Correspondence:
     """Graph ideal of A = {(w, w'): f(Q_w) subset Q'_{w'}}: the containment
     ideal of the ``graph_targets`` on the symbolic Segre variety of M.  Both
-    manifolds must be real, and f must fit Mp."""
+    manifolds must be real, and f must fit Mp.
+
+    The identity map of M onto itself has rho(z, wpb) for its targets: M's
+    symbolic inversion containment with zb_* renamed to wpb_*, which M
+    keeps, and which is read here."""
     _require_fit(M, Mp, f)
     ptable = _param_table(M, Mp)
-    gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
+    if Mp == M and f == AlgebraicMap.identity(M):
+        rename = dict(zip(M.block(ZB), M.block(WPB)))
+        kept, excluded = symbolic_inversion(M)
+        gens = [g.substitute(rename, ptable) for g in kept]
+        excluded = tuple(e.substitute(rename, ptable) for e in excluded)
+    else:
+        gens, excluded = containment_ideal(M, SYMBOLIC, graph_targets(M, Mp, f, ptable), ptable)
     if not gens:
         raise CorrespondenceError("empty graph ideal: the data are inconsistent")
     graph = Ideal.make(gens, table=ptable)
@@ -335,10 +345,11 @@ def fiber(C: Correspondence, w, reverse: bool = False) -> FiberResult:
 
 def splits_at(C: Correspondence, q) -> bool:
     """Splitting criterion: every fiber solution is simple and the target
-    Segre map is injective there (target inversion degree 1)."""
+    Segre map is injective there (target inversion degree 1).  Undecided,
+    and ``InconclusiveError``, when the solutions are not all in Q(i)."""
     fr = fiber(C, q)
     if fr.solutions is None:
-        raise CorrespondenceError("fiber solutions are not triangular; cannot decide")
+        raise InconclusiveError("fiber solutions are not all in Q(i); cannot decide")
     return (all(mult == 1 for _, mult in fr.solutions)
             and all(segre_map_locally_injective(C.target, wp) for wp, _ in fr.solutions))
 

@@ -33,10 +33,11 @@ class CRManifold(_ManifoldFields):
     and recorded in ``real``.  What depends on M alone is made on first
     use and kept in a store on the instance, outside the tuple, so that
     equality, hashing and pickling ignore it: the blocks of names
-    (``block``), the tables made from them (``ring``) and rho renamed into
-    a block (``polar_gens``).  Every instance starts with an empty store,
-    ``_replace``'s included, so a relayout is always of the instance's own
-    rho."""
+    (``block``), the tables made from them (``ring``), rho renamed into
+    a block (``polar_gens``) and the symbolic inversion containment
+    (``segre.symbolic_inversion``).  Every instance starts with an empty
+    store, ``_replace``'s included, so a relayout is always of the
+    instance's own rho."""
 
     def __new__(cls, table: VarTable, rho: tuple, chart: object = "affine"):
         self = super().__new__(cls, table, rho, chart, all(r.is_real() for r in rho))

@@ -164,18 +164,39 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTabl
     return gens, tuple(excluded)
 
 
+def _inversion_containment(M: CRManifold, w, ptable: VarTable):
+    """``containment_ideal`` of the targets rho(z, zb) on Q_w, over ``ptable``."""
+    ttable = M.ring(M.zvar_names, ptable.names)
+    return containment_ideal(M, w, polar_gens(M, ttable, M.block(ZB)), ptable)
+
+
+def symbolic_inversion(M: CRManifold) -> Tuple[tuple, tuple]:
+    """M's symbolic inversion containment: the generators and the ledger
+    that ``containment_ideal`` gives for the targets rho(z, zb) on the
+    symbolic Q_w, over (zb_*, wb_*).  It depends on M alone, and M keeps
+    it.  M must be real."""
+    def make() -> Tuple[tuple, tuple]:
+        gens, excluded = _inversion_containment(M, SYMBOLIC, M.ring(M.block(ZB) + M.block(WB)))
+        return tuple(gens), excluded
+
+    return M._keep(("inversion",), make)
+
+
 def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
     """I_w as an ideal in the conjugate coordinates zb of z.
 
     The containment Q_w subset Q_z with targets rho(z, zb): the identity-map
     case of a correspondence graph.  At the symbolic point the ideal lives
-    over zb with the wb_* block after it as parameters."""
+    over zb with the wb_* block after it as parameters, and is read from
+    ``symbolic_inversion``."""
     require_real(M)
     zb = M.block(ZB)
-    params = zb + M.block(WB) if w == SYMBOLIC else zb
-    ptable = M.ring(params)
-    ttable = M.ring(M.zvar_names, params)
-    gens, excluded = containment_ideal(M, w, polar_gens(M, ttable, zb), ptable)
+    if w == SYMBOLIC:
+        ptable = M.ring(zb + M.block(WB))
+        gens, excluded = symbolic_inversion(M)
+    else:
+        ptable = M.ring(zb)
+        gens, excluded = _inversion_containment(M, w, ptable)
     return InversionSet(Ideal.make(gens, table=ptable), excluded)
 
 
