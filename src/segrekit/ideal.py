@@ -581,16 +581,22 @@ def _min_cover(supports: List[frozenset], bound: int) -> int:
     return best
 
 
-def dimension(I: Ideal) -> int:
-    """Krull dimension of the quotient ring, from the staircase: n minus the
-    fewest variables that meet the support of every minimal leading monomial.
+def stairs_dimension(stairs: Sequence[tuple], n: int) -> int:
+    """Krull dimension of the quotient of the ring in n variables by an ideal
+    whose leading monomials ``stairs`` generate: n minus the fewest variables
+    that meet the support of every one.
 
-    Returns -1 for the trivial ideal (empty variety)."""
-    supports = {frozenset(i for i, e in enumerate(m) if e) for m in I.staircase()}
+    Returns -1 when 1 is among them (the trivial ideal, an empty variety)."""
+    supports = {frozenset(i for i, e in enumerate(m) if e) for m in stairs}
     if frozenset() in supports:
         return -1
-    n = len(I.table)
     return n - _min_cover(list(supports), n)
+
+
+def dimension(I: Ideal) -> int:
+    """Krull dimension of the quotient ring, from the staircase
+    (``stairs_dimension``); -1 for the trivial ideal."""
+    return stairs_dimension(I.staircase(), len(I.table))
 
 
 def _count_below(stairs: List[tuple], n: int, seen: dict) -> int:
@@ -644,19 +650,33 @@ def has_pure_powers(monomials: Iterable[tuple], n: int) -> bool:
     return len({i for m in monomials for i, e in enumerate(m) if e and sum(m) == e}) == n
 
 
-def degree_zero_dim(I: Ideal) -> int:
-    """Vector-space dimension of the quotient, the solution count with
-    multiplicity: the standard monomials, counted from the staircase without
-    listing them.  A count above STANDARD_CAP raises ResourceLimitError."""
-    stairs = I.staircase()
-    n = len(I.table)
+def stairs_degree(stairs: Sequence[tuple], n: int) -> int:
+    """Vector-space dimension of the quotient of the ring in n variables by
+    an ideal whose leading monomials ``stairs`` generate, the solution count
+    with multiplicity: the standard monomials, counted without listing them.
+    A count above STANDARD_CAP raises ResourceLimitError."""
     if not has_pure_powers(stairs, n):
-        raise PolyError(f"degree requested on an ideal of dimension {dimension(I)}")
+        raise PolyError(f"degree requested on an ideal of dimension "
+                        f"{stairs_dimension(stairs, n)}")
     count = _count_below(stairs, n, {})
     if count > STANDARD_CAP:
         raise ResourceLimitError("standard monomial count exceeded cap",
                                  {"count": count, "cap": STANDARD_CAP})
     return count
+
+
+def degree_zero_dim(I: Ideal) -> int:
+    """Vector-space dimension of the quotient, from the staircase
+    (``stairs_degree``)."""
+    return stairs_degree(I.staircase(), len(I.table))
+
+
+def stairs_finiteness(stairs: Sequence[tuple], n: int) -> Tuple[bool, Optional[int]]:
+    """(True, degree) when the ideal whose leading monomials ``stairs``
+    generate is zero-dimensional, else (False, None)."""
+    if stairs_dimension(stairs, n) != 0:
+        return False, None
+    return True, stairs_degree(stairs, n)
 
 
 def saturate(I: Ideal, e: Poly) -> Ideal:

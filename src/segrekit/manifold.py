@@ -34,10 +34,11 @@ class CRManifold(_ManifoldFields):
     use and kept in a store on the instance, outside the tuple, so that
     equality, hashing and pickling ignore it: the blocks of names
     (``block``), the tables made from them (``ring``), rho renamed into
-    a block (``polar_gens``) and the symbolic inversion containment
-    (``segre.symbolic_inversion``).  Every instance starts with an empty
-    store, ``_replace``'s included, so a relayout is always of the
-    instance's own rho."""
+    a block (``polar_gens``), the symbolic inversion containment
+    (``segre.symbolic_inversion``), the symbolic Segre variety's block basis
+    and the basis that point questions specialise.  Every instance starts
+    with an empty store, ``_replace``'s included, so a relayout is always of
+    the instance's own rho."""
 
     def __new__(cls, table: VarTable, rho: tuple, chart: object = "affine"):
         self = super().__new__(cls, table, rho, chart, all(r.is_real() for r in rho))

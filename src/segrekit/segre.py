@@ -6,8 +6,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .ideal import (Ideal, degree_zero_dim, dimension, eliminate,
-                    parametric_normal_form)
+from .ideal import (Ideal, coefficients_in, dimension, eliminate,
+                    parametric_normal_form, stairs_finiteness)
 from .gaussian import PointPowers
 from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
                        vanish)
@@ -21,6 +21,36 @@ def _segre_gens(M: CRManifold, w, table: VarTable) -> Tuple[Poly, ...]:
     """rho(z, w-bar) over `table`: ~z renamed to the wb_* block when w is
     symbolic, else bound to conj(w) for the checked point w."""
     return polar_gens(M, table, M.block(WB) if w == SYMBOLIC else [v.conjugate() for v in w])
+
+
+def _block_basis(gens: Sequence[Poly], table: VarTable, block: Sequence[str]) -> Tuple[Poly, ...]:
+    """The reduced basis of ``gens`` over ``table`` in the block order with
+    the variables ``block`` first."""
+    blk = tuple(table.index(n) for n in block)
+    return Ideal.make(gens, table.block_elim(blk), table).groebner()
+
+
+def _symbolic_segre_basis(M: CRManifold) -> Tuple[Poly, ...]:
+    """The reduced basis of the symbolic Q_w over (z, wb) in the block order
+    with the z-variables first.  It depends on M alone, and M keeps it."""
+    def make() -> Tuple[Poly, ...]:
+        table = M.ring(M.zvar_names + M.block(WB))
+        return _block_basis(_segre_gens(M, SYMBOLIC, table), table, M.zvar_names)
+
+    return M._keep(("segre basis",), make)
+
+
+def _segre_basis(M: CRManifold, w, table: VarTable) -> Tuple[Poly, ...]:
+    """The divisors for a reduction on Q_w over `table`: the one generator
+    rho(z, w-bar) in codimension 1; from two generators on, their reduced
+    basis in the block order with the z-variables first, since only a
+    Groebner basis leaves normal forms as remainders.  At the symbolic
+    point that basis is ``_symbolic_segre_basis``, laid out onto `table`."""
+    if M.d < 2:
+        return _segre_gens(M, w, table)
+    if w == SYMBOLIC:
+        return tuple(g.substitute({}, table) for g in _symbolic_segre_basis(M))
+    return _block_basis(_segre_gens(M, w, table), table, M.zvar_names)
 
 
 class SegreVariety(NamedTuple):
@@ -131,9 +161,7 @@ class InversionSet(NamedTuple):
 
     def finiteness(self) -> Tuple[bool, Optional[int]]:
         """(True, degree R) when the inversion set is zero-dimensional."""
-        if not self.ideal.generators or dimension(self.ideal) != 0:
-            return False, None
-        return True, degree_zero_dim(self.ideal)
+        return stairs_finiteness(self.ideal.staircase(), len(self.ideal.table))
 
 
 def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTable):
@@ -143,7 +171,7 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTabl
     wb_* block when w is symbolic.  The targets lie over the containment
     ring, one table of M's z-variables followed by ``ptable``'s names; a
     target laid out any other way is refused.  Each is pseudo-reduced
-    against the generators of Q_w, which writes its z-coefficients onto
+    against Q_w's ``_segre_basis``, which writes its z-coefficients onto
     ``ptable``.  Returns (generators, excluded) over ``ptable``: the
     nonzero coefficients, target by target and ascending in Q_w's order of
     their z-monomials, and the excluded-locus ledger.  M must be real."""
@@ -153,7 +181,7 @@ def containment_ideal(M: CRManifold, w, targets: Sequence[Poly], ptable: VarTabl
     table = targets[0].table
     if w != SYMBOLIC:
         w = M.point(w)
-    Qw = Ideal.make(_segre_gens(M, w, table), table=table)
+    Qw = Ideal.make(_segre_basis(M, w, table), table=table)
 
     gens: List[Poly] = []
     excluded: List[Poly] = []
@@ -200,9 +228,59 @@ def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
     return InversionSet(Ideal.make(gens, table=ptable), excluded)
 
 
+def _leads(basis: Sequence[Poly], n: int, onto: VarTable) -> List[Tuple[tuple, Poly]]:
+    """Per element of ``basis``, split by ``coefficients_in`` into monomials
+    in its table's first n variables with coefficients over ``onto``: the
+    largest of those monomials in grevlex, as the first n exponents, and
+    its coefficient."""
+    out = []
+    for g in basis:
+        parts = coefficients_in(g, n, onto)
+        lead = min(parts, key=g.table.grevlex.codec.enc)
+        out.append((lead[:n], parts[lead]))
+    return out
+
+
+def _specialization(M: CRManifold) -> Tuple[tuple, tuple]:
+    """M's kept data for point questions: (stairs, locus).
+
+    G is the reduced basis of ``symbolic_inversion(M)`` in the block order
+    with the zb-block first.  ``stairs`` holds the zb-parts of G's leading
+    monomials; ``locus`` the non-constant polynomials over the wb-block
+    whose vanishing at w-bar voids the specialisation: the ledger, the
+    leading coefficients of G in wb and, in codimension 2 and more, those of
+    ``_symbolic_segre_basis``.  Off the locus, G at w-bar is a
+    Groebner basis of I_w with the same leading zb-monomials (Kalkbrener
+    1997; Gianni 1987), so ``stairs`` is the staircase of I_w there."""
+    def make() -> Tuple[tuple, tuple]:
+        gens, excluded = symbolic_inversion(M)
+        zb, wb = M.block(ZB), M.block(WB)
+        onto = M.ring(wb)
+        leads = _leads(_block_basis(gens, M.ring(zb + wb), zb), M.n, onto)
+        locus = [e.substitute({}, onto) for e in excluded] + [c for _, c in leads]
+        if M.d > 1:
+            locus += [c for _, c in _leads(_symbolic_segre_basis(M), M.n, onto)]
+        return (tuple(m for m, _ in leads),
+                tuple(dict.fromkeys(c for c in locus if not c.is_constant())))
+
+    return M._keep(("specialization",), make)
+
+
 def essential_finiteness(M: CRManifold, w) -> Tuple[bool, Optional[int]]:
-    """(True, degree R) when the inversion set at w is zero-dimensional."""
-    return inversion_set(M, w).finiteness()
+    """(True, degree R) when the inversion set at w is zero-dimensional.
+
+    Where no polynomial of M's kept ``_specialization`` locus vanishes at
+    w-bar, the answer is read off the kept staircase, with no basis made
+    for w.  A point on the locus takes the point path,
+    ``inversion_set(M, w).finiteness()``.  The points with z1 = 0 on a power
+    hypersurface are such points: its ledger holds wb_z1."""
+    require_real(M)
+    w = M.point(w)
+    stairs, locus = _specialization(M)
+    at = PointPowers(enumerate(x.conjugate() for x in w))
+    if any(e.eval(at).is_zero() for e in locus):
+        return inversion_set(M, w).finiteness()
+    return stairs_finiteness(stairs, M.n)
 
 
 def segre_map_locally_injective(M: CRManifold, q) -> bool:

@@ -225,10 +225,6 @@ def test_two_generators():
     assert excluded
 
 
-@pytest.mark.xfail(raises=NotANormalForm, strict=True,
-                   reason="ROADMAP item 1: codimension 2 reduces against the generators "
-                          "of Q_w, not a block basis; today D2's remainders are no normal "
-                          "forms")
 def test_two_generators_reduce_to_normal_forms():
     for w in D2_POINTS:
         check_inversion(D2, w)

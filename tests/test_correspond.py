@@ -356,25 +356,20 @@ def test_a_map_that_does_not_fit_its_target_is_refused(target, text, count, dim)
 
 
 # D2 = {|z|^2 = 1, z1*~z2 + z2*~z1 = |z3|^2} in C^3, at a point of it: the
-# containment ideal pseudo-reduces against the two generators of Q_w rather
-# than a basis of them, which is exact only in codimension 1
+# containment ideal pseudo-reduces against a block basis of the two
+# generators of Q_w, since reducing by the generators is exact only in
+# codimension 1
 D2 = CRManifold.from_text("vars z1 z2 z3\n"
                           "rho: z1*~z1 + z2*~z2 + z3*~z3 - 1\n"
                           "rho: z1*~z2 + z2*~z1 - z3*~z3\n")
 D2_POINT = pt(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: codimension 2 reduces against the generators "
-                          "of Q_w, not a block basis; today (False, None)")
 def test_d2_is_essentially_finite_of_degree_one():
     assert D2.contains(D2_POINT)
     assert essential_finiteness(D2, D2_POINT) == (True, 1)
 
 
-@pytest.mark.xfail(strict=True, raises=CorrespondenceError,
-                   reason="ROADMAP item 1: codimension 2 reduces against the generators "
-                          "of Q_w, not a block basis; today the fiber is empty")
 def test_d2_identity_fiber_contains_its_point():
     C = build_correspondence(D2, D2, AlgebraicMap.identity(D2))
     res = fiber(C, D2_POINT)

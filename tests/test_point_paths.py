@@ -243,7 +243,7 @@ CATALOG_DEGREES = {"power_r1_s2_n2": (4, 1), "power_r2_s1_n2": (1, 4)}
 
 
 @pytest.mark.parametrize("name, C", CATALOG_GRAPHS, ids=[n for n, _ in CATALOG_GRAPHS])
-def test_catalog_fibers_match_the_two_basis_fiber(name, C):
+def test_catalog_fibers_have_their_degree_off_the_ledger(name, C):
     rng = random.Random(name)
     for reverse in (False, True):
         M = C.target if reverse else C.source
@@ -276,7 +276,7 @@ def test_power_map_fibers_match_the_two_basis_fiber(n, r):
 
 
 @pytest.mark.parametrize("n, r1, r2", [(2, 1, 2), (2, 2, 2), (3, 2, 1), (2, 1, 4), (3, 1, 3)])
-def test_composed_fibers_match_the_two_basis_fiber(n, r1, r2):
+def test_composed_fibers_are_those_of_the_composite_power_map(n, r1, r2):
     """The composite of z -> z^r1 and z -> z^r2, as its power map."""
     C = compose(_power_graph(n, r1 * r2, r2), _power_graph(n, r2, 1))
     check_power_fibers(C, n, r1 * r2, _points(n, random.Random(n * r1 * r2), 2))

@@ -202,7 +202,7 @@ def _degree(p, kind):
 
 
 @pytest.mark.parametrize("label, M", MANIFOLDS, ids=[m[0] for m in MANIFOLDS])
-def test_homogenize_equals_the_per_term_loop(label, M):
+def test_homogenize_is_bihomogeneous_and_dehomogenizes_back(label, M):
     """Each homogenized polynomial is bihomogeneous, of the bidegree of the
     one it came from, and the chart z0 = 1 gives rho back."""
     for hom_var in (None, "h"):
