@@ -17,7 +17,6 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .gaussian import QI
 from .ideal import current_limits, limits_scope
 from .orders import InconclusiveError, InputError, ResourceLimitError
 from .parsing import parse_poly
@@ -30,18 +29,19 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def parse_point(text: str) -> tuple:
-    """Parse "1,0" or "1/2+1/2*i,0" into a tuple of Gaussian rationals."""
+def parse_point(text: str, noun: str = "coordinate") -> tuple:
+    """Parse "1,0" or "1/2+1/2*i,0" into a tuple of Gaussian rationals; an
+    error names the entry by ``noun`` and its position."""
     table = VarTable.make([], conjugates=False)
     coords = []
     for k, part in enumerate(text.split(","), start=1):
         part = part.strip()
         if not part:
-            raise InputError(f"coordinate {k} is empty")
+            raise InputError(f"{noun} {k} is empty")
         try:
             p = parse_poly(part, table)
         except InputError as exc:
-            raise InputError(f"bad coordinate {k}: {exc}") from exc
+            raise InputError(f"bad {noun} {k}: {exc}") from exc
         coords.append(p.eval({}))
     return tuple(coords)
 
@@ -85,9 +85,7 @@ def cmd_essfin(args, rep: Report) -> int:
 
     M = _load(args.manifold, rep)
     w = parse_point(args.point)
-    inv = inversion_set(M, w)
-    rep.excluded.extend(sorted(str(e) for e in inv.excluded))
-    finite, deg = inv.finiteness()
+    finite, deg = inversion_set(M, w).finiteness()
     rep.results["point"] = _fmt_point(w)
     rep.results["essentially_finite"] = finite
     rep.results["degree"] = deg
@@ -115,9 +113,9 @@ def cmd_levi(args, rep: Report) -> int:
 
     M = _load(args.manifold, rep)
     p = parse_point(args.point)
-    lev = levi_signature(M, p, args.conormal.split(","))
+    lev = levi_signature(M, p, parse_point(args.conormal, "conormal entry"))
     rep.results["point"] = _fmt_point(p)
-    rep.results["conormal"] = _fmt_point(map(QI, lev.conormal))  # printed under the digit cap
+    rep.results["conormal"] = _fmt_point(lev.conormal)
     rep.results["signature"] = list(lev.signature)
     rep.results["mixed"] = lev.mixed
     return EXIT_OK
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifold")
     p.add_argument("--point", required=True)
     p.add_argument("--conormal", default="1",
-                   help="comma-separated rational coefficients")
+                   help="comma-separated real coefficients, read as points are")
     p.set_defaults(func=cmd_levi)
 
     p = sub.add_parser("correspond",

@@ -31,11 +31,6 @@ class SamplingError(InconclusiveError):
     pass
 
 
-def _read(p: Poly, pt: PointPowers) -> GaussianRational:
-    """p at the prepared point; a constant is read, not evaluated."""
-    return p.constant_value() if p.is_constant() else p.eval(pt)
-
-
 class AlgebraicMap(NamedTuple):
     """Rational map between charts: components as (numerator, denominator)
     pairs over the table they were parsed on, the source's z-variables."""
@@ -70,7 +65,7 @@ class AlgebraicMap(NamedTuple):
         pt = self._point(p)
         out = []
         for num, den in self.components:
-            d = _read(den, pt)
+            d = den.eval(pt)
             if d.is_zero():
                 return None
             v = num.eval(pt)

@@ -196,14 +196,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _make(*_power(self._a, self._b, self._d, k))
 
     def conjugate(self) -> "GaussianRational":
         return _triple(self._a, -self._b, self._d)
@@ -365,7 +358,7 @@ class PointPowers:
 
 
 def _power(a: int, b: int, den: int, x: int) -> tuple:
-    """((a + b*i)^x as a pair, den^x) for x >= 1, by repeated squaring."""
+    """((a + b*i)^x as a pair, den^x) for x >= 0, by repeated squaring."""
     u, v, k = 1, 0, x
     while True:
         if k & 1:

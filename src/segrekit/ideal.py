@@ -41,8 +41,6 @@ class Limits(NamedTuple):
 DEFAULT_LIMITS = Limits()
 # the most standard monomials a zero-dimensional ideal may have
 STANDARD_CAP = 100000
-# the most terms a product or power in a parsed expression may expand to
-PARSE_TERM_CAP = 10000
 _SCOPED_LIMITS: ContextVar[Limits] = ContextVar("segrekit_limits",
                                                 default=DEFAULT_LIMITS)
 
@@ -198,39 +196,22 @@ def reduce_poly(p, basis: Sequence[Poly], order: MonomialOrder,
     return _Packed(_divide(p.terms, divisors, codec, _field_step))
 
 
-def _s_poly(f, g, order: MonomialOrder, l: Optional[int] = None):
-    """S-polynomial of f and g.  Given two ``Poly``s it returns a ``Poly``;
-    ``buchberger`` passes the packed divisor records of two basis elements
-    and their packed lcm ``l``, and gets packed terms back."""
+def _s_poly(f: tuple, g: tuple, order: MonomialOrder, l: int) -> _Packed:
+    """S-polynomial l/lm_f*f - l/lm_g*g of two monic basis elements, given
+    as packed divisor records, with l the packed lcm of their leading
+    monomials; the leading terms cancel and are left out."""
     codec = order.codec
-    if l is not None:
-        return _Packed(_s_poly_terms(f, g, l, codec))
-    table = f.table
-    f, g = _divisor(_pack(f.terms, codec)), _divisor(_pack(g.terms, codec))
-    l = codec.enc(_lcm(codec.dec(f[0]), codec.dec(g[0])))
-    return _unpack(table, _s_poly_terms(f, g, l, codec), codec)
-
-
-def _s_poly_terms(f: tuple, g: tuple, l: int, codec) -> dict:
-    """(l/lm_f)*f/lc_f - (l/lm_g)*g/lc_g of packed divisor records, whose
-    leading terms cancel and are left out; a leading coefficient 1 is not
-    divided by."""
-    (lf, cf, tf), (lg, cg, tg) = f, g
+    (lf, _, tf), (lg, _, tg) = f, g
     shift = l - lf
-    if cf.is_one():
-        terms = {m + shift: c for m, c in tf}
-    else:
-        inv = QI_ONE / cf
-        terms = {m + shift: c * inv for m, c in tf}
+    terms = {m + shift: c for m, c in tf}
     shift = l - lg
-    inv = None if cg.is_one() else QI_ONE / cg
     for m, c in tg:
         t = m + shift
         s = terms.get(t)
         if s is None:
-            terms[t] = -c if inv is None else -(c * inv)
+            terms[t] = -c
             continue
-        s = s - c if inv is None else s.submul(c, inv)
+        s = s - c
         if s.is_zero():
             del terms[t]
         else:
@@ -240,7 +221,7 @@ def _s_poly_terms(f: tuple, g: tuple, l: int, codec) -> dict:
     for t in terms:
         if t & guard:
             raise codec.overflow(codec.dec(t))
-    return terms
+    return _Packed(terms)
 
 
 def _pair_sugar(lms: Sequence[tuple], sugar: Sequence[int], i: int, j: int,

@@ -3,10 +3,9 @@
 
 from __future__ import annotations
 
-import re
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .gaussian import PARSE_DIGIT_CAP, QI, QI_ZERO, GaussianRational, PointPowers
+from .gaussian import QI_ZERO, GaussianRational, PointPowers
 from .orders import InputError
 from .parsing import parse_manifold_text
 from .poly import CONJ_VAR, Z_VAR, Poly, VarTable
@@ -251,31 +250,19 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     """Exact signature of the Levi form at p in the conormal direction c.
 
     The form is sum_j c_j * Hess(rho_j) restricted to H_pM, diagonalized by
-    Hermitian congruence over Q(i).  The entries of c are rationals or
-    their strings, and M must be real: otherwise the form is not Hermitian."""
+    Hermitian congruence over Q(i).  The entries of c are numbers (int,
+    ``Fraction`` or ``GaussianRational``) and must be real, and M must be
+    real: otherwise the form is not Hermitian."""
     from .linalg import hermitian_signature
 
     require_real(M)
-    entries = []
+    c = tuple(GaussianRational.from_value(x) for x in c)
     for k, x in enumerate(c, start=1):
-        if isinstance(x, int):  # taken as it is, with no Fraction made
-            entries.append(x)
-            continue
-        # a digit run past the cap is refused before Fraction reads it: its
-        # integer parse has the interpreter's own limit on some versions
-        if isinstance(x, str) and re.search(rf"\d{{{PARSE_DIGIT_CAP + 1}}}", x):
-            raise ManifoldError(f"bad conormal entry {k}: number literal longer than "
-                                f"{PARSE_DIGIT_CAP} digits")
-        from fractions import Fraction
-
-        try:
-            entries.append(Fraction(x))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            raise ManifoldError(f"conormal entry {k} is not a rational") from None
-    c = entries
+        if not x.is_real():
+            raise ManifoldError(f"conormal entry {k} is not real")
     if len(c) != M.d:
         raise ManifoldError(f"conormal needs {M.d} coefficients")
-    if all(x == 0 for x in c):
+    if all(x.is_zero() for x in c):
         raise ManifoldError("conormal must be nonzero")
     jets = _jets(M, p, levi=True)
     if _generic_rank(M, jets) != M.d:
@@ -283,13 +270,12 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     n = M.n
     H = [[QI_ZERO] * n for _ in range(n)]
     for coef, (_, _, hess) in zip(c, jets):
-        if coef == 0:
+        if coef.is_zero():
             continue
-        w = QI(coef)
         for j, row in enumerate(hess):
             for k, h in enumerate(row):
                 if not h.is_zero():
-                    H[j][k] = H[j][k] + w * h
+                    H[j][k] = H[j][k] + coef * h
     V = _tangent_basis(M, jets)
     if len(V) != M.m:
         raise ManifoldError("degenerate holomorphic tangent space at the point")
@@ -297,7 +283,7 @@ def levi_signature(M: CRManifold, p: Point, c: Sequence) -> LeviReport:
     HV = [[_dot(row, v) for row in H] for v in V]
     B = [[_dot([x.conjugate() for x in u], hv) for hv in HV] for u in V]
     sig = hermitian_signature(B)
-    return LeviReport(tuple(c), sig)
+    return LeviReport(c, sig)
 
 
 def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point]) -> List[LeviReport]:

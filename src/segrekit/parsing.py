@@ -17,10 +17,11 @@ from math import comb, floor, log10
 from typing import List, NamedTuple, Optional, Tuple
 
 from .gaussian import PARSE_DIGIT_CAP, QI, check_digits, heights
-from .ideal import PARSE_TERM_CAP
 from .orders import InputError, ResourceLimitError
 from .poly import BLOCKS, Poly, VarTable
 
+# the most terms a product or power in a parsed expression may expand to
+PARSE_TERM_CAP = 10000
 # the deepest nesting of parentheses: at four frames a level of the descent,
 # well under the interpreter's recursion limit wherever the parser is called
 MAX_NESTING = 100
@@ -28,6 +29,16 @@ MAX_NESTING = 100
 # coefficients, one of D digits counting 1 + D/500 (such a unit takes 1 to 4
 # microseconds on one x86-64 core under Python 3.11)
 PARSE_WORK_CAP = 10 ** 6
+# the most characters of a token or word that a message quotes
+QUOTE_CAP = 40
+
+
+def _quote(text: str) -> str:
+    """text's repr for a message, cut to its first QUOTE_CAP characters and
+    marked with "..." when longer, so that no message echoes long input."""
+    if len(text) > QUOTE_CAP:
+        return repr(text[:QUOTE_CAP]) + "..."
+    return repr(text)
 
 
 class ParseError(InputError):
@@ -149,14 +160,14 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.take()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", pos=tok[2])
+            raise ParseError(f"expected {kind!r}, found {_quote(tok[1])}", pos=tok[2])
         return tok
 
     def parse(self) -> Poly:
         p = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", pos=tok[2])
+            raise ParseError(f"unexpected trailing {_quote(tok[1])}", pos=tok[2])
         return p
 
     def expr(self) -> Poly:
@@ -215,18 +226,18 @@ class _Parser:
             if tok[1] == "i":
                 return Poly.const(self.table, QI(0, 1))
             if tok[1] not in self.table.names:
-                raise ParseError(f"unknown variable {tok[1]!r}", pos=tok[2])
+                raise ParseError(f"unknown variable {_quote(tok[1])}", pos=tok[2])
             return Poly.var(self.table, tok[1])
         if tok[0] == "~":
             name_tok = self.take()
             if name_tok[0] != "name":
                 raise ParseError("`~` must be followed by a variable name", pos=tok[2])
             if name_tok[1] not in self.table.names:
-                raise ParseError(f"unknown variable {name_tok[1]!r}", pos=name_tok[2])
+                raise ParseError(f"unknown variable {_quote(name_tok[1])}", pos=name_tok[2])
             j = self.table.pairs[self.table.index(name_tok[1])]
             if j is None:
                 raise ParseError(
-                    f"variable {name_tok[1]!r} has no conjugate partner", pos=tok[2]
+                    f"variable {_quote(name_tok[1])} has no conjugate partner", pos=tok[2]
                 )
             return Poly.var(self.table, self.table.names[j])
         if tok[0] == "(":
@@ -237,7 +248,7 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return p
-        raise ParseError(f"unexpected token {tok[1]!r}", pos=tok[2])
+        raise ParseError(f"unexpected token {_quote(tok[1])}", pos=tok[2])
 
 
 def parse_poly(src: str, table: VarTable) -> Poly:
@@ -266,14 +277,14 @@ def _vars_table(body: str, conjugates: bool) -> VarTable:
     for word in re.finditer(r"\S+", body):
         name, pos = word.group(), word.start()
         if not re.fullmatch(_NAME, name):
-            raise ParseError(f"bad variable name {name!r}", pos=pos)
+            raise ParseError(f"bad variable name {_quote(name)}", pos=pos)
         if name == "i":
             raise ParseError("`i` is the imaginary unit, not a variable name", pos=pos)
         if name.startswith(BLOCKS):
-            raise ParseError(f"variable name {name!r} starts with a reserved prefix "
+            raise ParseError(f"variable name {_quote(name)} starts with a reserved prefix "
                              f"({', '.join(BLOCKS)})", pos=pos)
         if name in names:
-            raise ParseError(f"repeated variable name {name!r}", pos=pos)
+            raise ParseError(f"repeated variable name {_quote(name)}", pos=pos)
         names.append(name)
     if not names:
         raise ParseError("empty `vars` declaration")
@@ -296,7 +307,7 @@ def _parse_lines(text: str, conjugates: bool, parsers: dict) -> Tuple[VarTable, 
                     raise ParseError("repeated `vars` declaration")
                 table = _vars_table(body, conjugates)
             elif key not in parsers:
-                raise ParseError(f"unrecognized line {code.strip()!r}")
+                raise ParseError(f"unrecognized line {_quote(code.strip())}")
             elif table is None and key != "chart:":
                 raise ParseError(f"`{key}` before `vars`")
             else:
@@ -323,7 +334,8 @@ class ManifoldSpec(NamedTuple):
 def _chart(body: str, table) -> object:
     m = re.fullmatch(r"\s*(?:affine|projective\s+([0-9]+))\s*", body)
     if m is None:
-        raise ParseError(f"bad chart {body.strip()!r}, expected `affine` or `projective <index>`")
+        raise ParseError(f"bad chart {_quote(body.strip())}, "
+                         "expected `affine` or `projective <index>`")
     return "affine" if m.group(1) is None else int(m.group(1))
 
 

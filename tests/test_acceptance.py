@@ -15,7 +15,6 @@ from segrekit.correspond import (AlgebraicMap, build_correspondence, fiber,
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.ideal import (Ideal, degree_zero_dim, dimension, eliminate,
                             reduce_poly)
-from segrekit.ideal import _s_poly
 from segrekit.manifold import levi_signature, pseudoconcavity_probe
 from segrekit.orders import grevlex
 from segrekit.parsing import parse_poly
@@ -24,6 +23,7 @@ from segrekit.segre import (SYMBOLIC, check_symmetry, essential_finiteness,
                             in_segre_variety, minimality, segre_variety)
 
 from oracle import numeric_oracle
+from test_ideal import s_poly
 
 SPHERE = load_manifold("sphere_C2.mfd")
 HQ3 = load_manifold("hyperquadric_k1_n3.mfd")
@@ -177,7 +177,7 @@ def test_criterion_7_engine_soundness():
         gb = I.groebner()
         for a in range(len(gb)):
             for b in range(a + 1, len(gb)):
-                assert reduce_poly(_s_poly(gb[a], gb[b], I.order),
+                assert reduce_poly(s_poly(gb[a], gb[b], I.order),
                                    gb, I.order).is_zero()
     # elimination soundness on a parametrized curve
     ptable = VarTable.make(["t", "x", "y"], conjugates=False)

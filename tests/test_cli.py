@@ -161,6 +161,13 @@ def test_bad_conormal_is_an_input_error():
     assert "conormal" in json.loads(out)["status"]
 
 
+def test_a_conormal_entry_is_read_as_a_coordinate_is():
+    code, out, _ = run_cli("levi", data_path("hyperquadric_k1_n3.mfd"),
+                           "--point", "1,0,0", "--conormal=-2/4+0*i")
+    assert code == 0
+    assert json.loads(out)["results"]["conormal"] == ["-1/2"]
+
+
 def test_non_holomorphic_map_is_an_input_error(tmp_path):
     bad = tmp_path / "conj.map"
     bad.write_text("vars z1 z2\ncomponent: z1^2\ncomponent: ~z1\n")
@@ -248,8 +255,16 @@ def test_a_point_literal_over_the_digit_cap_is_an_input_error():
     (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "7" * 5000],
      "bad conormal entry 1: number literal longer than 4300 digits"),
     (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "1," + "x" * 5000],
-     "conormal entry 2 is not a rational"),
-], ids=["long-literal", "empty", "long-conormal", "conormal-not-rational"])
+     "bad conormal entry 2: unknown variable 'xxxx"),
+    (["segre", "sphere_C2.mfd", "--point", "1," + "z" * 300], "bad coordinate 2: unknown variable"),
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "0.5"],
+     "bad conormal entry 1: unexpected character '.'"),
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "1e5000"],
+     "bad conormal entry 1: unexpected trailing 'e5000'"),
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "i"],
+     "conormal entry 1 is not real"),
+], ids=["long-literal", "empty", "long-conormal", "conormal-not-rational", "long-name",
+        "conormal-decimal", "conormal-exponent", "conormal-imaginary"])
 def test_a_bad_coordinate_is_named_by_its_position(argv, named):
     code, out, _ = run_cli(*[data_path(a) if a.endswith(".mfd") else a for a in argv])
     assert code == 2
@@ -298,7 +313,7 @@ def test_a_coefficient_too_long_to_print_exits_3(tmp_path):
 
 def test_a_conormal_too_long_to_print_exits_3():
     code, out, _ = run_cli("levi", data_path("hyperquadric_k1_n3.mfd"), "--point", "1,0,0",
-                           "--conormal", "1e5000")
+                           "--conormal", "10^5000")
     assert code == 3
     assert json.loads(out)["results"]["limit_stats"] == {"digits_bound": 5001, "cap": 4300}
 

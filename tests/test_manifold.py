@@ -108,6 +108,19 @@ def test_levi_rejects_zero_conormal():
         levi_signature(SPHERE, pt(1, 0), (0,))
 
 
+@pytest.mark.parametrize("c", [(Fraction(-1, 3),), (QI(-5, 0),), (QI(Fraction(-7, 2)),)],
+                         ids=["fraction", "gaussian-integer", "gaussian-rational"])
+def test_levi_takes_real_numbers_of_each_kind(c):
+    rep = levi_signature(SPHERE, pt(1, 0), c)
+    assert rep.signature == (0, 1, 0)
+    assert rep.conormal == c
+
+
+def test_levi_refuses_a_non_real_conormal_entry():
+    with pytest.raises(ManifoldError, match="conormal entry 1 is not real"):
+        levi_signature(SPHERE, pt(1, 0), (QI(1, 1),))
+
+
 def test_pseudoconcavity_probe():
     probes = pseudoconcavity_probe(HYPERQUADRIC3, [pt(1, 0, 0)])
     assert len(probes) == 2

@@ -58,6 +58,14 @@ def test_the_engine_loads_without_the_domain_modules():
                            "segrekit.orders", "segrekit.poly", "False"]
 
 
+def test_the_parser_loads_without_the_groebner_engine():
+    out = run_python(
+        "import sys, segrekit.parsing; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('segrekit'))))")
+    assert out.split() == ["segrekit", "segrekit.gaussian", "segrekit.orders",
+                           "segrekit.parsing", "segrekit.poly"]
+
+
 def run_golden(wanted, prelude=""):
     return json.loads(run_python(
         prelude + f"GOLDEN = {GOLDEN!r}; WANTED = {tuple(wanted)!r}\n" + GOLDEN_SCRIPT))
@@ -107,9 +115,9 @@ print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}))
 
 @pytest.mark.parametrize("command", README_COMMANDS)
 def test_a_fresh_command_loads_no_openssl_and_only_the_algebra_it_runs(command):
-    """No command loads OpenSSL for its input digests, only ``levi`` reads
-    numbers with ``fractions`` (and so ``decimal``), and only ``levi`` and
-    ``suite``, which form Levi matrices, load the linear algebra."""
+    """No command loads OpenSSL for its input digests or ``fractions`` (and
+    so ``decimal``) for its numbers, and only ``levi`` and ``suite``, which
+    form Levi matrices, load the linear algebra."""
     data = os.path.join(SRC, "segrekit", "data")
     argv = [os.path.join(data, a) if a.endswith((".mfd", ".map")) else a
             for a in command.split()]
@@ -118,7 +126,7 @@ def test_a_fresh_command_loads_no_openssl_and_only_the_algebra_it_runs(command):
     loaded = set(got["loaded"])
     assert "segrekit.cli" in loaded
     assert not loaded & {"hashlib", "_hashlib"}
-    assert argv[0] == "levi" or not loaded & {"fractions", "decimal"}
+    assert not loaded & {"fractions", "decimal"}
     assert ("segrekit.linalg" in loaded) == (argv[0] in ("levi", "suite"))
 
 

@@ -7,8 +7,8 @@ from math import comb, log10
 import pytest
 
 from segrekit.gaussian import PARSE_DIGIT_CAP, GaussianRational as QI
-from segrekit.ideal import PARSE_TERM_CAP, ResourceLimitError
-from segrekit.parsing import (MAX_NESTING, PARSE_WORK_CAP, ParseError, _log_heights,
+from segrekit.ideal import ResourceLimitError
+from segrekit.parsing import (MAX_NESTING, PARSE_TERM_CAP, PARSE_WORK_CAP, ParseError, _log_heights,
                               _power_terms, _power_work, parse_manifold_text, parse_map_text,
                               parse_poly)
 from segrekit.poly import Poly, VarTable

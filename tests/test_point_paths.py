@@ -271,7 +271,7 @@ def check_power_fibers(C, n, r, points):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_power_map_fibers_match_the_two_basis_fiber(n, r):
+def test_power_map_fibers_have_degrees_one_and_r_to_the_n(n, r):
     check_power_fibers(_power_graph(n, r, 1), n, r, _points(n, random.Random(10 * n + r), 2))
 
 

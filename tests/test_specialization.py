@@ -102,6 +102,19 @@ def _points(label, M, sampler):
     return on + off + edges + extra
 
 
+# the catalog, P(n, r) for n, r <= 3, H(p, q) in C^3 and C^4, and D2
+LEDGER_CASES = [c for c in CASES if c[1].n <= (3 if c[0].startswith("P(") else 4)]
+
+
+@pytest.mark.parametrize("label, M, sampler", LEDGER_CASES, ids=[c[0] for c in LEDGER_CASES])
+def test_a_point_inversion_set_has_an_empty_ledger(label, M, sampler):
+    """At a point w, Q_w's generators rho(z, w-bar) have numeric coefficients,
+    so the parametric reduction over the zb block divides by no polynomial
+    in it and its ledger stays empty, on M and off it."""
+    for w in _points(label, M, sampler):
+        assert inversion_set(M, w).excluded == (), w
+
+
 def on_locus(M, w) -> bool:
     _, locus = segre._specialization(M)
     at = PointPowers(enumerate(x.conjugate() for x in w))
