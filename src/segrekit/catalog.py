@@ -10,7 +10,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianRational as QI
 from .gaussian import QI_ZERO
-from .manifold import CRManifold, genericity_rank, levi_signature
+from .manifold import CRManifold, genericity_rank, pseudoconcavity_probe
 from .segre import essential_finiteness, minimality, symmetry_holds
 from .correspond import (AlgebraicMap, Correspondence, build_correspondence,
                          fiber, power_correspondence, verify_invariance)
@@ -186,18 +186,6 @@ class SuiteReport(NamedTuple):
         self.checks.append(CheckResult(name, bool(ok), detail))
 
 
-def _once(f: Callable) -> Callable:
-    """f with each result kept by its arguments, for one suite run."""
-    results = {}
-
-    def once(*args):
-        if args not in results:
-            results[args] = f(*args)
-        return results[args]
-
-    return once
-
-
 def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
     rep = SuiteReport([])
     M = entry.manifold
@@ -210,35 +198,35 @@ def _suite_manifold(entry: CatalogEntry, seed: int) -> SuiteReport:
             "full-rank antiholomorphic gradient at samples")
     sym = symmetry_holds(M, sample_points(entry.name, 8, seed + 1))
     rep.add("segre_symmetry", sym, "z in Q_w iff w in Q_z on sample pairs")
-    # each quantity is computed once per point (and conormal)
-    levi = _once(lambda p, c: levi_signature(M, p, c))
-    essfin = _once(lambda p: essential_finiteness(M, p))
+    if "levi_signature" in exp or "pseudoconcave" in exp:
+        # the reports at +1 and -1, point by point
+        probes = pseudoconcavity_probe(M, pts)
     if "levi_signature" in exp:
         want = tuple(exp["levi_signature"]["value"])
-        sigs = [levi(p, (1,)).signature for p in pts]
+        sigs = [r.signature for r in probes[::2]]
         rep.add("levi_signature", all(s == want for s in sigs),
                 "signature %s at all samples" % (sigs[0],))
     if "pseudoconcave" in exp:
-        # pseudoconcavity_probe(M, pts), whose grid is {+1, -1}
-        got = all(levi(p, c).mixed for p in pts for c in ((1,), (-1,)))
+        got = all(r.mixed for r in probes)
         rep.add("pseudoconcave", got == exp["pseudoconcave"]["value"],
                 "mixed Levi signature at every probe: %s" % got)
+    # essential finiteness at the first three points, or at the first alone
     if "essfin_degree" in exp:
+        essfin = [essential_finiteness(M, p) for p in pts[:3]]
         want = exp["essfin_degree"]["value"]
-        degs = []
-        for p in pts[:3]:
-            fin, deg = essfin(p)
-            degs.append(deg if fin else None)
+        degs = [deg if fin else None for fin, deg in essfin]
         rep.add("essfin_degree", all(d == want for d in degs),
                 "inversion degrees %s" % degs)
+    elif "essentially_finite" in exp or "locally_injective" in exp:
+        essfin = [essential_finiteness(M, pts[0])]
     if "essentially_finite" in exp:
-        fin, _ = essfin(pts[0])
+        fin, _ = essfin[0]
         rep.add("essentially_finite",
                 fin == exp["essentially_finite"]["value"],
                 "essentially finite: %s" % fin)
     if "locally_injective" in exp:
         # segre_map_locally_injective(M, pts[0]): inversion degree 1
-        fin, deg = essfin(pts[0])
+        fin, deg = essfin[0]
         got = fin and deg == 1
         rep.add("locally_injective",
                 got == exp["locally_injective"]["value"],

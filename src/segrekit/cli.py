@@ -193,8 +193,17 @@ def _setting(args, option: str, minimum: Optional[int] = None) -> Optional[int]:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are input errors, reported as every
+    other one is; its usage still goes to stderr."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="segrekit",
         description="Exact Segre-variety computations for real-algebraic "
                     "CR manifolds.")
@@ -253,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    rep = Report(command=args.cmd, seed=0)
+    rep = Report(command=None, seed=0)   # no command until the line parses
     start = time.monotonic()
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:   # --help, which argparse answers itself
+            return exc.code or EXIT_OK
+        rep.command = args.cmd
         rep.seed = _setting(args, "seed") or 0
         caps = {cap: v for cap in ("max_degree", "max_basis")
                 if (v := _setting(args, cap, minimum=1)) is not None}

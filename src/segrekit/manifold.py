@@ -290,7 +290,14 @@ def pseudoconcavity_probe(M: CRManifold, points: Sequence[Point]) -> List[LeviRe
     """The Levi reports at sampled points and the conormals +1 and -1, which
     are all of them up to scaling, as M must be a hypersurface (d = 1); the
     manifold looks pseudoconcave when every one is ``mixed``.  A probe over
-    finitely many samples, not a proof."""
+    finitely many samples, not a proof.  The form at -1 is minus the one at
+    +1, so its report swaps positives and negatives (Sylvester's law of
+    inertia), and one form is computed per point."""
     if M.d != 1:
         raise ManifoldError(f"the pseudoconcavity probe needs codimension 1, got {M.d}")
-    return [levi_signature(M, p, c) for p in points for c in ((1,), (-1,))]
+    out = []
+    for p in points:
+        plus = levi_signature(M, p, (1,))
+        pos, neg, zero = plus.signature
+        out += [plus, LeviReport((-plus.conormal[0],), (neg, pos, zero))]
+    return out

@@ -20,10 +20,9 @@ CONJ_VAR = "conj"
 PARAM_VAR = "param"
 
 # the prefixes of the variable blocks the toolkit builds from a manifold's
-# z-variables: Segre parameters, correspondence targets, inversion sets,
-# graph_form's zeta block, Segre-set steps and the middle block of a
-# composition; a `vars` line may not use them
-WB, WPB, ZB, ZETA, U, MB = BLOCKS = ("wb_", "wpb_", "zb_", "zeta_", "u_", "mb_")
+# z-variables: Segre parameters, correspondence targets, inversion sets and
+# the middle block of a composition; a `vars` line may not use them
+WB, WPB, ZB, MB = BLOCKS = ("wb_", "wpb_", "zb_", "mb_")
 
 
 def is_scalar(x) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 # SHA-256 from the interpreter's own module, which loads no OpenSSL, as
 # random.py takes its SHA-512; hashlib where the build lacks that module
@@ -29,7 +29,7 @@ class Report:
     __slots__ = ("command", "seed", "inputs", "limits", "results", "excluded",
                  "status", "notes")
 
-    def __init__(self, command: str, seed: int):
+    def __init__(self, command: Optional[str], seed: int):
         self.command = command
         self.seed = seed
         self.inputs: Dict[str, str] = {}
@@ -57,7 +57,7 @@ class Report:
             "status": self.status,
         }
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        lines = ["%s: %s" % (self.command, self.status)]
+        lines = ["%s: %s" % (self.command or "segrekit", self.status)]
         for k, v in self.results.items():
             lines.append("  %s = %s" % (k, v))
         if self.excluded:

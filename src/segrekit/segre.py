@@ -12,7 +12,7 @@ from .gaussian import PointPowers
 from .manifold import (CRManifold, ManifoldError, polar_gens, require_real,
                        vanish)
 from .orders import InconclusiveError
-from .poly import U, WB, ZB, Poly, PolyError, VarTable
+from .poly import WB, ZB, Poly, PolyError, VarTable
 
 SYMBOLIC = "symbolic"
 
@@ -216,7 +216,9 @@ def inversion_set(M: CRManifold, w=SYMBOLIC) -> InversionSet:
     The containment Q_w subset Q_z with targets rho(z, zb): the identity-map
     case of a correspondence graph.  At the symbolic point the ideal lives
     over zb with the wb_* block after it as parameters, and is read from
-    ``symbolic_inversion``."""
+    ``symbolic_inversion``.  At a point, Q_w's divisors involve z alone, so
+    every leading coefficient of the reduction is a number and the ledger
+    ``excluded`` is always empty."""
     require_real(M)
     zb = M.block(ZB)
     if w == SYMBOLIC:
@@ -304,17 +306,11 @@ def segre_sets(M: CRManifold, p, j_max: int) -> SegreSetChain:
     ztab = Q1.table
     ideals = [Q1]
     dims = [dimension(Q1)]
-    n = M.n
-    uvars = M.block(U)
-    joint = M.ring(M.zvar_names + uvars)
-    rename_u = dict(zip(M.zvar_names, uvars))
-    polar = polar_gens(M, joint, uvars)
-    while len(ideals) < j_max and dims[-1] < n:
-        # conjugate of the previous Segre set in the u-block, and the polar
-        # constraint rho(z, u)
-        gens = [Poly._raw(g.table, {m: c.conjugate() for m, c in g.terms.items()})
-                .substitute(rename_u, joint) for g in ideals[-1].generators]
-        nxt = eliminate(Ideal.make(gens + list(polar), table=joint), ztab)
+    while len(ideals) < j_max and dims[-1] < M.n:
+        # the previous Segre set conjugated into the ~z slots of M's own
+        # table, joined with rho(z, ~z)
+        gens = [g.substitute({}, M.table).conjugate() for g in ideals[-1].generators]
+        nxt = eliminate(Ideal.make(gens + list(M.rho), table=M.table), ztab)
         ideals.append(nxt)
         dims.append(dimension(nxt))
         if nxt == ideals[-2]:

@@ -201,6 +201,30 @@ def test_exit_code_unknown_entry():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["levi", "hyperquadric_k1_n3.mfd"], "the following arguments are required: --point"),
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--frob"],
+     "unrecognized arguments: --frob"),
+    # -1/2 does not look like a negative number to argparse, which reads
+    # it as an option; --conormal=-1/2 is the spelling it takes
+    (["levi", "hyperquadric_k1_n3.mfd", "--point", "1,0,0", "--conormal", "-1/2"],
+     "argument --conormal: expected one argument"),
+], ids=["missing-argument", "unknown-flag", "negative-conormal"])
+def test_a_line_argparse_refuses_is_reported_as_an_input_error(argv, message):
+    code, out, err = run_cli(*[data_path(a) if a.endswith(".mfd") else a for a in argv])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["command"] is None and doc["results"] == {}
+    assert doc["status"] == "input-error: " + message
+    assert err.startswith("usage: segrekit")
+
+
+def test_help_still_exits_0():
+    code, out, _ = run_cli("levi", "--help")
+    assert code == 0
+    assert out.startswith("usage: segrekit levi")
+
+
 def test_an_expansion_over_the_term_cap_exits_3_at_once(tmp_path):
     """Parsing refuses 0*(...)^60, C(64, 4) = 635376 terms, before expanding it."""
     path = tmp_path / "big.mfd"

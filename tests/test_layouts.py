@@ -12,7 +12,7 @@ from segrekit.ideal import Ideal, eliminate, saturate
 from segrekit.manifold import CRManifold, polar_gens
 from segrekit.orders import MonomialCodec, block_elim, lex
 from segrekit.parsing import parse_poly
-from segrekit.poly import U, WB, VarTable
+from segrekit.poly import WB, VarTable
 from segrekit.segre import essential_finiteness, inversion_set, segre_sets, segre_variety
 
 SPHERE = ("vars z1 z2\n"
@@ -97,9 +97,9 @@ def test_a_replaced_rho_never_reads_the_old_relayouts():
                 == inversion_set(fresh, w).ideal.generators)
     assert ([I.generators for I in segre_sets(scaled, p, 3).ideals]
             == [I.generators for I in segre_sets(fresh, p, 3).ideals])
-    uvars = M.block(U)
-    joint = M.ring(M.zvar_names + uvars)
-    assert polar_gens(scaled, joint, uvars) == tuple(3 * g for g in polar_gens(M, joint, uvars))
+    wb = M.block(WB)
+    joint = M.ring(M.zvar_names + wb)
+    assert polar_gens(scaled, joint, wb) == tuple(3 * g for g in polar_gens(M, joint, wb))
 
 
 def test_the_store_is_not_part_of_the_value():

@@ -1,13 +1,18 @@
 """Manifold layer: reality, genericity, chart changes, Levi data."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from segrekit.catalog import load_manifold, sample_points
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.manifold import (CRManifold, ManifoldError, dehomogenize,
                                genericity_rank, homogenize, levi_signature,
                                pseudoconcavity_probe)
+
+from test_containment import hyperquadric
+from test_specialization import hyperquadric_points
 
 SPHERE = CRManifold.from_text("""
 vars z1 z2
@@ -127,3 +132,24 @@ def test_pseudoconcavity_probe():
     assert all(r.mixed for r in probes)
     probes = pseudoconcavity_probe(SPHERE, [pt(1, 0)])
     assert not any(r.mixed for r in probes)
+
+
+def _probe_cases():
+    """(label, manifold, points): three catalog hypersurfaces, and H(p, q)
+    (|z_1|^2 + ... + |z_p|^2 - ... - |z_n|^2 = 1) for every p in C^3-C^5."""
+    cases = [(name, load_manifold(name + ".mfd"), sample_points(name, 3, seed=5))
+             for name in ("sphere_C2", "hyperquadric_k1_n3", "hyperquadric_k1_n2")]
+    for n in (3, 4, 5):
+        for p in range(1, n + 1):
+            rng = random.Random(10 * n + p)
+            draw = hyperquadric_points(p, n - p)
+            cases.append((f"H({p},{n - p})", hyperquadric(p, n - p), [draw(rng) for _ in range(3)]))
+    return cases
+
+
+@pytest.mark.parametrize("label, M, points", _probe_cases(), ids=[c[0] for c in _probe_cases()])
+def test_the_probe_reports_the_levi_form_at_both_conormals(label, M, points):
+    """The probe computes the form at +1 only; its report at -1 (positives
+    and negatives swapped) is the one levi_signature gives there."""
+    assert pseudoconcavity_probe(M, points) == [
+        levi_signature(M, p, c) for p in points for c in ((1,), (-1,))]

@@ -14,7 +14,7 @@ from segrekit.catalog import load_catalog
 from segrekit.correspond import AlgebraicMap, _param_table, graph_targets
 from segrekit.gaussian import GaussianRational as QI
 from segrekit.manifold import CRManifold, dehomogenize, homogenize, polar_gens
-from segrekit.poly import CONJ_VAR, WB, Z_VAR, ZB, ZETA, Poly, PolyError, VarTable
+from segrekit.poly import CONJ_VAR, MB, WB, Z_VAR, ZB, Poly, PolyError, VarTable
 from segrekit.segre import SYMBOLIC, containment_ideal
 
 CATALOG = load_catalog()
@@ -80,7 +80,7 @@ def test_conjugate_block_renames(seed):
     rng = random.Random(seed)
     zvars = SOURCE.zvars()
     p = _random_poly(rng, SOURCE)
-    prefix = rng.choice([WB, ZB, ZETA])
+    prefix = rng.choice([WB, ZB, MB])
     block = tuple(prefix + n for n in zvars)
     target = VarTable.make(zvars + block, params=["t1", "t2"], conjugates=False)
     name_map = {"~" + n: b for n, b in zip(zvars, block)}

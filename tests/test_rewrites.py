@@ -68,7 +68,7 @@ def target_cases():
 
 
 @pytest.mark.parametrize("label,M,Mp,f", target_cases(), ids=[c[0] for c in target_cases()])
-def test_graph_targets_equal_the_per_term_loop(label, M, Mp, f):
+def test_graph_targets_are_rho_prime_of_f_with_denominators_cleared(label, M, Mp, f):
     """The targets come laid out over the containment ring: M's z-variables,
     then the graph's (wb, wpb) parameter table.  At random points (z, wb,
     wpb) off the poles of f, the k-th target takes the value of
