@@ -37,37 +37,43 @@ def map_on(M, components):
 
 
 def target_cases():
+    """(label, M, Mp, f) cases.  The label seeds the random points and names
+    the case; a catalog map's case is named `name:map`, apart from the
+    `name/identity` case that AlgebraicMap.identity builds."""
     cases = []
+
+    def add(label, M, Mp, f, id=None):
+        cases.append(pytest.param(label, M, Mp, f, id=id or label))
+
     for n in (2, 3):
         for r in (1, 2, 3):
             src, dst = power_manifold(n, r), power_manifold(n, 1)
-            cases.append((f"power_n{n}_r{r}", src, dst,
-                          map_on(src, [f"z{k}^{r}" for k in range(1, n + 1)])))
+            add(f"power_n{n}_r{r}", src, dst, map_on(src, [f"z{k}^{r}" for k in range(1, n + 1)]))
     for name, e in sorted(CATALOG.items()):
         if e.kind == "manifold":
             M = e.manifold
-            cases.append((name + "/identity", M, M, AlgebraicMap.identity(M)))
-            cases.extend((f"{name}/{label}", M, M, f) for label, f in sorted(e.maps.items()))
+            add(name + "/identity", M, M, AlgebraicMap.identity(M))
+            for label, f in sorted(e.maps.items()):
+                add(f"{name}/{label}", M, M, f, id=f"{name}:{label}")
         elif e.map is not None:
-            cases.append((name, e.source, e.target, e.map))
+            add(name, e.source, e.target, e.map)
     # denominators other than 1, and a target of degree 2 in one variable
     sphere = CATALOG["sphere_C2"].manifold
     H3 = CATALOG["hyperquadric_k1_n3"].manifold
-    cases.append(("sphere/rational", sphere, sphere,
-                  map_on(sphere, ["z1 / (2 - z2)", "(z2^2 + i) / (1 + z1*z2)"])))
-    cases.append(("sphere->P(2,2)/rational", sphere, power_manifold(2, 2),
-                  map_on(sphere, ["z1*z2 / (3 + z1)", "z2 - 1"])))
-    cases.append(("H3/rational", H3, H3,
-                  map_on(H3, ["z1 / (1 + z3)", "z2", "z3^2 / (1 + z3)"])))
+    add("sphere/rational", sphere, sphere,
+        map_on(sphere, ["z1 / (2 - z2)", "(z2^2 + i) / (1 + z1*z2)"]))
+    add("sphere->P(2,2)/rational", sphere, power_manifold(2, 2),
+        map_on(sphere, ["z1*z2 / (3 + z1)", "z2 - 1"]))
+    add("H3/rational", H3, H3, map_on(H3, ["z1 / (1 + z3)", "z2", "z3^2 / (1 + z3)"]))
     # constant components: a factor equal to 1 is skipped, any other kept,
     # and -1 to an even power is 1
-    cases.append(("sphere/constant", sphere, sphere, map_on(sphere, ["3/5", "z2"])))
-    cases.append(("sphere/one", sphere, sphere, map_on(sphere, ["1", "z1*z2"])))
-    cases.append(("H3/constants", H3, H3, map_on(H3, ["-1", "2*i", "z3 / (1 - z1)"])))
+    add("sphere/constant", sphere, sphere, map_on(sphere, ["3/5", "z2"]))
+    add("sphere/one", sphere, sphere, map_on(sphere, ["1", "z1*z2"]))
+    add("H3/constants", H3, H3, map_on(H3, ["-1", "2*i", "z3 / (1 - z1)"]))
     return cases
 
 
-@pytest.mark.parametrize("label,M,Mp,f", target_cases(), ids=[c[0] for c in target_cases()])
+@pytest.mark.parametrize("label,M,Mp,f", target_cases())
 def test_graph_targets_are_rho_prime_of_f_with_denominators_cleared(label, M, Mp, f):
     """The targets come laid out over the containment ring: M's z-variables,
     then the graph's (wb, wpb) parameter table.  At random points (z, wb,
